@@ -65,32 +65,25 @@ def write_solution_csv(path, u):
                delimiter=",", fmt=["%d", "%.17g"])
 
 
-def _json_default(obj):
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf"
-    raise TypeError(f"not serializable: {type(obj)}")
+def _jsonable(x):
+    """x as plain JSON data: numpy values and dataclasses converted, and
+    NaN, +inf and -inf written as the strings "nan", "inf" and "-inf"."""
+    if dataclasses.is_dataclass(x) and not isinstance(x, type):
+        x = dataclasses.asdict(x)
+    if isinstance(x, dict):
+        return {k: _jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple, np.ndarray)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, np.generic):
+        x = x.item()
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    return x
 
 
 def write_report(path, report):
-    def clean(x):
-        if isinstance(x, float) and math.isinf(x):
-            return "inf"
-        if isinstance(x, dict):
-            return {k: clean(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [clean(v) for v in x]
-        return x
-
     with open(path, "w") as fh:
-        json.dump(clean(report), fh, indent=2, default=_json_default)
+        json.dump(_jsonable(report), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -101,23 +94,11 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _limit_threads(n):
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def cmd_solve(args) -> int:
     out = _out_dir(args)
     graph = read_graph_csv(args.graph)
     labels = read_labels_csv(args.labels)
-    cfg = SolverConfig(alpha=args.alpha, seed=args.seed)
+    cfg = SolverConfig(alpha=args.alpha)
     resolved = {"command": "solve", "method": args.method,
                 "graph": str(args.graph), "labels": str(args.labels),
                 **dataclasses.asdict(cfg)}
@@ -150,7 +131,7 @@ def cmd_solve(args) -> int:
 def cmd_toy2d(args) -> int:
     out = _out_dir(args)
     methods = ("gl", "wnll", "il") if args.method == "all" else (args.method,)
-    cfg = SolverConfig(alpha=args.alpha, seed=args.seed)
+    cfg = SolverConfig(alpha=args.alpha)
     resolved = {"command": "toy2d", "grid": args.grid, "sigma": args.sigma,
                 "k": args.k, "methods": list(methods),
                 **dataclasses.asdict(cfg)}
@@ -223,7 +204,7 @@ def cmd_gamma(args) -> int:
         problem = gamma_mod.circle_benchmark()
     schedule = gamma_mod.BandwidthSchedule(n_values, r_adjust=args.r_adjust,
                                            dim=problem.intrinsic_dim)
-    _write_toml(out / "config.toml", {
+    write_report(out / "config.json", {
         "command": "gamma", "problem": args.problem, "trials": args.trials,
         "seed": args.seed, "r_adjust": args.r_adjust,
         "n_values": n_values})
@@ -233,25 +214,10 @@ def cmd_gamma(args) -> int:
     return 0
 
 
-def _write_toml(path, mapping):
-    with open(path, "w") as fh:
-        for key, val in mapping.items():
-            if isinstance(val, str):
-                fh.write(f'{key} = "{val}"\n')
-            elif isinstance(val, bool):
-                fh.write(f"{key} = {str(val).lower()}\n")
-            elif isinstance(val, list):
-                fh.write(f"{key} = [{', '.join(str(v) for v in val)}]\n")
-            else:
-                fh.write(f"{key} = {val}\n")
-
-
 def build_parser():
     parser = argparse.ArgumentParser(prog="ilgraph")
     parser.add_argument("--out", default=None,
                         help="output directory (env ILGRAPH_OUT overrides the default)")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap internal BLAS parallelism")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve a graph/labels problem from CSV")
@@ -259,7 +225,6 @@ def build_parser():
     p.add_argument("labels")
     p.add_argument("--method", choices=["gl", "wnll", "il"], default="il")
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("toy2d", help="run the 2-D grid benchmark")
@@ -268,7 +233,6 @@ def build_parser():
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--method", choices=["gl", "wnll", "il", "all"], default="all")
     p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_toy2d)
 
     p = sub.add_parser("inpaint", help="inpaint a PGM image")
@@ -299,7 +263,6 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    _limit_threads(args.threads)
     try:
         return args.func(args)
     except (InputError, InvalidParameterError, FileNotFoundError,

@@ -57,26 +57,15 @@ def discrete_energy(u, points, kernel: KernelSpec, s: float, p: float,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] != u.shape[0]:
         points = points.T
-    n, d = points.shape
-    if dim is not None:
-        d = dim  # intrinsic dimension for manifold samples
     if label_indices is not None:
         if not np.array_equal(u[np.asarray(label_indices)],
                               np.asarray(label_values, dtype=float)):
             return math.inf
-    r_eta = kernel.support_radius / kernel.bandwidth
-    from scipy.spatial import cKDTree
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(r=s * r_eta, output_type="ndarray")
-    row_sums = np.zeros(n)
-    if pairs.size:
-        i, j = pairs[:, 0], pairs[:, 1]
-        dist = np.linalg.norm(points[i] - points[j], axis=1)
-        w = kernel.profile(dist / s) / s ** d
-        contrib = w * np.abs(u[i] - u[j]) ** p
-        np.add.at(row_sums, i, contrib)
-        np.add.at(row_sums, j, contrib)
-    return float((row_sums.max() / n) ** (1.0 / p) / s)
+    graph = build_full_kernel_graph(points, kernel, s, dim=dim)
+    rows, cols, w, _ = graph.edge_arrays()
+    row_sums = np.bincount(rows, weights=w * np.abs(u[rows] - u[cols]) ** p,
+                           minlength=u.size)
+    return float((row_sums.max() / u.size) ** (1.0 / p) / s)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ the quartic self-tuning kernel truncated to k nearest neighbors.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -144,8 +144,7 @@ def _solve_on_patches(patches: PatchSet, intensities, mask: SampleMask,
     graph = self_tuning_weights(PointCloud(patches.vectors), cfg.k, cfg.k_sigma)
     labeled = np.nonzero(mask.known.ravel())[0]
     labels = LabelAssignment(labeled, intensities.ravel()[labeled])
-    scfg = cfg.solver
-    scfg.alpha = cfg.alpha
+    scfg = replace(cfg.solver, alpha=cfg.alpha)
     if cfg.method == "il":
         u, _ = il_solve(graph, labels, scfg)
     else:

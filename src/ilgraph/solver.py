@@ -13,7 +13,7 @@ constant and label-boosted penalties respectively.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -62,7 +62,6 @@ class SolverConfig:
     choose_c_eps: float = 1e-4
     lin_tol: float = 1e-10
     lin_max_iter: Optional[int] = None
-    seed: int = 0
     max_over_unlabeled_only: bool = False
     fixed_c: Optional[float] = None
     # optional extra stopping requirement: max|D - sqrt(w)(u_i-u_j)| must
@@ -77,23 +76,6 @@ class SolverConfig:
 
 
 @dataclass
-class BregmanState:
-    """Iterates of the splitting scheme. D, q and s live on the sparsity
-    pattern of the weight matrix (flat arrays aligned with csr data)."""
-
-    u: np.ndarray
-    D: np.ndarray
-    q: np.ndarray
-    nu: np.ndarray
-    c: float
-    history: list = field(default_factory=list)
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.D + self.q
-
-
-@dataclass
 class ILDiagnostics:
     c_star: float
     iterations: int
@@ -104,12 +86,8 @@ class ILDiagnostics:
     final_linear_report: Optional[SolveReport] = None
 
 
-def _edges(graph: WeightGraph):
-    return graph.edge_arrays()
-
-
 def _row_energies(u, graph: WeightGraph):
-    rows, cols, w, _ = _edges(graph)
+    rows, cols, w, _ = graph.edge_arrays()
     diff2 = (u[rows] - u[cols]) ** 2
     return np.bincount(rows, weights=w * diff2, minlength=graph.n_nodes)
 
@@ -186,12 +164,17 @@ def _threshold_sorted(a, c):
     return x
 
 
-def _solve_u(nu, s_flat, graph: WeightGraph, labels: LabelAssignment,
-             lin_tol: float, lin_max_iter=None):
-    """One least-squares value update: assemble the symmetric system over
-    unlabeled unknowns and solve it. Labeled values are pinned exactly."""
+def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
+                  lin_tol: float, lin_max_iter=None):
+    """Least-squares value update for fixed penalties nu, built once.
+
+    Checks label connectivity and assembles the symmetric system over the
+    unlabeled unknowns and its label coupling; returns
+    solve(s_flat) -> (u, SolveReport), which only forms the right-hand side
+    and solves. Labeled values are pinned exactly.
+    """
     n = graph.n_nodes
-    rows, cols, w, sqw = _edges(graph)
+    rows, cols, w, sqw = graph.edge_arrays()
     nu = np.asarray(nu, dtype=float)
     if np.any(nu <= 0):
         raise InvalidParameterError("penalties nu must be positive")
@@ -201,40 +184,35 @@ def _solve_u(nu, s_flat, graph: WeightGraph, labels: LabelAssignment,
     half = sp.csr_matrix((nu[rows] * w, (rows, cols)), shape=(n, n))
     B = half + half.T
     deg = np.asarray(B.sum(axis=1)).ravel()
-    L = sp.diags(deg) - B
-
-    weighted = nu[rows] * sqw * np.asarray(s_flat, dtype=float)
-    r = (np.bincount(rows, weights=weighted, minlength=n)
-         - np.bincount(cols, weights=weighted, minlength=n))
-
     unl = labels.unlabeled(n)
-    u = np.zeros(n)
-    u[labels.indices] = labels.values
-    if unl.size == 0:
-        return u, SolveReport(0, 0.0, True)
-    L = L.tocsr()
-    A = L[unl][:, unl]
-    rhs = r[unl] - L[unl][:, labels.indices] @ labels.values
-    x, report = solve_symmetric(A, rhs, tol=lin_tol, max_iter=lin_max_iter)
-    u[unl] = x
-    return u, report
+    L_unl = (sp.diags(deg) - B).tocsr()[unl]
+    A = L_unl[:, unl]
+    coupling = L_unl[:, labels.indices] @ labels.values
+    nu_sqw = nu[rows] * sqw
 
+    def solve(s_flat):
+        u = np.zeros(n)
+        u[labels.indices] = labels.values
+        if unl.size == 0:
+            return u, SolveReport(0, 0.0, True)
+        weighted = nu_sqw * np.asarray(s_flat, dtype=float)
+        r = (np.bincount(rows, weights=weighted, minlength=n)
+             - np.bincount(cols, weights=weighted, minlength=n))
+        u[unl], report = solve_symmetric(A, r[unl] - coupling, tol=lin_tol,
+                                         max_iter=lin_max_iter)
+        return u, report
 
-def update_u(state: BregmanState, graph: WeightGraph, labels: LabelAssignment,
-             cfg: SolverConfig) -> np.ndarray:
-    u, _ = _solve_u(state.nu, state.s, graph, labels, cfg.lin_tol, cfg.lin_max_iter)
-    state.u = u
-    return u
+    return solve
 
 
 def _nonlocal_gradient(u, graph: WeightGraph):
-    rows, cols, _, sqw = _edges(graph)
+    rows, cols, _, sqw = graph.edge_arrays()
     return sqw * (u[rows] - u[cols])
 
 
 def _update_D_flat(u, q_flat, nu, graph: WeightGraph, alpha: float, row_mask=None):
     n = graph.n_nodes
-    rows = _edges(graph)[0]
+    rows = graph.edge_arrays()[0]
     t_flat = _nonlocal_gradient(u, graph)
     c_data = (nu[rows] / (alpha + nu[rows])) * (t_flat - q_flat)
     row_norm = np.sqrt(np.bincount(rows, weights=c_data ** 2, minlength=n))
@@ -249,12 +227,6 @@ def _update_D_flat(u, q_flat, nu, graph: WeightGraph, alpha: float, row_mask=Non
     active = row_norm > 0
     scale[active] = x[active] / row_norm[active]
     return scale[rows] * c_data
-
-
-def update_D(state: BregmanState, graph: WeightGraph, cfg: SolverConfig,
-             row_mask=None) -> np.ndarray:
-    state.D = _update_D_flat(state.u, state.q, state.nu, graph, cfg.alpha, row_mask)
-    return state.D
 
 
 def _choose_c_from_t1(t1_flat, graph, u1, alpha, eps, max_iter=1000):
@@ -282,9 +254,8 @@ def choose_c(graph: WeightGraph, labels: LabelAssignment, alpha: float,
              eps: float = 1e-4) -> float:
     """Adaptive penalty: fixed-point iteration driving the first-iteration
     thresholding ratio ||D1 - T1||_F^2 / ||T1||_F^2 to 1/4."""
-    nu1 = np.ones(graph.n_nodes)
-    u1, _ = _solve_u(nu1, np.zeros(graph.weights.nnz), graph, labels,
-                     lin_tol=1e-10)
+    u1, _ = _value_solver(np.ones(graph.n_nodes), graph, labels, lin_tol=1e-10)(
+        np.zeros(graph.weights.nnz))
     t1 = _nonlocal_gradient(u1, graph)
     return _choose_c_from_t1(t1, graph, u1, alpha, eps)
 
@@ -294,9 +265,9 @@ def gl_solve(graph: WeightGraph, labels: LabelAssignment,
     """Graph-Laplacian baseline: minimizer of the quadratic energy, equal
     to the first value update with unit penalties."""
     cfg = cfg or SolverConfig()
-    nu = np.ones(graph.n_nodes)
-    u, report = _solve_u(nu, np.zeros(graph.weights.nnz), graph, labels,
-                         cfg.lin_tol, cfg.lin_max_iter)
+    solve = _value_solver(np.ones(graph.n_nodes), graph, labels, cfg.lin_tol,
+                          cfg.lin_max_iter)
+    u, report = solve(np.zeros(graph.weights.nnz))
     return (u, report) if full_output else u
 
 
@@ -308,8 +279,8 @@ def wnll_solve(graph: WeightGraph, labels: LabelAssignment,
     n = graph.n_nodes
     nu = np.ones(n)
     nu[labels.indices] = n / labels.count
-    u, report = _solve_u(nu, np.zeros(graph.weights.nnz), graph, labels,
-                         cfg.lin_tol, cfg.lin_max_iter)
+    solve = _value_solver(nu, graph, labels, cfg.lin_tol, cfg.lin_max_iter)
+    u, report = solve(np.zeros(graph.weights.nnz))
     return (u, report) if full_output else u
 
 
@@ -328,39 +299,41 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     def f(u):
         return objective(u, graph, cfg.alpha, row_subset=row_subset)
 
-    u1, report = _solve_u(np.ones(n), np.zeros(nnz), graph, labels,
-                          cfg.lin_tol, cfg.lin_max_iter)
-    t1 = _nonlocal_gradient(u1, graph)
+    # The penalty nu = c* is constant, so c* scales both sides of the value
+    # update and cancels: the unit-penalty (GL) system serves the first
+    # pass and every outer iteration.
+    solve = _value_solver(np.ones(n), graph, labels, cfg.lin_tol, cfg.lin_max_iter)
+    u, report = solve(np.zeros(nnz))
+    grad = _nonlocal_gradient(u, graph)
     if cfg.fixed_c is not None:
         c_star = float(cfg.fixed_c)
     else:
-        c_star = _choose_c_from_t1(t1, graph, u1, cfg.alpha, cfg.choose_c_eps)
+        c_star = _choose_c_from_t1(grad, graph, u, cfg.alpha, cfg.choose_c_eps)
     nu = np.full(n, c_star)
+    q = np.zeros(nnz)
+    D = _update_D_flat(u, q, nu, graph, cfg.alpha, row_subset)
 
-    state = BregmanState(u=u1, D=np.zeros(nnz), q=np.zeros(nnz), nu=nu, c=c_star)
-    state.D = _update_D_flat(u1, state.q, nu, graph, cfg.alpha, row_subset)
-
-    history = [f(u1)]
-    best_u, best_f = u1, history[0]
+    history = [f(u)]
+    best_u, best_f = u, history[0]
     converged = False
     while len(history) < cfg.max_outer_iter:
-        u = update_u(state, graph, labels, cfg)
-        update_D(state, graph, cfg, row_subset)
-        state.q = state.q + state.D - _nonlocal_gradient(u, graph)
+        u, report = solve(D + q)
+        D = _update_D_flat(u, q, nu, graph, cfg.alpha, row_subset)
+        grad = _nonlocal_gradient(u, graph)
+        q = q + D - grad
         fval = f(u)
         history.append(fval)
         if fval < best_f:
             best_u, best_f = u, fval
         prev = history[-2]
         if prev == 0.0 or abs(fval - prev) / prev <= cfg.rel_obj_tol:
-            if cfg.primal_tol is not None:
-                gap = float(np.max(np.abs(state.D - _nonlocal_gradient(u, graph))))
-                if gap > cfg.primal_tol:
-                    continue
+            if (cfg.primal_tol is not None
+                    and float(np.max(np.abs(D - grad))) > cfg.primal_tol):
+                continue
             converged = True
             break
 
-    primal = float(np.max(np.abs(state.D - _nonlocal_gradient(state.u, graph)))) if nnz else 0.0
+    primal = float(np.max(np.abs(D - grad))) if nnz else 0.0
     diag = ILDiagnostics(
         c_star=c_star,
         iterations=len(history),

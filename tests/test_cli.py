@@ -1,9 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from ilgraph.cli import build_parser, main
+from ilgraph.cli import build_parser, main, write_report
 from ilgraph.inpaint import Image, write_pgm
 
 
@@ -33,6 +34,21 @@ class TestParser:
     def test_solve_defaults(self):
         args = build_parser().parse_args(["solve", "g.csv", "l.csv"])
         assert args.method == "il" and args.alpha == 0.0
+
+
+def _reject_constant(token):
+    raise ValueError(f"invalid JSON token {token}")
+
+
+class TestWriteReport:
+    def test_non_finite_values_are_valid_json(self, tmp_path):
+        path = tmp_path / "r.json"
+        write_report(path, {"nan": math.nan, "inf": math.inf,
+                            "values": np.array([-np.inf, 1.5, np.nan]),
+                            "count": np.int64(3)})
+        report = json.loads(path.read_text(), parse_constant=_reject_constant)
+        assert report == {"nan": "nan", "inf": "inf",
+                          "values": ["-inf", 1.5, "nan"], "count": 3}
 
 
 class TestSolve:
@@ -131,9 +147,9 @@ class TestGamma:
         study = (out / "study.csv").read_text().strip().splitlines()
         assert study[0].startswith("n,trial")
         assert len(study) == 3
-        toml = (out / "config.toml").read_text()
-        assert 'command = "gamma"' in toml
-        assert "n_values = [60, 120]" in toml
+        config = json.loads((out / "config.json").read_text())
+        assert config["command"] == "gamma"
+        assert config["n_values"] == [60, 120]
 
     def test_bad_trials(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "gamma", "--trials", "0"])

@@ -158,6 +158,16 @@ class TestPipelines:
         o2 = inpaint(img, mask, tiny_config("gl"))
         assert np.array_equal(o1.pixels, o2.pixels)
 
+    def test_caller_solver_config_unchanged(self):
+        img = tiny_image()
+        mask = SampleMask.random(img.shape, 0.2, seed=0)
+        scfg = SolverConfig(alpha=0.5, max_outer_iter=5)
+        cfg = InpaintConfig(method="il", alpha=0.0, patch_size=(5, 5), k=10,
+                            k_sigma=5, solver=scfg)
+        oracle_weight_inpaint(img, mask, cfg)
+        assert cfg.solver is scfg
+        assert scfg == SolverConfig(alpha=0.5, max_outer_iter=5)
+
     def test_shape_mismatch_rejected(self):
         img = tiny_image()
         mask = SampleMask.random((8, 8), 0.5, seed=0)

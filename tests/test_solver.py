@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import ilgraph.solver
 from conftest import random_connected_graph, random_labels
 from ilgraph.graph import InvalidParameterError, WeightGraph
 from ilgraph.linalg import DisconnectedGraphError
@@ -111,14 +112,14 @@ class TestBaselines:
 
 class TestChooseC:
     def test_first_iteration_ratio_near_quarter(self):
-        from ilgraph.solver import (_nonlocal_gradient, _solve_u,
-                                    _update_D_flat)
+        from ilgraph.solver import (_nonlocal_gradient, _update_D_flat,
+                                    _value_solver)
         rng = np.random.default_rng(2)
         graph = random_connected_graph(30, rng)
         labels = random_labels(30, rng)
         c = choose_c(graph, labels, alpha=0.0, eps=1e-4)
-        u1, _ = _solve_u(np.ones(30), np.zeros(graph.weights.nnz), graph,
-                        labels, lin_tol=1e-10)
+        u1, _ = _value_solver(np.ones(30), graph, labels, lin_tol=1e-10)(
+            np.zeros(graph.weights.nnz))
         t1 = _nonlocal_gradient(u1, graph)
         d1 = _update_D_flat(u1, np.zeros_like(t1), np.full(30, c), graph, 0.0)
         ratio = np.sum((d1 - t1) ** 2) / np.sum(t1 * t1)
@@ -195,6 +196,40 @@ class TestILSolve:
                   il_solve(graph, labels, SolverConfig())[0]):
             assert u.min() >= lo - 1e-6
             assert u.max() <= hi + 1e-6
+
+    def test_final_linear_report_is_last_solve(self, monkeypatch):
+        reports = []
+        solve_symmetric = ilgraph.solver.solve_symmetric
+
+        def recording(*args, **kwargs):
+            x, report = solve_symmetric(*args, **kwargs)
+            reports.append(report)
+            return x, report
+
+        monkeypatch.setattr(ilgraph.solver, "solve_symmetric", recording)
+        rng = np.random.default_rng(10)
+        graph = random_connected_graph(20, rng)
+        _, diag = il_solve(graph, random_labels(20, rng), SolverConfig())
+        # the first pass plus one value update per further iteration
+        assert len(reports) == diag.iterations > 1
+        assert diag.final_linear_report is reports[-1]
+
+    def test_connectivity_checked_once_per_solve(self, monkeypatch):
+        calls = []
+        check = ilgraph.solver.check_label_connectivity
+
+        def counting(*args):
+            calls.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(ilgraph.solver, "check_label_connectivity", counting)
+        rng = np.random.default_rng(11)
+        graph = random_connected_graph(20, rng)
+        labels = random_labels(20, rng)
+        for solve in (gl_solve, wnll_solve, il_solve):
+            calls.clear()
+            solve(graph, labels)
+            assert len(calls) == 1
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(InvalidParameterError):
