@@ -4,11 +4,13 @@ from .graph import (DegenerateBandwidthError, InvalidParameterError,
                     KernelSpec, PointCloud, WeightGraph, knn_graph,
                     self_tuning_weights)
 from .linalg import DisconnectedGraphError, SolveReport, solve_symmetric
-from .solver import (ILDiagnostics, LabelAssignment, SolverConfig, choose_c,
-                     gl_solve, il_solve, nonlocal_inf_metric, objective,
-                     threshold_subproblem, wnll_solve)
+from .solver import (ConvergenceError, ILDiagnostics, LabelAssignment,
+                     SolverConfig, choose_c, gl_solve, il_solve,
+                     nonlocal_inf_metric, objective, threshold_subproblem,
+                     wnll_solve)
 
 __all__ = [
+    "ConvergenceError",
     "DegenerateBandwidthError",
     "DisconnectedGraphError",
     "ILDiagnostics",

@@ -22,8 +22,8 @@ from . import inpaint as inpaint_mod
 from . import toy2d as toy_mod
 from .graph import InvalidParameterError, WeightGraph
 from .linalg import DisconnectedGraphError
-from .solver import (LabelAssignment, SolverConfig, gl_solve, il_solve,
-                     nonlocal_inf_metric, objective, wnll_solve)
+from .solver import (ConvergenceError, LabelAssignment, SolverConfig, gl_solve,
+                     il_solve, nonlocal_inf_metric, objective, wnll_solve)
 
 
 class InputError(Exception):
@@ -269,6 +269,9 @@ def main(argv=None) -> int:
             DisconnectedGraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ConvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -61,7 +61,12 @@ def discrete_energy(u, points, kernel: KernelSpec, s: float, p: float,
         if not np.array_equal(u[np.asarray(label_indices)],
                               np.asarray(label_values, dtype=float)):
             return math.inf
-    graph = build_full_kernel_graph(points, kernel, s, dim=dim)
+    return _graph_energy(u, build_full_kernel_graph(points, kernel, s, dim=dim),
+                         s, p)
+
+
+def _graph_energy(u, graph: WeightGraph, s: float, p: float) -> float:
+    """The scaled discrete energy of u on its kernel graph at bandwidth s."""
     rows, cols, w, _ = graph.edge_arrays()
     row_sums = np.bincount(rows, weights=w * np.abs(u[rows] - u[cols]) ** p,
                            minlength=u.size)
@@ -233,10 +238,8 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
                 rows.append(StudyRow(n, trial, s, math.nan, target, math.nan,
                                      math.nan, True))
                 continue
-            energy = discrete_energy(u, pts, kernel, s, p,
-                                     label_indices=label_idx,
-                                     label_values=label_val,
-                                     dim=problem.intrinsic_dim)
+            # il_solve pins the labels exactly, so only the energy remains
+            energy = _graph_energy(u, graph, s, p)
             rel = abs(energy - target) / target if target else math.nan
             sup = float(np.max(np.abs(u - problem.minimizer(params))))
             rows.append(StudyRow(n, trial, s, energy, target, rel, sup, False))

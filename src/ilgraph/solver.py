@@ -20,7 +20,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import InvalidParameterError, WeightGraph
-from .linalg import SolveReport, check_label_connectivity, solve_symmetric
+from .linalg import (SolveReport, check_label_connectivity, factor_if_small,
+                     solve_symmetric)
+
+
+class ConvergenceError(RuntimeError):
+    """Raised when an iteration the solve depends on does not settle."""
 
 
 @dataclass(frozen=True)
@@ -165,13 +170,15 @@ def _threshold_sorted(a, c):
 
 
 def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
-                  lin_tol: float, lin_max_iter=None):
+                  lin_tol: float, lin_max_iter=None, factor: bool = False):
     """Least-squares value update for fixed penalties nu, built once.
 
     Checks label connectivity and assembles the symmetric system over the
     unlabeled unknowns and its label coupling; returns
     solve(s_flat) -> (u, SolveReport), which only forms the right-hand side
-    and solves. Labeled values are pinned exactly.
+    and solves. Labeled values are pinned exactly. A caller that solves
+    many times asks for a factor, which is built here when its size bound
+    is small (see linalg.factor_if_small); every solve then reuses it.
     """
     n = graph.n_nodes
     rows, cols, w, sqw = graph.edge_arrays()
@@ -189,6 +196,8 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     A = L_unl[:, unl]
     coupling = L_unl[:, labels.indices] @ labels.values
     nu_sqw = nu[rows] * sqw
+    del half, B, L_unl  # free the assembly before a factor is built
+    lu = factor_if_small(A) if factor else None
 
     def solve(s_flat):
         u = np.zeros(n)
@@ -199,7 +208,7 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
         r = (np.bincount(rows, weights=weighted, minlength=n)
              - np.bincount(cols, weights=weighted, minlength=n))
         u[unl], report = solve_symmetric(A, r[unl] - coupling, tol=lin_tol,
-                                         max_iter=lin_max_iter)
+                                         max_iter=lin_max_iter, factor=lu)
         return u, report
 
     return solve
@@ -210,10 +219,11 @@ def _nonlocal_gradient(u, graph: WeightGraph):
     return sqw * (u[rows] - u[cols])
 
 
-def _update_D_flat(u, q_flat, nu, graph: WeightGraph, alpha: float, row_mask=None):
+def _update_D_flat(t_flat, q_flat, nu, graph: WeightGraph, alpha: float,
+                   row_mask=None):
+    """Exact D update from the non-local gradient t_flat of the current u."""
     n = graph.n_nodes
     rows = graph.edge_arrays()[0]
-    t_flat = _nonlocal_gradient(u, graph)
     c_data = (nu[rows] / (alpha + nu[rows])) * (t_flat - q_flat)
     row_norm = np.sqrt(np.bincount(rows, weights=c_data ** 2, minlength=n))
     a = alpha + nu
@@ -242,12 +252,13 @@ def _choose_c_from_t1(t1_flat, graph, u1, alpha, eps, max_iter=1000):
     q0 = np.zeros_like(t1_flat)
     for _ in range(max_iter):
         nu = np.full(graph.n_nodes, c)
-        d1 = _update_D_flat(u1, q0, nu, graph, alpha)
+        d1 = _update_D_flat(t1_flat, q0, nu, graph, alpha)
         ratio = float(np.dot(d1 - t1_flat, d1 - t1_flat)) / t1_sq
         if abs(ratio - 0.25) <= eps:
             return c
         c = 4.0 * c * ratio
-    raise RuntimeError(f"adaptive penalty selection did not settle in {max_iter} iterations")
+    raise ConvergenceError(
+        f"adaptive penalty selection did not settle in {max_iter} iterations")
 
 
 def choose_c(graph: WeightGraph, labels: LabelAssignment, alpha: float,
@@ -301,8 +312,9 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
 
     # The penalty nu = c* is constant, so c* scales both sides of the value
     # update and cancels: the unit-penalty (GL) system serves the first
-    # pass and every outer iteration.
-    solve = _value_solver(np.ones(n), graph, labels, cfg.lin_tol, cfg.lin_max_iter)
+    # pass and every outer iteration, so it is worth factoring.
+    solve = _value_solver(np.ones(n), graph, labels, cfg.lin_tol, cfg.lin_max_iter,
+                          factor=True)
     u, report = solve(np.zeros(nnz))
     grad = _nonlocal_gradient(u, graph)
     if cfg.fixed_c is not None:
@@ -311,15 +323,15 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         c_star = _choose_c_from_t1(grad, graph, u, cfg.alpha, cfg.choose_c_eps)
     nu = np.full(n, c_star)
     q = np.zeros(nnz)
-    D = _update_D_flat(u, q, nu, graph, cfg.alpha, row_subset)
+    D = _update_D_flat(grad, q, nu, graph, cfg.alpha, row_subset)
 
     history = [f(u)]
     best_u, best_f = u, history[0]
     converged = False
     while len(history) < cfg.max_outer_iter:
         u, report = solve(D + q)
-        D = _update_D_flat(u, q, nu, graph, cfg.alpha, row_subset)
         grad = _nonlocal_gradient(u, graph)
+        D = _update_D_flat(grad, q, nu, graph, cfg.alpha, row_subset)
         q = q + D - grad
         fval = f(u)
         history.append(fval)

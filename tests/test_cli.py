@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import ilgraph.solver
 from ilgraph.cli import build_parser, main, write_report
 from ilgraph.inpaint import Image, write_pgm
+from ilgraph.solver import ConvergenceError
 
 
 @pytest.fixture
@@ -86,6 +88,18 @@ class TestSolve:
         code = main(["--out", str(tmp_path / "o"), "solve", str(graph), str(bad)])
         assert code == 1
         assert ":2:" in capsys.readouterr().err
+
+    def test_unsettled_penalty_exit_2(self, problem_files, tmp_path, capsys,
+                                      monkeypatch):
+        def unsettled(*args, **kwargs):
+            raise ConvergenceError("adaptive penalty selection did not settle "
+                                   "in 1000 iterations")
+
+        monkeypatch.setattr(ilgraph.solver, "_choose_c_from_t1", unsettled)
+        graph, labels = problem_files
+        code = main(["--out", str(tmp_path / "o"), "solve", str(graph), str(labels)])
+        assert code == 2
+        assert "error: adaptive penalty selection" in capsys.readouterr().err
 
     def test_disconnected_exit_1(self, tmp_path, capsys):
         graph = tmp_path / "g.csv"

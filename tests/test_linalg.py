@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import ilgraph.linalg
 from ilgraph.graph import InvalidParameterError
 from ilgraph.linalg import (DisconnectedGraphError, check_label_connectivity,
-                            solve_symmetric)
+                            factor_if_small, solve_symmetric)
 
 
 def spd_matrix(n, rng):
@@ -45,6 +46,45 @@ class TestSolveSymmetric:
     def test_rejects_bad_tol(self):
         with pytest.raises(InvalidParameterError):
             solve_symmetric(sp.eye(2, format="csr"), np.ones(2), tol=0.0)
+
+
+def grid_laplacian(side):
+    """Grounded 5-point Laplacian on a side x side grid (SPD)."""
+    path = sp.diags([-np.ones(side - 1), 2 * np.ones(side), -np.ones(side - 1)],
+                    [-1, 0, 1])
+    eye = sp.eye(side)
+    return (sp.kron(path, eye) + sp.kron(eye, path)).tocsr()
+
+
+class TestFactor:
+    def test_factored_solve_matches_dense(self):
+        A = grid_laplacian(12)
+        b = np.random.default_rng(4).standard_normal(A.shape[0])
+        factor = factor_if_small(A)
+        assert factor is not None
+        x, report = solve_symmetric(A, b, tol=1e-12, factor=factor)
+        assert np.allclose(x, np.linalg.solve(A.toarray(), b), atol=1e-10)
+        assert report.iterations == 0 and report.converged
+        assert np.isclose(report.relative_residual,
+                          np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+
+    def test_envelope_over_cap_is_not_factored(self, monkeypatch):
+        # the RCM envelope of a 150x150 grid is about 150^3 / 2 entries
+        def refuse(*args, **kwargs):
+            raise AssertionError("splu called above the cap")
+
+        monkeypatch.setattr(ilgraph.linalg.spla, "splu", refuse)
+        assert factor_if_small(grid_laplacian(150)) is None
+
+    def test_cap_is_inclusive_envelope_count(self, monkeypatch):
+        # tridiagonal: the envelope is the diagonal plus one entry per row
+        n = 40
+        A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1]).tocsr()
+        monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 2 * n - 1)
+        assert factor_if_small(A) is not None
+        monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 2 * n - 2)
+        assert factor_if_small(A) is None
 
 
 class TestConnectivity:

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ilgraph.linalg
 import ilgraph.solver
 from conftest import random_connected_graph, random_labels
 from ilgraph.graph import InvalidParameterError, WeightGraph
 from ilgraph.linalg import DisconnectedGraphError
-from ilgraph.solver import (LabelAssignment, SolverConfig, choose_c, gl_solve,
-                            il_solve, nonlocal_inf_metric, objective,
-                            wnll_solve)
+from ilgraph.solver import (LabelAssignment, SolverConfig, _value_solver,
+                            choose_c, gl_solve, il_solve, nonlocal_inf_metric,
+                            objective, wnll_solve)
 
 
 def four_node_graph():
@@ -110,6 +113,66 @@ class TestBaselines:
             gl_solve(graph, LabelAssignment([0], [1.0]))
 
 
+class TestValueUpdate:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 40), n_labels=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), factored=st.booleans())
+    def test_both_paths_match_dense_solve(self, n, n_labels, seed, factored):
+        rng = np.random.default_rng(seed)
+        graph = random_connected_graph(n, rng)
+        labels = random_labels(n, rng, n_labels=n_labels)
+        nu = rng.uniform(0.5, 2.0, size=n)
+        s_flat = rng.standard_normal(graph.weights.nnz)
+        with pytest.MonkeyPatch.context() as mp:
+            if not factored:
+                mp.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
+            u, report = _value_solver(nu, graph, labels, 1e-10, factor=True)(s_flat)
+        # dense oracle: minimize sum_ij nu_i w_ij (s_ij - sqrt(w_ij)(u_i - u_j))^2
+        # over the unlabeled values, with the labeled ones pinned
+        rows, cols, w, sqw = graph.edge_arrays()
+        G = np.zeros((rows.size, n))
+        G[np.arange(rows.size), rows] = sqw
+        G[np.arange(rows.size), cols] -= sqw
+        weight = nu[rows]
+        unl = labels.unlabeled(n)
+        lhs = G[:, unl].T @ (weight[:, None] * G[:, unl])
+        rhs = G[:, unl].T @ (weight * (s_flat - G[:, labels.indices] @ labels.values))
+        x = np.linalg.solve(lhs, rhs)
+        assert np.allclose(u[unl], x, rtol=1e-8, atol=1e-8)
+        assert np.array_equal(u[labels.indices], labels.values)
+        if factored:
+            assert report.iterations == 0 and report.converged
+        else:
+            assert report.iterations > 0
+
+    def test_il_solve_under_cap_converges_every_solve(self, monkeypatch):
+        reports = []
+        solve_symmetric = ilgraph.solver.solve_symmetric
+
+        def recording(*args, **kwargs):
+            x, report = solve_symmetric(*args, **kwargs)
+            reports.append(report)
+            return x, report
+
+        monkeypatch.setattr(ilgraph.solver, "solve_symmetric", recording)
+        rng = np.random.default_rng(12)
+        graph = random_connected_graph(40, rng)
+        _, diag = il_solve(graph, random_labels(40, rng), SolverConfig())
+        assert len(reports) == diag.iterations > 1
+        assert all(r.converged and r.iterations == 0 for r in reports)
+
+    def test_il_solve_over_cap_never_factors(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("splu called above the cap")
+
+        monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
+        monkeypatch.setattr(ilgraph.linalg.spla, "splu", refuse)
+        rng = np.random.default_rng(13)
+        graph = random_connected_graph(30, rng)
+        _, diag = il_solve(graph, random_labels(30, rng), SolverConfig())
+        assert diag.final_linear_report.iterations > 0
+
+
 class TestChooseC:
     def test_first_iteration_ratio_near_quarter(self):
         from ilgraph.solver import (_nonlocal_gradient, _update_D_flat,
@@ -121,7 +184,7 @@ class TestChooseC:
         u1, _ = _value_solver(np.ones(30), graph, labels, lin_tol=1e-10)(
             np.zeros(graph.weights.nnz))
         t1 = _nonlocal_gradient(u1, graph)
-        d1 = _update_D_flat(u1, np.zeros_like(t1), np.full(30, c), graph, 0.0)
+        d1 = _update_D_flat(t1, np.zeros_like(t1), np.full(30, c), graph, 0.0)
         ratio = np.sum((d1 - t1) ** 2) / np.sum(t1 * t1)
         assert abs(ratio - 0.25) <= 1e-4
 
@@ -133,6 +196,17 @@ class TestChooseC:
         with pytest.warns(UserWarning):
             c = choose_c(graph, labels, alpha=0.0)
         assert c == 1.0
+
+    def test_unsettled_selection_raises_convergence_error(self):
+        from ilgraph.solver import (ConvergenceError, _choose_c_from_t1,
+                                    _nonlocal_gradient)
+        rng = np.random.default_rng(5)
+        graph = random_connected_graph(20, rng)
+        labels = random_labels(20, rng)
+        u1 = gl_solve(graph, labels)
+        t1 = _nonlocal_gradient(u1, graph)
+        with pytest.raises(ConvergenceError, match="did not settle"):
+            _choose_c_from_t1(t1, graph, u1, 0.0, eps=1e-300, max_iter=2)
 
     def test_alpha_seeds_initial_c(self):
         rng = np.random.default_rng(4)
