@@ -20,7 +20,7 @@ import numpy as np
 from . import gamma as gamma_mod
 from . import inpaint as inpaint_mod
 from . import toy2d as toy_mod
-from .graph import InvalidParameterError, WeightGraph
+from .graph import DegenerateBandwidthError, InvalidParameterError, WeightGraph
 from .linalg import DisconnectedGraphError
 from .solver import (ConvergenceError, LabelAssignment, SolverConfig, gl_solve,
                      il_solve, nonlocal_inf_metric, objective, wnll_solve)
@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, InvalidParameterError, FileNotFoundError,
-            DisconnectedGraphError) as exc:
+            DisconnectedGraphError, DegenerateBandwidthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -2,12 +2,12 @@
 
 Weight graphs are kept directed after truncation: row i holds the weights
 from x_i to its k nearest neighbors, which need not coincide with the
-reverse edges. Solvers consume w_ij and w_ji separately, so no
-symmetrization is applied by default.
+reverse edges. Solvers consume w_ij and w_ji separately.
 """
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Optional
 
 import numpy as np
@@ -153,7 +153,7 @@ class WeightGraph:
         return cached
 
     def symmetrized(self) -> "WeightGraph":
-        """Optional max-symmetrization; off by default everywhere."""
+        """Max-symmetrization: w_ij = w_ji = max(w_ij, w_ji)."""
         w = self.weights
         return WeightGraph(w.maximum(w.T).tocsr())
 
@@ -174,92 +174,93 @@ class WeightGraph:
         return cls(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
 
 
+# Rows are searched in blocks of this many: a Gram block holds
+# KNN_BLOCK x n distances.
+KNN_BLOCK = 256
+# Candidates come from a kd-tree up to this dimension and from Gram blocks
+# above it, where a kd-tree prunes too little to beat a matrix product.
+KDTREE_MAX_DIM = 15
+
+
 def exact_knn(points: np.ndarray, k: int):
     """Exact k nearest neighbors of every point, self excluded.
 
     Ties on distance are broken by the smaller point index. Returns
     (dist, idx), both of shape (n, k), each row sorted by (distance, index).
+    Each block of rows gathers its candidates, every point within the row's
+    k-th neighbor distance, and ranks them in one sort.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
-    if k >= n:
-        raise InvalidParameterError(f"k={k} must be smaller than the number of points n={n}")
-    if d <= 15 and n > 1500:
-        return _knn_kdtree(points, k)
-    return _knn_brute(points, k)
+    if not 1 <= k < n:
+        raise InvalidParameterError(f"need 1 <= k < n, got k={k} for n={n} points")
+    gather = (_kdtree_candidates if d <= KDTREE_MAX_DIM else _gram_candidates)(points, k)
+    out_d = np.empty((n, k))
+    out_i = np.empty((n, k), dtype=np.int64)
+    for start in range(0, n, KNN_BLOCK):
+        stop = min(start + KNN_BLOCK, n)
+        rows, cols, dist = gather(start, stop)
+        # the one ranking step: by row, then distance, then index; every
+        # row has at least k candidates and keeps its first k
+        order = np.lexsort((cols, dist, rows))
+        counts = np.bincount(rows - start, minlength=stop - start)
+        first = np.cumsum(counts) - counts
+        take = order[(first[:, None] + np.arange(k)).ravel()]
+        out_i[start:stop] = cols[take].reshape(stop - start, k)
+        out_d[start:stop] = dist[take].reshape(stop - start, k)
+    return out_d, out_i
 
 
-def _knn_kdtree(points, k):
-    n = points.shape[0]
+def _kdtree_candidates(points, k):
+    """gather(start, stop) -> (rows, cols, distances) of every point in a
+    kd-tree ball of each row's k-th neighbor distance."""
     tree = cKDTree(points)
-    m = min(n, k + 2)
-    dist, idx = tree.query(points, k=m)
-    out_d = np.empty((n, k))
-    out_i = np.empty((n, k), dtype=np.int64)
-    for i in range(n):
-        di, ii = dist[i], idx[i]
-        keep = ii != i
-        di, ii = di[keep], ii[keep]
-        order = np.lexsort((ii, di))
-        di, ii = di[order], ii[order]
-        # If the k-th kept distance reaches the last candidate's distance the
-        # truncated query may have dropped tied points: requery the full ball.
-        if di[k - 1] >= di[-1] and m < n:
-            # tiny inflation: the tree's internal distance arithmetic may
-            # exclude boundary points at exactly r
-            r = di[k - 1] * (1.0 + 1e-9) + 1e-300
-            while True:
-                ball = tree.query_ball_point(points[i], r=r, p=2.0)
-                ball = np.asarray([j for j in ball if j != i], dtype=np.int64)
-                if ball.size >= k or ball.size >= n - 1:
-                    break
-                r *= 1.01
-            db = np.linalg.norm(points[ball] - points[i], axis=1)
-            order = np.lexsort((ball, db))
-            ii = ball[order]
-            di = db[order]
-        out_d[i] = di[:k]
-        out_i[i] = ii[:k]
-    return out_d, out_i
 
-
-def _knn_brute(points, k, chunk=256):
-    n, d = points.shape
-    out_d = np.empty((n, k))
-    out_i = np.empty((n, k), dtype=np.int64)
-    use_matmul = d > 4 or n > 4000
-    if use_matmul:
-        sq = np.einsum("ij,ij->i", points, points)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    def gather(start, stop):
         block = points[start:stop]
-        if use_matmul:
-            d2 = sq[start:stop, None] + sq[None, :] - 2.0 * (block @ points.T)
-            np.maximum(d2, 0.0, out=d2)
-        else:
-            diff = block[:, None, :] - points[None, :, :]
-            d2 = np.einsum("ijk,ijk->ij", diff, diff)
-        d2[np.arange(start, stop) - start, np.arange(start, stop)] = np.inf
-        # stable sort breaks distance ties by the smaller column index
-        order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        out_i[start:stop] = order
-        out_d[start:stop] = np.sqrt(np.take_along_axis(d2, order, axis=1))
-    return out_d, out_i
+        # counting self, at distance 0, the (k+1)-th distance is the k-th
+        r = tree.query(block, k=[k + 1])[0][:, 0]
+        # tiny inflation: the tree's internal distance arithmetic may
+        # exclude boundary points at exactly r
+        balls = tree.query_ball_point(block, r * (1.0 + 1e-9) + 1e-300)
+        counts = np.fromiter(map(len, balls), np.int64, count=len(balls))
+        rows = np.repeat(np.arange(start, stop), counts)
+        cols = np.fromiter(chain.from_iterable(balls), np.int64, count=rows.size)
+        keep = cols != rows
+        rows, cols = rows[keep], cols[keep]
+        return rows, cols, np.linalg.norm(points[cols] - points[rows], axis=1)
+
+    return gather
 
 
-def knn_graph(cloud: PointCloud, k: int, kernel: KernelSpec,
-              symmetrize: bool = False) -> WeightGraph:
+def _gram_candidates(points, k):
+    """gather(start, stop) -> (rows, cols, distances) of every point
+    within each row's k-th neighbor distance, from a Gram block."""
+    sq = np.einsum("ij,ij->i", points, points)
+
+    def gather(start, stop):
+        gram = points[start:stop] @ points.T
+        gram *= 2.0
+        d2 = sq[start:stop, None] + sq[None, :]
+        d2 -= gram
+        np.maximum(d2, 0.0, out=d2)
+        dist = np.sqrt(d2, out=d2)
+        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
+        rows, cols = np.nonzero(dist <= kth[:, None])
+        return rows + start, cols, dist[rows, cols]
+
+    return gather
+
+
+def knn_graph(cloud: PointCloud, k: int, kernel: KernelSpec) -> WeightGraph:
     """Directed kNN weight graph: row i holds kernel weights to the k
     nearest neighbors of x_i (self excluded, exact search)."""
-    if k < 1:
-        raise InvalidParameterError("k must be a positive integer")
     dist, idx = exact_knn(cloud.points, k)
-    w = kernel.evaluate(dist)
-    return _assemble(cloud.count, idx, w, symmetrize)
+    return _assemble(cloud.count, idx, kernel.evaluate(dist))
 
 
-def self_tuning_weights(cloud: PointCloud, k: int, k_sigma: int,
-                        symmetrize: bool = False) -> WeightGraph:
+def self_tuning_weights(cloud: PointCloud, k: int, k_sigma: int) -> WeightGraph:
     """Quartic self-tuning weights w = exp(-2 d^4 / sigma(x)^4) with
     sigma(x) the distance from x to its k_sigma-th nearest neighbor."""
     if not (1 <= k_sigma <= k):
@@ -269,17 +270,14 @@ def self_tuning_weights(cloud: PointCloud, k: int, k_sigma: int,
     bad = np.nonzero(sigma == 0.0)[0]
     if bad.size:
         raise DegenerateBandwidthError(
-            f"zero bandwidth at row(s) {bad.tolist()}: at least "
+            f"zero bandwidth at row(s) {bad[:10].tolist()}"
+            f"{'...' if bad.size > 10 else ''}: at least "
             f"{k_sigma} duplicates of the point")
     ratio = dist / sigma[:, None]
     w = np.exp(-2.0 * ratio ** 4)
-    return _assemble(cloud.count, idx, w, symmetrize)
+    return _assemble(cloud.count, idx, w)
 
 
-def _assemble(n, idx, w, symmetrize):
+def _assemble(n, idx, w):
     rows = np.repeat(np.arange(n), idx.shape[1])
-    mat = sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n))
-    graph = WeightGraph(mat)
-    if symmetrize:
-        graph = graph.symmetrized()
-    return graph
+    return WeightGraph(sp.csr_matrix((w.ravel(), (rows, idx.ravel())), shape=(n, n)))

@@ -168,12 +168,9 @@ def inpaint(img_known: Image, mask: SampleMask, cfg: InpaintConfig) -> Image:
     unknown = ~mask.known
     current[unknown] = rng.uniform(0.0, 255.0, size=int(unknown.sum()))
     p_x, p_y = cfg.patch_size
-    for it in range(cfg.outer_iters):
-        try:
-            patches = extract_patches(Image(current), p_x, p_y)
-            values = _solve_on_patches(patches, current, mask, cfg)
-        except Exception as exc:
-            raise RuntimeError(f"inpainting failed at outer iteration {it}") from exc
+    for _ in range(cfg.outer_iters):
+        patches = extract_patches(Image(current), p_x, p_y)
+        values = _solve_on_patches(patches, current, mask, cfg)
         current = _finalize(values, img_known, mask).pixels
     return Image(current)
 

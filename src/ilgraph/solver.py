@@ -64,9 +64,7 @@ class SolverConfig:
     alpha: float = 0.0
     rel_obj_tol: float = 1e-6
     max_outer_iter: int = 500
-    choose_c_eps: float = 1e-4
     lin_tol: float = 1e-10
-    lin_max_iter: Optional[int] = None
     max_over_unlabeled_only: bool = False
     fixed_c: Optional[float] = None
     # optional extra stopping requirement: max|D - sqrt(w)(u_i-u_j)| must
@@ -76,7 +74,7 @@ class SolverConfig:
     def __post_init__(self):
         if self.alpha < 0:
             raise InvalidParameterError("alpha must be nonnegative")
-        if not (self.rel_obj_tol > 0 and self.choose_c_eps > 0 and self.lin_tol > 0):
+        if not (self.rel_obj_tol > 0 and self.lin_tol > 0):
             raise InvalidParameterError("tolerances must be positive")
 
 
@@ -170,7 +168,7 @@ def _threshold_sorted(a, c):
 
 
 def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
-                  lin_tol: float, lin_max_iter=None, factor: bool = False):
+                  lin_tol: float, factor: bool = False):
     """Least-squares value update for fixed penalties nu, built once.
 
     Checks label connectivity and assembles the symmetric system over the
@@ -208,7 +206,7 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
         r = (np.bincount(rows, weights=weighted, minlength=n)
              - np.bincount(cols, weights=weighted, minlength=n))
         u[unl], report = solve_symmetric(A, r[unl] - coupling, tol=lin_tol,
-                                         max_iter=lin_max_iter, factor=lu)
+                                         factor=lu)
         return u, report
 
     return solve
@@ -239,7 +237,7 @@ def _update_D_flat(t_flat, q_flat, nu, graph: WeightGraph, alpha: float,
     return scale[rows] * c_data
 
 
-def _choose_c_from_t1(t1_flat, graph, u1, alpha, eps, max_iter=1000):
+def _choose_c_from_t1(t1_flat, graph, u1, alpha, eps=1e-4, max_iter=1000):
     t1_sq = float(np.dot(t1_flat, t1_flat))
     c = alpha if alpha > 0 else 1.0
     # the first pass is computed iteratively, so an analytically constant
@@ -276,8 +274,7 @@ def gl_solve(graph: WeightGraph, labels: LabelAssignment,
     """Graph-Laplacian baseline: minimizer of the quadratic energy, equal
     to the first value update with unit penalties."""
     cfg = cfg or SolverConfig()
-    solve = _value_solver(np.ones(graph.n_nodes), graph, labels, cfg.lin_tol,
-                          cfg.lin_max_iter)
+    solve = _value_solver(np.ones(graph.n_nodes), graph, labels, cfg.lin_tol)
     u, report = solve(np.zeros(graph.weights.nnz))
     return (u, report) if full_output else u
 
@@ -290,7 +287,7 @@ def wnll_solve(graph: WeightGraph, labels: LabelAssignment,
     n = graph.n_nodes
     nu = np.ones(n)
     nu[labels.indices] = n / labels.count
-    solve = _value_solver(nu, graph, labels, cfg.lin_tol, cfg.lin_max_iter)
+    solve = _value_solver(nu, graph, labels, cfg.lin_tol)
     u, report = solve(np.zeros(graph.weights.nnz))
     return (u, report) if full_output else u
 
@@ -313,14 +310,13 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     # The penalty nu = c* is constant, so c* scales both sides of the value
     # update and cancels: the unit-penalty (GL) system serves the first
     # pass and every outer iteration, so it is worth factoring.
-    solve = _value_solver(np.ones(n), graph, labels, cfg.lin_tol, cfg.lin_max_iter,
-                          factor=True)
+    solve = _value_solver(np.ones(n), graph, labels, cfg.lin_tol, factor=True)
     u, report = solve(np.zeros(nnz))
     grad = _nonlocal_gradient(u, graph)
     if cfg.fixed_c is not None:
         c_star = float(cfg.fixed_c)
     else:
-        c_star = _choose_c_from_t1(grad, graph, u, cfg.alpha, cfg.choose_c_eps)
+        c_star = _choose_c_from_t1(grad, graph, u, cfg.alpha)
     nu = np.full(n, c_star)
     q = np.zeros(nnz)
     D = _update_D_flat(grad, q, nu, graph, cfg.alpha, row_subset)

@@ -142,6 +142,33 @@ class TestInpaint:
         assert (out / "out.pgm").exists()
         assert (out / "mask.csv").exists()
 
+    def test_blind_unsettled_penalty_exit_2(self, tmp_path, capsys, monkeypatch):
+        def unsettled(*args, **kwargs):
+            raise ConvergenceError("adaptive penalty selection did not settle "
+                                   "in 1000 iterations")
+
+        monkeypatch.setattr(ilgraph.solver, "_choose_c_from_t1", unsettled)
+        yy, xx = np.mgrid[0:16, 0:16]
+        src = tmp_path / "img.pgm"
+        write_pgm(Image(127.5 + 100 * np.sin((xx + 2 * yy) / 3.0)), src)
+        code = main(["--out", str(tmp_path / "o"), "inpaint", str(src),
+                     "--mask-density", "0.3", "--method", "il", "--patch", "3",
+                     "--k", "8", "--k-sigma", "4", "--outer-iters", "1"])
+        assert code == 2
+        assert "error: adaptive penalty selection" in capsys.readouterr().err
+
+    def test_flat_image_bandwidth_exit_1(self, tmp_path, capsys):
+        # every patch of a constant image is a duplicate: all 256 rows fail
+        src = tmp_path / "flat.pgm"
+        write_pgm(Image(np.full((16, 16), 100.0)), src)
+        code = main(["--out", str(tmp_path / "o"), "inpaint", str(src),
+                     "--mask-density", "0.1", "--oracle-weights", str(src),
+                     "--patch", "3", "--k", "8", "--k-sigma", "4"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: zero bandwidth at row(s) ")
+        assert "..." in err and len(err) < 200
+
     def test_requires_mask_source(self, tmp_path, capsys):
         src = tmp_path / "img.pgm"
         write_pgm(Image(np.full((6, 6), 100.0)), src)

@@ -1,11 +1,34 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import ilgraph.graph
 from ilgraph.graph import (DegenerateBandwidthError, InvalidParameterError,
-                           KernelSpec, PointCloud, WeightGraph, _knn_brute,
-                           _knn_kdtree, exact_knn, knn_graph,
-                           self_tuning_weights)
+                           KernelSpec, PointCloud, WeightGraph, exact_knn,
+                           knn_graph, self_tuning_weights)
+
+# KDTREE_MAX_DIM values that force each candidate path at any dimension
+PATHS = {"kdtree": 10 ** 6, "gram": 0}
+
+
+def knn_by_path(pts, k, path, block=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ilgraph.graph, "KDTREE_MAX_DIM", PATHS[path])
+        if block is not None:
+            mp.setattr(ilgraph.graph, "KNN_BLOCK", block)
+        return exact_knn(pts, k)
+
+
+def lexsort_oracle(pts, k):
+    """Dense kNN: every row fully sorted by (distance, index)."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(dist, np.inf)
+    index = np.broadcast_to(np.arange(len(pts)), dist.shape)
+    order = np.lexsort((index, dist), axis=1)[:, :k]
+    return np.take_along_axis(dist, order, axis=1), order
 
 
 class TestPointCloud:
@@ -118,18 +141,34 @@ class TestExactKnn:
     def test_kdtree_matches_brute_on_tie_grid(self):
         g = np.arange(13)
         pts = np.array([(i, j) for i in g for j in g], dtype=float)
-        for k in (3, 8):
-            d1, i1 = _knn_kdtree(pts, k)
-            d2, i2 = _knn_brute(pts, k)
+        # k=10: an interior point's 10th neighbor is inside a 4-way tie
+        for k in (3, 8, 10):
+            d1, i1 = knn_by_path(pts, k, "kdtree")
+            d2, i2 = knn_by_path(pts, k, "gram")
             assert np.array_equal(i1, i2)
             assert np.allclose(d1, d2)
 
     def test_kdtree_matches_brute_random(self):
         pts = np.random.default_rng(7).standard_normal((300, 4))
-        d1, i1 = _knn_kdtree(pts, 6)
-        d2, i2 = _knn_brute(pts, 6)
+        d1, i1 = knn_by_path(pts, 6, "kdtree")
+        d2, i2 = knn_by_path(pts, 6, "gram")
         assert np.array_equal(i1, i2)
         assert np.allclose(d1, d2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2, 3, 20]),
+           path=st.sampled_from(sorted(PATHS)), block=st.sampled_from([1, 3, 256]))
+    def test_both_paths_match_lexsort_oracle(self, data, dim, path, block):
+        # coordinates in {0, 1, 2}: many duplicate points and tied distances
+        n = data.draw(st.integers(2, 40), label="n")
+        k = data.draw(st.integers(1, n - 1), label="k")
+        pts = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 2), min_size=dim, max_size=dim),
+            min_size=n, max_size=n), label="points"), dtype=float)
+        dist, idx = knn_by_path(pts, k, path, block)
+        want_dist, want_idx = lexsort_oracle(pts, k)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
 
 
 class TestGraphBuilders:
