@@ -11,6 +11,7 @@ sigma * vol^(-1/p) * (minimal Lipschitz constant), where sigma is the
 kernel moment constant computed by sigma_eta below.
 """
 
+import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -21,7 +22,8 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .graph import InvalidParameterError, KernelSpec, WeightGraph
-from .solver import LabelAssignment, SolverConfig, il_solve
+from .linalg import DisconnectedGraphError
+from .solver import ConvergenceError, LabelAssignment, SolverConfig, il_solve
 
 
 def sigma_eta(kernel: KernelSpec, p: float, dim: int) -> float:
@@ -181,6 +183,7 @@ class StudyRow:
     rel_error: float
     sup_dist: float
     flagged: bool
+    reason: str = ""    # why the row is flagged: the solver error
 
 
 def build_full_kernel_graph(points, kernel: KernelSpec, s: float,
@@ -211,7 +214,9 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
                       p: float = 2.0,
                       solver_cfg: Optional[SolverConfig] = None):
     """Sample, solve the discrete problem, and record the energy of its
-    minimizer against the predicted limit. One row per (n, trial)."""
+    minimizer against the predicted limit. One row per (n, trial), each
+    sampled by its own generator spawned from seed. A row whose solve fails
+    is flagged with the error as its reason."""
     if trials < 1:
         raise InvalidParameterError("trials must be a positive integer")
     if p != 2.0:
@@ -220,23 +225,26 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
     schedule.validate()
     sigma = sigma_eta(kernel, p, problem.intrinsic_dim)
     target = sigma * problem.volume ** (-1.0 / p) * problem.min_energy
+    cfg = solver_cfg or SolverConfig(alpha=0.0)
+    streams = iter(np.random.SeedSequence(seed).spawn(
+        len(schedule.n_values) * trials))
     rows = []
     for n in schedule.n_values:
         s = schedule.s(n)
         for trial in range(trials):
-            rng = np.random.default_rng(seed + 1000 * trial + n)
-            params, pts = problem.sample(n, rng)
+            params, pts = problem.sample(n, np.random.default_rng(next(streams)))
             total = params.size
             label_idx = np.arange(total - problem.label_param.size, total)
             label_val = problem.g(problem.label_param)
             graph = build_full_kernel_graph(pts, kernel, s, dim=problem.intrinsic_dim)
             labels = LabelAssignment(label_idx, label_val)
             try:
-                cfg = solver_cfg or SolverConfig(alpha=0.0)
                 u, _ = il_solve(graph, labels, cfg)
-            except Exception:
+            except (DisconnectedGraphError, ConvergenceError,
+                    InvalidParameterError) as exc:
                 rows.append(StudyRow(n, trial, s, math.nan, target, math.nan,
-                                     math.nan, True))
+                                     math.nan, True,
+                                     f"{type(exc).__name__}: {exc}"))
                 continue
             # il_solve pins the labels exactly, so only the energy remains
             energy = _graph_energy(u, graph, s, p)
@@ -247,8 +255,11 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
 
 
 def rows_to_csv(rows, path):
-    header = "n,trial,s_n,energy,target,rel_error,sup_dist,flagged"
-    arr = [(r.n, r.trial, r.s_n, r.energy, r.target, r.rel_error, r.sup_dist,
-            int(r.flagged)) for r in rows]
-    np.savetxt(path, arr, delimiter=",", header=header, comments="",
-               fmt=["%d", "%d", "%.10g", "%.10g", "%.10g", "%.10g", "%.10g", "%d"])
+    with open(path, "w", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(["n", "trial", "s_n", "energy", "target", "rel_error",
+                      "sup_dist", "flagged", "reason"])
+        for r in rows:
+            out.writerow([r.n, r.trial, *(f"{v:.10g}" for v in (
+                r.s_n, r.energy, r.target, r.rel_error, r.sup_dist)),
+                int(r.flagged), r.reason])

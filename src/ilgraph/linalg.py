@@ -1,23 +1,22 @@
 """Sparse symmetric solves backing the value update.
 
 The linear systems here are weakly diagonally dominant graph Laplacians
-restricted to unlabeled nodes. A solver that solves one system many times
-(the split Bregman loop of ``il_solve``) asks ``factor_if_small`` for a
-sparse LU factor and reuses it; otherwise, or when the factor would be
-big, the system is solved with MINRES, which is valid for any symmetric
-(semi)definite system.
+restricted to unlabeled nodes. Every value update (GL, WNLL, the first
+pass of ``choose_c``, each ``il_solve`` iteration) asks ``factor_if_small``
+for a sparse LU factor and solves by it; when the factor would be big, by
+MINRES, which is valid for any symmetric (semi)definite system.
 
 Whether to factor is decided before factoring, from a cheap bound on the
 factor's size. Under the reverse Cuthill-McKee order, every nonzero of
 the Cholesky factor lies in the envelope of the matrix: in row i, between
 the first nonzero column and the diagonal. The envelope is counted in
 O(nnz) without permuting the matrix. A matrix is factored only when that
-count is at most ``FACTOR_MAX_ENTRIES``, which keeps the factor's memory
-and set-up time small next to the solves it saves. Kernel graphs on
-low-dimensional point sets (the 101x101 grid, 1-D samples) fall under the
-cap; dense patch graphs in high dimension do not, and keep MINRES: there
-a factor fills in by tens of times (about 50x, and 22 s to build, on the
-128x128 desk-texture graph).
+count is at most ``FACTOR_MAX_ENTRIES``: on the 101x101 grid such a
+factor costs about one MINRES solve, which stalls there near a relative
+residual of 1e-7. Kernel graphs on low-dimensional point sets (the grid,
+1-D samples) fall under the cap; dense patch graphs in high dimension do
+not, and keep MINRES: there a factor fills in by tens of times (about
+50x, and 22 s to build, on the 128x128 desk-texture graph).
 """
 
 from dataclasses import dataclass
@@ -102,12 +101,11 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, max_iter: int = None,
 
 
 def check_label_connectivity(weights: sp.spmatrix, labeled_idx: np.ndarray):
-    """Every connected component of the (symmetrized) support must contain
-    a labeled node, otherwise the restricted system is singular."""
-    n = weights.shape[0]
-    pattern = (weights != 0)
-    pattern = (pattern + pattern.T).tocsr()
-    n_comp, labels = sp.csgraph.connected_components(pattern, directed=False)
+    """Every connected component of the support (edges taken both ways)
+    must contain a labeled node, otherwise the restricted system is
+    singular."""
+    n_comp, labels = sp.csgraph.connected_components(weights != 0,
+                                                     directed=False)
     has_label = np.zeros(n_comp, dtype=bool)
     has_label[np.unique(labels[labeled_idx])] = True
     if not has_label.all():

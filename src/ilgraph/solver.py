@@ -7,9 +7,10 @@ The model minimized over the unlabeled values is
 
 The splitting introduces D_ij = sqrt(w_ij) (u_i - u_j) and alternates a
 sparse symmetric linear solve for u, an exact closed-form update for D
-(a max-of-quadratics problem solved by sorting and prefix sums), and a
+(a max-of-quadratics problem solved by one sort and prefix sums), and a
 multiplier update for q. GL and WNLL are exactly the first u-update with
-constant and label-boosted penalties respectively.
+constant and label-boosted penalties respectively. Every u-update takes
+a sparse factor when linalg.factor_if_small allows one, else MINRES.
 """
 
 import warnings
@@ -76,6 +77,11 @@ class SolverConfig:
             raise InvalidParameterError("alpha must be nonnegative")
         if not (self.rel_obj_tol > 0 and self.lin_tol > 0):
             raise InvalidParameterError("tolerances must be positive")
+        if self.fixed_c is not None and not (np.isfinite(self.fixed_c)
+                                             and self.fixed_c > 0):
+            raise InvalidParameterError("fixed_c must be finite and positive")
+        if self.primal_tol is not None and not self.primal_tol > 0:
+            raise InvalidParameterError("primal_tol must be positive")
 
 
 @dataclass
@@ -114,10 +120,11 @@ def nonlocal_inf_metric(u, graph: WeightGraph) -> float:
 def threshold_subproblem(a, c):
     """Exact minimizer of  max_i x_i^2 + sum_i a_i (x_i - c_i)^2.
 
-    Inputs may come in any order and contain ties; tied targets are merged
-    by summing their quadratic weights (tied coordinates share a common
-    optimal value), solved in descending order, then unsplit. Returns x in
-    the caller's order.
+    The minimizer is x = min(c, m), m the root of the increasing function
+    m - sum_i a_i (c_i - m)_+: with c sorted descending, m is the mean
+    sum a_i c_i / (1 + sum a_i) of the prefix of entries above their own
+    prefix mean. A tied group lies wholly inside or outside that prefix,
+    so ties need no merging. Returns x in the caller's order.
     """
     a = np.asarray(a, dtype=float).ravel()
     c = np.asarray(c, dtype=float).ravel()
@@ -130,53 +137,22 @@ def threshold_subproblem(a, c):
     if np.any(c < 0):
         raise InvalidParameterError("all c_i must be nonnegative")
 
-    order = np.argsort(-c, kind="stable")
-    cs, asort = c[order], a[order]
-    # merge runs of equal targets
-    starts = np.r_[0, np.nonzero(np.diff(cs))[0] + 1]
-    gc = cs[starts]
-    ga = np.add.reduceat(asort, starts)
-
-    gx = _threshold_sorted(ga, gc)
-
-    group_of = np.repeat(np.arange(starts.size), np.diff(np.r_[starts, cs.size]))
-    x = np.empty_like(c)
-    x[order] = gx[group_of]
-    return x
-
-
-def _threshold_sorted(a, c):
-    """Solve for strictly decreasing nonnegative targets c."""
-    n = c.size
-    phi_each = a * c / (a + 1.0)
-    phi = phi_each.max()
-    t = int(np.searchsorted(-c, -phi, side="left"))  # count of c_k > phi
-    x = c.copy()
-    if t == 0:
-        return x
-    if t == 1:
-        x[0] = phi
-        return x
-    A = np.cumsum(a[:t])
-    delta = c[:t - 1] - c[1:t]
-    gaps = np.cumsum(A[:t - 1] * delta)  # gaps[k-2] = sum_{i<k} A_i delta_i
-    ok = np.nonzero(gaps <= c[1:t])[0]
-    T = int(ok[-1]) + 2 if ok.size else 1
-    phi_star = float(np.dot(a[:T], c[:T]) / (A[T - 1] + 1.0))
-    x[:T] = phi_star
-    return x
+    order = np.argsort(-c)
+    cs, as_ = c[order], a[order]
+    m = np.cumsum(as_ * cs) / (1.0 + np.cumsum(as_))
+    t = np.count_nonzero(cs > m)  # entries above their prefix mean: a prefix
+    return np.minimum(c, m[t - 1]) if t else c.copy()
 
 
 def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
-                  lin_tol: float, factor: bool = False):
+                  lin_tol: float):
     """Least-squares value update for fixed penalties nu, built once.
 
-    Checks label connectivity and assembles the symmetric system over the
-    unlabeled unknowns and its label coupling; returns
-    solve(s_flat) -> (u, SolveReport), which only forms the right-hand side
-    and solves. Labeled values are pinned exactly. A caller that solves
-    many times asks for a factor, which is built here when its size bound
-    is small (see linalg.factor_if_small); every solve then reuses it.
+    Checks label connectivity, assembles the symmetric system over the
+    unlabeled unknowns and its label coupling, and factors it when
+    linalg.factor_if_small allows; returns solve(s_flat) -> (u, SolveReport),
+    which only forms the right-hand side and solves. Labeled values are
+    pinned exactly.
     """
     n = graph.n_nodes
     rows, cols, w, sqw = graph.edge_arrays()
@@ -195,7 +171,7 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     coupling = L_unl[:, labels.indices] @ labels.values
     nu_sqw = nu[rows] * sqw
     del half, B, L_unl  # free the assembly before a factor is built
-    lu = factor_if_small(A) if factor else None
+    lu = factor_if_small(A)
 
     def solve(s_flat):
         u = np.zeros(n)
@@ -240,8 +216,8 @@ def _update_D_flat(t_flat, q_flat, nu, graph: WeightGraph, alpha: float,
 def _choose_c_from_t1(t1_flat, graph, u1, alpha, eps=1e-4, max_iter=1000):
     t1_sq = float(np.dot(t1_flat, t1_flat))
     c = alpha if alpha > 0 else 1.0
-    # the first pass is computed iteratively, so an analytically constant
-    # solution leaves a tiny nonzero gradient: test against round-off scale
+    # a first pass computed in floating point leaves a tiny gradient on an
+    # analytically constant solution: test against round-off scale
     tiny = (4 * np.finfo(float).eps) ** 2 * max(1.0, float(np.dot(u1, u1)))
     if t1_sq <= tiny:
         warnings.warn("first-pass non-local gradient vanishes; "
@@ -309,8 +285,8 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
 
     # The penalty nu = c* is constant, so c* scales both sides of the value
     # update and cancels: the unit-penalty (GL) system serves the first
-    # pass and every outer iteration, so it is worth factoring.
-    solve = _value_solver(np.ones(n), graph, labels, cfg.lin_tol, factor=True)
+    # pass and every outer iteration.
+    solve = _value_solver(np.ones(n), graph, labels, cfg.lin_tol)
     u, report = solve(np.zeros(nnz))
     grad = _nonlocal_gradient(u, graph)
     if cfg.fixed_c is not None:

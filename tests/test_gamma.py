@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
+import ilgraph.gamma
 from ilgraph.gamma import (BandwidthSchedule, ContinuumProblem,
                            build_full_kernel_graph, circle_benchmark,
                            convergence_study, discrete_energy,
                            interval_benchmark, rows_to_csv, sigma_eta)
 from ilgraph.graph import InvalidParameterError, KernelSpec
-from ilgraph.solver import SolverConfig
+from ilgraph.solver import ConvergenceError, SolverConfig
+
+
+def pinned_stub(graph, labels, cfg=None):
+    """Stands in for il_solve: zeros with the labels pinned."""
+    u = np.zeros(graph.n_nodes)
+    u[labels.indices] = labels.values
+    return u, None
 
 
 class TestSigmaEta:
@@ -108,8 +116,58 @@ class TestStudy:
             assert math.isfinite(r.rel_error)
             assert np.isclose(r.target, math.sqrt(1 / 6), rtol=1e-8)
         rows_to_csv(rows, tmp_path / "study.csv")
-        data = np.loadtxt(tmp_path / "study.csv", delimiter=",", skiprows=1)
+        lines = (tmp_path / "study.csv").read_text().splitlines()
+        assert lines[0].endswith(",flagged,reason")
+        assert all(line.endswith(",0,") for line in lines[1:])
+        data = np.loadtxt(tmp_path / "study.csv", delimiter=",", skiprows=1,
+                          usecols=range(8))
         assert data.shape == (2, 8)
+
+    def test_rows_draw_independent_samples(self, monkeypatch):
+        # seed + 1000 * trial + n gave n=60 trial 1 and n=1060 trial 0 one
+        # generator, so their first 60 draws agreed
+        samples = []
+        sample = ContinuumProblem.sample
+
+        def recording(problem, n, rng):
+            params, pts = sample(problem, n, rng)
+            samples.append(params[:60])
+            return params, pts
+
+        monkeypatch.setattr(ContinuumProblem, "sample", recording)
+        monkeypatch.setattr(ilgraph.gamma, "il_solve", pinned_stub)
+        convergence_study(interval_benchmark(),
+                          BandwidthSchedule([60, 1060], dim=1), trials=2)
+        assert len(samples) == 4
+        for i in range(4):
+            for j in range(i):
+                assert not np.any(samples[i] == samples[j])
+
+    def test_failed_row_records_reason(self, monkeypatch, tmp_path):
+        def unsettled(graph, labels, cfg=None):
+            if graph.n_nodes > 100:
+                raise ConvergenceError("did not settle")
+            return pinned_stub(graph, labels)
+
+        monkeypatch.setattr(ilgraph.gamma, "il_solve", unsettled)
+        rows = convergence_study(interval_benchmark(),
+                                 BandwidthSchedule([60, 120], dim=1), trials=1)
+        assert [r.flagged for r in rows] == [False, True]
+        assert rows[0].reason == ""
+        assert rows[1].reason == "ConvergenceError: did not settle"
+        assert math.isnan(rows[1].energy)
+        rows_to_csv(rows, tmp_path / "study.csv")
+        lines = (tmp_path / "study.csv").read_text().splitlines()
+        assert lines[2].endswith(",1,ConvergenceError: did not settle")
+
+    def test_unexpected_error_propagates(self, monkeypatch):
+        def broken(graph, labels, cfg=None):
+            raise ZeroDivisionError("a bug, not a failed solve")
+
+        monkeypatch.setattr(ilgraph.gamma, "il_solve", broken)
+        with pytest.raises(ZeroDivisionError):
+            convergence_study(interval_benchmark(),
+                              BandwidthSchedule([60], dim=1), trials=1)
 
     def test_rejects_p_not_two(self):
         with pytest.raises(InvalidParameterError):

@@ -14,6 +14,20 @@ from ilgraph.solver import (LabelAssignment, SolverConfig, _value_solver,
                             objective, wnll_solve)
 
 
+def record_reports(monkeypatch):
+    """The SolveReport of every solve_symmetric call the solver makes."""
+    reports = []
+    solve_symmetric = ilgraph.solver.solve_symmetric
+
+    def recording(*args, **kwargs):
+        x, report = solve_symmetric(*args, **kwargs)
+        reports.append(report)
+        return x, report
+
+    monkeypatch.setattr(ilgraph.solver, "solve_symmetric", recording)
+    return reports
+
+
 def four_node_graph():
     """Symmetric 4-node fixture; nodes 0, 1 labeled with 2 and 0."""
     w = np.array([
@@ -126,7 +140,7 @@ class TestValueUpdate:
         with pytest.MonkeyPatch.context() as mp:
             if not factored:
                 mp.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
-            u, report = _value_solver(nu, graph, labels, 1e-10, factor=True)(s_flat)
+            u, report = _value_solver(nu, graph, labels, 1e-10)(s_flat)
         # dense oracle: minimize sum_ij nu_i w_ij (s_ij - sqrt(w_ij)(u_i - u_j))^2
         # over the unlabeled values, with the labeled ones pinned
         rows, cols, w, sqw = graph.edge_arrays()
@@ -146,20 +160,40 @@ class TestValueUpdate:
             assert report.iterations > 0
 
     def test_il_solve_under_cap_converges_every_solve(self, monkeypatch):
-        reports = []
-        solve_symmetric = ilgraph.solver.solve_symmetric
-
-        def recording(*args, **kwargs):
-            x, report = solve_symmetric(*args, **kwargs)
-            reports.append(report)
-            return x, report
-
-        monkeypatch.setattr(ilgraph.solver, "solve_symmetric", recording)
+        reports = record_reports(monkeypatch)
         rng = np.random.default_rng(12)
         graph = random_connected_graph(40, rng)
         _, diag = il_solve(graph, random_labels(40, rng), SolverConfig())
         assert len(reports) == diag.iterations > 1
         assert all(r.converged and r.iterations == 0 for r in reports)
+
+    @staticmethod
+    def _single_solves(graph, labels):
+        """gl_solve, wnll_solve and choose_c: one value update each."""
+        gl_solve(graph, labels)
+        wnll_solve(graph, labels)
+        choose_c(graph, labels, alpha=0.0)
+
+    def test_single_solves_under_cap_are_factored(self, monkeypatch):
+        reports = record_reports(monkeypatch)
+        rng = np.random.default_rng(14)
+        graph = random_connected_graph(40, rng)
+        self._single_solves(graph, random_labels(40, rng))
+        assert len(reports) == 3
+        assert all(r.converged and r.iterations == 0 for r in reports)
+
+    def test_single_solves_over_cap_run_minres(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("splu called above the cap")
+
+        monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
+        monkeypatch.setattr(ilgraph.linalg.spla, "splu", refuse)
+        reports = record_reports(monkeypatch)
+        rng = np.random.default_rng(15)
+        graph = random_connected_graph(40, rng)
+        self._single_solves(graph, random_labels(40, rng))
+        assert len(reports) == 3
+        assert all(r.iterations > 0 for r in reports)
 
     def test_il_solve_over_cap_never_factors(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -272,15 +306,7 @@ class TestILSolve:
             assert u.max() <= hi + 1e-6
 
     def test_final_linear_report_is_last_solve(self, monkeypatch):
-        reports = []
-        solve_symmetric = ilgraph.solver.solve_symmetric
-
-        def recording(*args, **kwargs):
-            x, report = solve_symmetric(*args, **kwargs)
-            reports.append(report)
-            return x, report
-
-        monkeypatch.setattr(ilgraph.solver, "solve_symmetric", recording)
+        reports = record_reports(monkeypatch)
         rng = np.random.default_rng(10)
         graph = random_connected_graph(20, rng)
         _, diag = il_solve(graph, random_labels(20, rng), SolverConfig())
@@ -308,3 +334,13 @@ class TestILSolve:
     def test_rejects_negative_alpha(self):
         with pytest.raises(InvalidParameterError):
             SolverConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize("fixed_c", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_fixed_c_not_finite_positive(self, fixed_c):
+        with pytest.raises(InvalidParameterError, match="fixed_c"):
+            SolverConfig(alpha=2.0, fixed_c=fixed_c)
+
+    @pytest.mark.parametrize("primal_tol", [0.0, -1e-4, np.nan])
+    def test_rejects_primal_tol_not_positive(self, primal_tol):
+        with pytest.raises(InvalidParameterError, match="primal_tol"):
+            SolverConfig(primal_tol=primal_tol)

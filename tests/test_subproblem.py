@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ilgraph.graph import InvalidParameterError
 from ilgraph.solver import threshold_subproblem
@@ -110,3 +112,18 @@ class TestAgainstOracle:
             if clipped.any():
                 assert np.ptp(x[clipped]) < 1e-10
                 assert np.all(x[~clipped] <= x[clipped].max() + 1e-10)
+
+    # targets from a few values, so most instances hold ties and zeros
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+                              st.sampled_from([0.05, 0.3, 1.0, 4.0])),
+                    min_size=1, max_size=8))
+    def test_ties_and_zeros_against_oracle(self, pairs):
+        c, a = np.array(pairs).T
+        x = threshold_subproblem(a, c)
+        assert np.all(x <= c)
+        _, oracle_val = scan_oracle(a, c)
+        assert subproblem_objective(x, a, c) <= oracle_val + 1e-9
+        # tied targets share one value
+        for value in np.unique(c):
+            assert np.ptp(x[c == value]) == 0.0
