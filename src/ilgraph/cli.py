@@ -45,8 +45,6 @@ def read_labels_csv(path) -> LabelAssignment:
                 values.append(float(parts[1]))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: malformed row ({exc})") from exc
-    if not indices:
-        raise InputError(f"{path}: no labels found")
     try:
         return LabelAssignment(np.array(indices), np.array(values))
     except InvalidParameterError as exc:
@@ -195,8 +193,6 @@ def cmd_inpaint(args) -> int:
 
 def cmd_gamma(args) -> int:
     out = _out_dir(args)
-    if args.trials < 1:
-        raise InputError("--trials must be a positive integer")
     n_values = [int(v) for v in args.n_values.split(",")]
     if args.problem == "1d":
         problem = gamma_mod.interval_benchmark()

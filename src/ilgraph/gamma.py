@@ -69,9 +69,10 @@ def discrete_energy(u, points, kernel: KernelSpec, s: float, p: float,
 
 def _graph_energy(u, graph: WeightGraph, s: float, p: float) -> float:
     """The scaled discrete energy of u on its kernel graph at bandwidth s."""
-    rows, cols, w, _ = graph.edge_arrays()
-    row_sums = np.bincount(rows, weights=w * np.abs(u[rows] - u[cols]) ** p,
-                           minlength=u.size)
+    G, R = graph.operators()
+    # |G u|^p carries w_ij^(p/2); the factor w_ij^(1 - p/2), 1 at p = 2,
+    # makes each edge term w_ij |u_i - u_j|^p
+    row_sums = R @ (np.abs(G @ u) ** p * graph.weights.data ** (1.0 - p / 2.0))
     return float((row_sums.max() / u.size) ** (1.0 / p) / s)
 
 

@@ -2,7 +2,9 @@
 
 Weight graphs are kept directed after truncation: row i holds the weights
 from x_i to its k nearest neighbors, which need not coincide with the
-reverse edges. Solvers consume w_ij and w_ji separately.
+reverse edges. Solvers consume w_ij and w_ji separately, through the
+non-local gradient G (one row per directed edge) and the row sum R that
+``WeightGraph.operators`` builds once per graph.
 """
 
 import math
@@ -142,14 +144,23 @@ class WeightGraph:
     def n_nodes(self) -> int:
         return self.weights.shape[0]
 
-    def edge_arrays(self):
-        """(rows, cols, w, sqrt_w) aligned flat views of the nonzeros,
-        computed once and cached (the graph is immutable)."""
-        cached = getattr(self, "_edge_cache", None)
+    def operators(self):
+        """(G, R), built once and cached (the graph is immutable). Edge e
+        is the e-th nonzero w_ij of ``weights`` in CSR order. The gradient
+        G (m x n) has (G u)_e = sqrt(w_ij) (u_i - u_j); the row sum R
+        (n x m) adds up the edges leaving each node, and R.T copies a
+        node's value onto its edges."""
+        cached = getattr(self, "_operators", None)
         if cached is None:
-            coo = self.weights.tocoo()
-            cached = (coo.row, coo.col, coo.data, np.sqrt(coo.data))
-            object.__setattr__(self, "_edge_cache", cached)
+            w, n, m = self.weights, self.n_nodes, self.weights.nnz
+            tails = np.repeat(np.arange(n), np.diff(w.indptr))
+            sqw = np.sqrt(w.data)
+            G = sp.csr_matrix((np.column_stack([sqw, -sqw]).ravel(),
+                               np.column_stack([tails, w.indices]).ravel(),
+                               np.arange(0, 2 * m + 1, 2)), shape=(m, n))
+            R = sp.csr_matrix((np.ones(m), np.arange(m), w.indptr), shape=(n, m))
+            cached = (G, R)
+            object.__setattr__(self, "_operators", cached)
         return cached
 
     def symmetrized(self) -> "WeightGraph":

@@ -7,6 +7,7 @@ the quartic self-tuning kernel truncated to k nearest neighbors.
 """
 
 import math
+import re
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
@@ -66,7 +67,14 @@ class SampleMask:
 
     @classmethod
     def from_csv(cls, path, shape) -> "SampleMask":
-        coords = np.loadtxt(path, delimiter=",", dtype=int, ndmin=2)
+        """Mask from (row, col) lines; every pixel must lie in the image."""
+        try:
+            coords = np.loadtxt(path, delimiter=",", dtype=int, ndmin=2)
+        except ValueError as exc:
+            raise InvalidParameterError(f"{path}: {exc}") from exc
+        if coords.shape[1:] != (2,) or np.any((coords < 0) | (coords >= shape)):
+            raise InvalidParameterError(f"{path}: mask needs (row, col) lines "
+                                        f"inside the {shape[0]}x{shape[1]} image")
         m = np.zeros(shape, dtype=bool)
         m[coords[:, 0], coords[:, 1]] = True
         return cls(m)
@@ -90,6 +98,8 @@ class InpaintConfig:
     def __post_init__(self):
         if self.method not in ("gl", "wnll", "il"):
             raise InvalidParameterError(f"unknown method {self.method!r}")
+        if self.outer_iters < 1:
+            raise InvalidParameterError("outer_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -109,21 +119,12 @@ def extract_patches(img: Image, p_x: int, p_y: int) -> PatchSet:
         raise InvalidParameterError("patch dimensions must be odd positive integers")
     m, n = img.shape
     hx, hy = p_x // 2, p_y // 2
-    padded = _reflect_pad(img.pixels, hx, hy)
+    if (m > 1 and hx > m - 1) or (n > 1 and hy > n - 1):
+        raise InvalidParameterError("patch exceeds reflectable image size")
+    padded = np.pad(img.pixels, ((hx, hx), (hy, hy)), mode="reflect")
     windows = np.lib.stride_tricks.sliding_window_view(padded, (p_x, p_y))
     vectors = windows.reshape(m * n, p_x * p_y).copy()
     return PatchSet(vectors, (p_x, p_y), (m, n))
-
-
-def _reflect_pad(arr, hx, hy):
-    m, n = arr.shape
-    if (m > 1 and hx > m - 1) or (n > 1 and hy > n - 1):
-        raise InvalidParameterError("patch exceeds reflectable image size")
-    ri = np.abs(np.arange(-hx, m + hx))
-    ri = np.where(ri > m - 1, 2 * (m - 1) - ri, ri) if m > 1 else np.zeros(m + 2 * hx, dtype=int)
-    ci = np.abs(np.arange(-hy, n + hy))
-    ci = np.where(ci > n - 1, 2 * (n - 1) - ci, ci) if n > 1 else np.zeros(n + 2 * hy, dtype=int)
-    return arr[np.ix_(ri, ci)]
 
 
 def psnr(f: Image, f_star: Image) -> float:
@@ -186,48 +187,44 @@ def oracle_weight_inpaint(img_clear: Image, mask: SampleMask,
     return _finalize(values, img_clear, mask)
 
 
+# one PNM header token, after any whitespace and # comments
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]+)")
+
+
 def read_pgm(path) -> Image:
     """P2 (ASCII) and P5 (binary, maxval <= 255) readers."""
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = _pgm_tokens(data)
-    magic = next(tokens)
-    if magic == b"P2":
-        width, height, maxval = (int(next(tokens)) for _ in range(3))
-        vals = np.array([int(next(tokens)) for _ in range(width * height)], dtype=float)
-    elif magic == b"P5":
-        width, height, maxval = (int(next(tokens)) for _ in range(3))
-        offset = tokens.send("offset")
-        raw = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=offset)
-        vals = raw.astype(float)
-    else:
+    header, pos = [], 0
+    while len(header) < 4 and (token := _PGM_TOKEN.match(data, pos)):
+        header.append(token.group(1))
+        pos = token.end()
+    magic = header[0] if header else None
+    if magic not in (b"P2", b"P5"):
         raise InvalidParameterError(f"unsupported PNM magic {magic!r}")
-    if maxval <= 0 or maxval > 255:
-        raise InvalidParameterError("only 8-bit PGM is supported")
-    return Image(vals.reshape(height, width))
+    width, height, maxval = _pgm_ints(header[1:], 3, "header")
+    if min(width, height) < 1 or not 0 < maxval <= 255:
+        raise InvalidParameterError("only 8-bit PGM of positive size is supported")
+    size = width * height
+    if magic == b"P2":
+        vals = _pgm_ints(re.sub(rb"#[^\n]*", b"", data[pos:]).split(), size,
+                         "raster")
+    else:  # the raster starts after one whitespace byte
+        vals = np.frombuffer(data[pos + 1:pos + 1 + size], dtype=np.uint8)
+        if vals.size < size:
+            raise InvalidParameterError(f"truncated P5 raster: {size} bytes expected")
+    return Image(np.asarray(vals, dtype=float).reshape(height, width))
 
 
-def _pgm_tokens(data):
-    """Yield whitespace-separated header tokens, skipping # comments.
-    Sending 'offset' returns the byte offset just past the last token's
-    single trailing whitespace (start of P5 raster)."""
-    i = 0
-    while True:
-        while i < len(data) and data[i:i + 1].isspace():
-            i += 1
-        if i < len(data) and data[i:i + 1] == b"#":
-            while i < len(data) and data[i:i + 1] != b"\n":
-                i += 1
-            continue
-        start = i
-        while i < len(data) and not data[i:i + 1].isspace():
-            i += 1
-        if start == i:
-            return
-        req = yield data[start:i]
-        if req == "offset":
-            yield i + 1
-            return
+def _pgm_ints(tokens, count, part):
+    """The first count PGM tokens as integers."""
+    if len(tokens) < count:
+        raise InvalidParameterError(
+            f"truncated PGM {part}: {len(tokens)} of {count} values")
+    try:
+        return [int(t) for t in tokens[:count]]
+    except ValueError as exc:
+        raise InvalidParameterError(f"malformed PGM {part}: {exc}") from exc
 
 
 def write_pgm(img: Image, path, binary: bool = True):

@@ -16,6 +16,18 @@ def random_connected_graph(n, rng, density=0.15):
     return WeightGraph(mat.tocsr())
 
 
+def random_directed_graph(n, rng, density=0.3):
+    """Random asymmetric weighted graph, connected when its edges are taken
+    both ways: every node k > 0 has an in-edge from an earlier node. About
+    a third of the nodes, never node 0, have no out-edges."""
+    sinks = rng.random(n) < 1 / 3
+    sinks[0] = False
+    mat = sp.random(n, n, density=density, random_state=rng).tolil()
+    for k in range(1, n):
+        mat[rng.choice(np.nonzero(~sinks[:k])[0]), k] = rng.uniform(0.1, 1.0)
+    return WeightGraph(sp.diags((~sinks).astype(float)) @ mat.tocsr())
+
+
 def random_labels(n, rng, n_labels=3):
     idx = rng.choice(n, size=n_labels, replace=False)
     return LabelAssignment(idx, rng.uniform(-1.0, 1.0, size=n_labels))

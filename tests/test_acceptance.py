@@ -307,12 +307,13 @@ def test_criterion_8_invariants(tmp_path):
         16.0 * nonlocal_inf_metric(v, graph), rtol=1e-12)
 
     # minimality of the exact splitting-variable update
-    from ilgraph.solver import _nonlocal_gradient, _update_D_flat
-    rows = graph.edge_arrays()[0]
+    from ilgraph.solver import _update_D_flat
+    rows = graph.weights.tocoo().row
     alpha = 1e-3
-    nu = np.full(25, 0.8)
+    c = 0.8
+    nu = np.full(25, c)
     q = rng.standard_normal(graph.weights.nnz) * 0.3
-    grad = _nonlocal_gradient(u_il, graph)
+    grad = graph.operators()[0] @ u_il
     target = grad - q
 
     def d_objective(d_flat):
@@ -320,7 +321,7 @@ def test_criterion_8_invariants(tmp_path):
         return (row_sq.max() + alpha * np.sum(d_flat ** 2)
                 + np.sum(nu[rows] * (d_flat - target) ** 2))
 
-    d_star = _update_D_flat(grad, q, nu, graph, alpha)
+    d_star = _update_D_flat(grad, q, c, graph, alpha)
     base = d_objective(d_star)
     minimal = all(
         d_objective(d_star + eps * rng.standard_normal(d_star.size)) >= base - 1e-10

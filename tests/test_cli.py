@@ -101,6 +101,25 @@ class TestSolve:
         assert code == 2
         assert "error: adaptive penalty selection" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("index", ["-1", "3"])
+    def test_label_index_out_of_range_exit_1(self, tmp_path, capsys, index):
+        # a 3-node path: -1 must not pin node 2, 3 is no node
+        graph = tmp_path / "g.csv"
+        graph.write_text("0,1,1.0\n1,0,1.0\n1,2,1.0\n2,1,1.0\n")
+        labels = tmp_path / "l.csv"
+        labels.write_text(f"0,1.0\n{index},0.0\n")
+        code = main(["--out", str(tmp_path / "o"), "solve", str(graph), str(labels)])
+        assert code == 1
+        assert "error: label indices must lie in [0, 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_alpha_not_finite_exit_1(self, problem_files, tmp_path, capsys, alpha):
+        graph, labels = problem_files
+        code = main(["--out", str(tmp_path / "o"), "solve", "--alpha", alpha,
+                     str(graph), str(labels)])
+        assert code == 1
+        assert "error: alpha must be finite" in capsys.readouterr().err
+
     def test_disconnected_exit_1(self, tmp_path, capsys):
         graph = tmp_path / "g.csv"
         graph.write_text("0,1,1.0\n1,0,1.0\n2,3,1.0\n3,2,1.0\n")
@@ -168,6 +187,40 @@ class TestInpaint:
         err = capsys.readouterr().err
         assert err.startswith("error: zero bandwidth at row(s) ")
         assert "..." in err and len(err) < 200
+
+    @staticmethod
+    def _inpaint(tmp_path, src, *extra):
+        return main(["--out", str(tmp_path / "o"), "inpaint", str(src),
+                     "--method", "gl", "--patch", "3", "--k", "4",
+                     "--k-sigma", "2", *extra])
+
+    @pytest.mark.parametrize("coords", ["2,6", "-1,2"])
+    def test_mask_outside_image_exit_1(self, tmp_path, capsys, coords):
+        src = tmp_path / "img.pgm"
+        write_pgm(Image(np.full((6, 6), 100.0)), src)
+        mask = tmp_path / "mask.csv"
+        mask.write_text(f"0,0\n{coords}\n")
+        assert self._inpaint(tmp_path, src, "--mask-file", str(mask)) == 1
+        assert "inside the 6x6 image" in capsys.readouterr().err
+
+    def test_truncated_p5_raster_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "short.pgm"
+        src.write_bytes(b"P5\n6 6\n255\n" + bytes(30))
+        assert self._inpaint(tmp_path, src, "--mask-density", "0.3") == 1
+        assert "truncated P5 raster" in capsys.readouterr().err
+
+    def test_truncated_header_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "short.pgm"
+        src.write_bytes(b"P5\n6 6\n")
+        assert self._inpaint(tmp_path, src, "--mask-density", "0.3") == 1
+        assert "truncated PGM header" in capsys.readouterr().err
+
+    def test_zero_outer_iters_exit_1(self, tmp_path, capsys):
+        src = tmp_path / "img.pgm"
+        write_pgm(Image(np.full((6, 6), 100.0)), src)
+        assert self._inpaint(tmp_path, src, "--mask-density", "0.3",
+                             "--outer-iters", "0") == 1
+        assert "outer_iters must be at least 1" in capsys.readouterr().err
 
     def test_requires_mask_source(self, tmp_path, capsys):
         src = tmp_path / "img.pgm"

@@ -50,6 +50,15 @@ class TestDiscreteEnergy:
         expect = math.sqrt(1.4 / 3.0)
         assert np.isclose(discrete_energy(u, pts, ker, 1.0, 2.0), expect)
 
+    def test_hand_three_points_p3(self):
+        # as above at p = 3: row sums x0: .6*1; x1: .6*1 + .2*8 = 2.2;
+        # x2: .2*8 = 1.6
+        pts = np.array([0.0, 0.4, 1.2])
+        u = np.array([0.0, 1.0, 3.0])
+        expect = (2.2 / 3.0) ** (1.0 / 3.0)
+        assert np.isclose(discrete_energy(u, pts, KernelSpec.tent(), 1.0, 3.0),
+                          expect, rtol=1e-12)
+
     def test_constraint_violation_is_inf(self):
         pts = np.array([0.0, 1.0])
         val = discrete_energy([0.0, 0.0], pts, KernelSpec.tent(), 1.0, 2.0,

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ilgraph.graph
+from conftest import random_directed_graph
 from ilgraph.graph import (DegenerateBandwidthError, InvalidParameterError,
                            KernelSpec, PointCloud, WeightGraph, exact_knn,
                            knn_graph, self_tuning_weights)
@@ -112,12 +113,46 @@ class TestWeightGraph:
         back = WeightGraph.from_csv(tmp_path / "g.csv", n_nodes=6)
         assert np.allclose(back.weights.toarray(), g.weights.toarray())
 
-    def test_edge_arrays_cached_and_consistent(self):
-        g = WeightGraph(sp.csr_matrix(np.array([[0.0, 4.0], [9.0, 0.0]])))
-        rows, cols, w, sqw = g.edge_arrays()
-        assert np.allclose(sqw, np.sqrt(w))
-        assert g.edge_arrays() is not None
-        assert g.edge_arrays()[2] is w  # cached
+    def test_operators_cached_and_consistent(self):
+        # edges in CSR order: 0->1 (w 4), 0->2 (w 1), 1->0 (w 9); node 2
+        # has no out-edges
+        g = WeightGraph(sp.csr_matrix(np.array(
+            [[0.0, 4.0, 1.0], [9.0, 0.0, 0.0], [0.0, 0.0, 0.0]])))
+        G, R = g.operators()
+        assert g.operators()[0] is G and g.operators()[1] is R  # cached
+        assert np.array_equal(G.toarray(), [[2, -2, 0], [1, 0, -1], [-3, 3, 0]])
+        assert np.array_equal(R.toarray(), [[1, 1, 0], [0, 0, 1], [0, 0, 0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1))
+    def test_operators_match_dense_oracle_on_directed_graphs(self, n, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_directed_graph(n, rng)
+        G, R = graph.operators()
+        coo = graph.weights.tocoo()  # the edges, in CSR order
+        rows, cols, w = coo.row, coo.col, coo.data
+        m = w.size
+        u, x, v = (rng.standard_normal(n), rng.standard_normal(m),
+                   rng.standard_normal(m))
+        assert np.allclose(G @ u, np.sqrt(w) * (u[rows] - u[cols]),
+                           rtol=1e-13, atol=1e-13)
+        row_sum = np.zeros(n)
+        adjoint = np.zeros(n)
+        for e in range(m):
+            row_sum[rows[e]] += x[e]
+            adjoint[rows[e]] += np.sqrt(w[e]) * v[e]
+            adjoint[cols[e]] -= np.sqrt(w[e]) * v[e]
+        assert np.allclose(R @ x, row_sum, rtol=1e-13, atol=1e-13)
+        assert np.allclose(G.T @ v, adjoint, rtol=1e-13, atol=1e-13)
+        # G^T diag(nu_e) G, each edge taking its tail's penalty, restricted
+        # to the unlabeled nodes: the Laplacian of nu_i w_ij + nu_j w_ji
+        nu = rng.uniform(0.5, 2.0, size=n)
+        unl = np.sort(rng.permutation(n)[:max(1, n // 2)])
+        system = (G.T @ sp.diags(R.T @ nu) @ G).toarray()[np.ix_(unl, unl)]
+        B = nu[:, None] * graph.weights.toarray()
+        B = B + B.T
+        lap = np.diag(B.sum(axis=1)) - B
+        assert np.allclose(system, lap[np.ix_(unl, unl)], rtol=1e-13, atol=1e-13)
 
 
 class TestExactKnn:

@@ -48,6 +48,12 @@ class TestSampleMask:
         with pytest.raises(InvalidParameterError):
             SampleMask.random((4, 4), 0.0)
 
+    @pytest.mark.parametrize("text", ["1,2\n3,x\n", "1,2,3\n"])
+    def test_rejects_malformed_csv(self, tmp_path, text):
+        (tmp_path / "m.csv").write_text(text)
+        with pytest.raises(InvalidParameterError):
+            SampleMask.from_csv(tmp_path / "m.csv", (4, 4))
+
 
 class TestPatches:
     def test_hand_reflection_3x3(self):
@@ -119,6 +125,15 @@ class TestPgm:
     def test_rejects_16bit(self, tmp_path):
         (tmp_path / "x.pgm").write_text("P2\n1 1\n65535\n300\n")
         with pytest.raises(InvalidParameterError):
+            read_pgm(tmp_path / "x.pgm")
+
+    @pytest.mark.parametrize("text, match", [
+        ("", "magic"), ("P2\n2 2\n255\n0 64 128\n", "truncated PGM raster"),
+        ("P2\n2 2\n255\n0 64 x 1\n", "malformed PGM raster"),
+        ("P2\n-2 -2\n255\n0 64 1 1\n", "positive size")])
+    def test_rejects_truncated_or_malformed(self, tmp_path, text, match):
+        (tmp_path / "x.pgm").write_text(text)
+        with pytest.raises(InvalidParameterError, match=match):
             read_pgm(tmp_path / "x.pgm")
 
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import ilgraph.linalg
 import ilgraph.solver
-from conftest import random_connected_graph, random_labels
+from conftest import random_connected_graph, random_directed_graph, random_labels
 from ilgraph.graph import InvalidParameterError, WeightGraph
 from ilgraph.linalg import DisconnectedGraphError
 from ilgraph.solver import (LabelAssignment, SolverConfig, _value_solver,
@@ -130,10 +130,13 @@ class TestBaselines:
 class TestValueUpdate:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(4, 40), n_labels=st.integers(1, 3),
-           seed=st.integers(0, 2 ** 32 - 1), factored=st.booleans())
-    def test_both_paths_match_dense_solve(self, n, n_labels, seed, factored):
+           seed=st.integers(0, 2 ** 32 - 1), factored=st.booleans(),
+           directed=st.booleans())
+    def test_both_paths_match_dense_solve(self, n, n_labels, seed, factored,
+                                          directed):
         rng = np.random.default_rng(seed)
-        graph = random_connected_graph(n, rng)
+        graph = (random_directed_graph if directed
+                 else random_connected_graph)(n, rng)
         labels = random_labels(n, rng, n_labels=n_labels)
         nu = rng.uniform(0.5, 2.0, size=n)
         s_flat = rng.standard_normal(graph.weights.nnz)
@@ -143,7 +146,8 @@ class TestValueUpdate:
             u, report = _value_solver(nu, graph, labels, 1e-10)(s_flat)
         # dense oracle: minimize sum_ij nu_i w_ij (s_ij - sqrt(w_ij)(u_i - u_j))^2
         # over the unlabeled values, with the labeled ones pinned
-        rows, cols, w, sqw = graph.edge_arrays()
+        coo = graph.weights.tocoo()
+        rows, cols, sqw = coo.row, coo.col, np.sqrt(coo.data)
         G = np.zeros((rows.size, n))
         G[np.arange(rows.size), rows] = sqw
         G[np.arange(rows.size), cols] -= sqw
@@ -209,16 +213,15 @@ class TestValueUpdate:
 
 class TestChooseC:
     def test_first_iteration_ratio_near_quarter(self):
-        from ilgraph.solver import (_nonlocal_gradient, _update_D_flat,
-                                    _value_solver)
+        from ilgraph.solver import _update_D_flat, _value_solver
         rng = np.random.default_rng(2)
         graph = random_connected_graph(30, rng)
         labels = random_labels(30, rng)
         c = choose_c(graph, labels, alpha=0.0, eps=1e-4)
         u1, _ = _value_solver(np.ones(30), graph, labels, lin_tol=1e-10)(
             np.zeros(graph.weights.nnz))
-        t1 = _nonlocal_gradient(u1, graph)
-        d1 = _update_D_flat(t1, np.zeros_like(t1), np.full(30, c), graph, 0.0)
+        t1 = graph.operators()[0] @ u1
+        d1 = _update_D_flat(t1, np.zeros_like(t1), c, graph, 0.0)
         ratio = np.sum((d1 - t1) ** 2) / np.sum(t1 * t1)
         assert abs(ratio - 0.25) <= 1e-4
 
@@ -232,13 +235,12 @@ class TestChooseC:
         assert c == 1.0
 
     def test_unsettled_selection_raises_convergence_error(self):
-        from ilgraph.solver import (ConvergenceError, _choose_c_from_t1,
-                                    _nonlocal_gradient)
+        from ilgraph.solver import ConvergenceError, _choose_c_from_t1
         rng = np.random.default_rng(5)
         graph = random_connected_graph(20, rng)
         labels = random_labels(20, rng)
         u1 = gl_solve(graph, labels)
-        t1 = _nonlocal_gradient(u1, graph)
+        t1 = graph.operators()[0] @ u1
         with pytest.raises(ConvergenceError, match="did not settle"):
             _choose_c_from_t1(t1, graph, u1, 0.0, eps=1e-300, max_iter=2)
 
@@ -334,6 +336,26 @@ class TestILSolve:
     def test_rejects_negative_alpha(self):
         with pytest.raises(InvalidParameterError):
             SolverConfig(alpha=-1.0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf])
+    def test_rejects_alpha_not_finite(self, alpha):
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            SolverConfig(alpha=alpha)
+
+    @pytest.mark.parametrize("max_outer_iter", [0, -3])
+    def test_rejects_max_outer_iter_below_one(self, max_outer_iter):
+        with pytest.raises(InvalidParameterError, match="max_outer_iter"):
+            SolverConfig(max_outer_iter=max_outer_iter)
+
+    @pytest.mark.parametrize("index", [-1, 20])
+    @pytest.mark.parametrize("solve", [gl_solve, wnll_solve, il_solve, choose_c])
+    def test_rejects_label_index_out_of_range(self, solve, index):
+        rng = np.random.default_rng(16)
+        graph = random_connected_graph(20, rng)
+        labels = LabelAssignment([0, index], [1.0, -1.0])
+        args = (0.0,) if solve is choose_c else ()
+        with pytest.raises(InvalidParameterError, match="label indices"):
+            solve(graph, labels, *args)
 
     @pytest.mark.parametrize("fixed_c", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_fixed_c_not_finite_positive(self, fixed_c):
