@@ -41,7 +41,11 @@ def read_labels_csv(path) -> LabelAssignment:
             try:
                 if len(parts) != 2:
                     raise ValueError("expected two fields")
-                indices.append(int(float(parts[0])))
+                index = float(parts[0])
+                if not index.is_integer():
+                    raise InvalidParameterError(
+                        f"node index {parts[0].strip()} is not an integer")
+                indices.append(int(index))
                 values.append(float(parts[1]))
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: malformed row ({exc})") from exc
@@ -110,6 +114,8 @@ def cmd_solve(args) -> int:
         report.update(objective=diag.objective, c_star=diag.c_star,
                       iterations=diag.iterations, converged=diag.converged,
                       primal_residual=diag.primal_residual,
+                      linear_unconverged=diag.linear_unconverged,
+                      linear_residual_max=diag.linear_residual_max,
                       objective_history=diag.history.tolist())
     else:
         solver = gl_solve if args.method == "gl" else wnll_solve
@@ -148,7 +154,9 @@ def cmd_toy2d(args) -> int:
               "seconds": time.perf_counter() - t0}
     if diag is not None:
         report.update(c_star=diag.c_star, iterations=diag.iterations,
-                      converged=diag.converged)
+                      converged=diag.converged,
+                      linear_unconverged=diag.linear_unconverged,
+                      linear_residual_max=diag.linear_residual_max)
     write_report(out / "report.json", report)
     return 0 if (diag is None or diag.converged) else 2
 

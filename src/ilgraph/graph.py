@@ -4,7 +4,9 @@ Weight graphs are kept directed after truncation: row i holds the weights
 from x_i to its k nearest neighbors, which need not coincide with the
 reverse edges. Solvers consume w_ij and w_ji separately, through the
 non-local gradient G (one row per directed edge) and the row sum R that
-``WeightGraph.operators`` builds once per graph.
+``WeightGraph.operators`` builds once per graph, and through
+``out_edges`` and ``gradient_adjoint``, which work on the edges of a few
+nodes without a pass over all edges.
 """
 
 import math
@@ -163,6 +165,25 @@ class WeightGraph:
             object.__setattr__(self, "_operators", cached)
         return cached
 
+    def out_edges(self, mask):
+        """The edges leaving the nodes where the boolean ``mask`` holds, in
+        order, and the tail of each."""
+        indptr = self.weights.indptr
+        count = np.where(mask, np.diff(indptr), 0)
+        tails = np.repeat(np.arange(self.n_nodes), count)
+        # per node: its first edge less the position of that edge in the output
+        shift = indptr[:-1] - np.cumsum(count) + count
+        return np.arange(tails.size) + shift[tails], tails
+
+    def gradient_adjoint(self, v, edges):
+        """G^T v for v listed on ``edges`` only and zero on every other
+        edge, in O(len(edges)) rather than a pass over all edges."""
+        G, _ = self.operators()
+        # G holds two entries per edge, at its tail and its head
+        ends = np.take(G.indices.reshape(-1, 2), edges, axis=0).ravel()
+        vals = np.take(G.data.reshape(-1, 2), edges, axis=0).ravel()
+        return np.bincount(ends, vals * np.repeat(v, 2), minlength=self.n_nodes)
+
     def symmetrized(self) -> "WeightGraph":
         """Max-symmetrization: w_ij = w_ji = max(w_ij, w_ji)."""
         w = self.weights
@@ -178,8 +199,10 @@ class WeightGraph:
         arr = np.loadtxt(path, delimiter=",", ndmin=2)
         if arr.size == 0:
             raise InvalidParameterError("empty graph file")
-        rows = arr[:, 0].astype(int)
-        cols = arr[:, 1].astype(int)
+        ends = arr[:, :2]
+        if not np.all(np.isfinite(ends) & (ends == np.round(ends))):
+            raise InvalidParameterError("node indices must be integers")
+        rows, cols = ends.astype(int).T
         vals = arr[:, 2]
         n = n_nodes if n_nodes is not None else int(max(rows.max(), cols.max())) + 1
         return cls(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))

@@ -38,6 +38,12 @@ class DisconnectedGraphError(RuntimeError):
 
 @dataclass
 class SolveReport:
+    """One linear solve: iterations taken (0 for a factored solve), the
+    true relative residual ||A x - b|| / ||b||, and whether it met the
+    tolerance. An il_solve iteration solves for the change in u, so its
+    residual is relative to the increment's right-hand side, not to that
+    of the full value update."""
+
     iterations: int
     relative_residual: float
     converged: bool

@@ -15,6 +15,17 @@ Edge work goes through the graph's non-local gradient G and row sum R
 (WeightGraph.operators): the splitting is D = G u, the u-update solves
 G^T diag(nu_e) G u = G^T (nu_e * s) on the unlabeled nodes, and the row
 energies are R (G u)^2.
+
+The D update scales each row of y = t - q, t = G u, by one factor rho_i
+and the multiplier becomes q' = (rho - 1) y. At alpha = 0, rho_i is
+exactly 1 on every row the threshold leaves alone, so q lives only on
+the clipped rows and s = D + q' equals t elsewhere. il_solve therefore
+keeps q only on those rows and solves for the change in u: with
+s = t + delta, u' = u + du where A du = (G^T delta)_unl, A the restricted
+matrix, and delta is nonzero only on the rows clipped now or carrying q.
+Each iteration makes two full edge passes, t = G u and g = R t^2; the
+rest touches the edges of those rows. At alpha > 0 every row carries q
+and the same code takes all rows.
 """
 
 import warnings
@@ -101,6 +112,10 @@ class ILDiagnostics:
     history: np.ndarray
     primal_residual: float
     final_linear_report: Optional[SolveReport] = None
+    # value updates in the run that missed lin_tol, and the worst relative
+    # residual over them all
+    linear_unconverged: int = 0
+    linear_residual_max: float = 0.0
 
 
 def _model_value(g, alpha: float, row_subset=None) -> float:
@@ -155,11 +170,14 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
                   lin_tol: float):
     """Least-squares value update for fixed positive penalties nu, built once.
 
-    Checks the labels, assembles G^T diag(nu_e) G (each edge takes its
-    tail's penalty) over the unlabeled unknowns and its label coupling, and
-    factors it when linalg.factor_if_small allows; returns solve(s_flat) ->
-    (u, SolveReport), which only forms G^T (nu_e * s) and solves. Labeled
-    values are pinned exactly.
+    Checks the labels, assembles A, the block of G^T diag(nu_e) G on the
+    unlabeled unknowns (each edge takes its tail's penalty), and its label
+    coupling, and factors A when linalg.factor_if_small allows. Returns
+    solve(s_flat) -> (u, SolveReport), which forms G^T (nu_e * s) and
+    solves; labeled values are pinned exactly. Given the current u,
+    solve(delta, u, edges) instead takes the target G u + delta, with delta
+    listed on ``edges`` only (an index array or slice(None)), and solves
+    A du = (G^T (nu_e * delta))_unl for the change in u.
     """
     n = graph.n_nodes
     unl = labels.unlabeled(n)
@@ -177,17 +195,37 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     del DG, L_unl  # free the assembly before a factor is built
     lu = factor_if_small(A)
 
-    def solve(s_flat):
-        u = np.zeros(n)
-        u[labels.indices] = labels.values
+    def solve(s_flat, u=None, edges=slice(None)):
+        v = nu_e[edges] * np.asarray(s_flat, dtype=float)
+        r = (G.T @ v if isinstance(edges, slice)
+             else graph.gradient_adjoint(v, edges))
+        if u is None:
+            u = np.zeros(n)
+            u[labels.indices] = labels.values
+            r[unl] -= coupling
+        else:
+            u = u.copy()
         if unl.size == 0:
             return u, SolveReport(0, 0.0, True)
-        r = G.T @ (nu_e * np.asarray(s_flat, dtype=float))
-        u[unl], report = solve_symmetric(A, r[unl] - coupling, tol=lin_tol,
-                                         factor=lu)
+        du, report = solve_symmetric(A, r[unl], tol=lin_tol, factor=lu)
+        u[unl] += du
         return u, report
 
     return solve
+
+
+def _row_scale(norm, c: float, alpha: float, row_subset=None):
+    """The exact D update at the constant penalty c, row by row: for the
+    target y = t - q with row norms ||y_i|| = norm, D = rho_i y on row i.
+    Rows with y_i = 0 get rho_i = kappa = c / (alpha + c). At alpha = 0,
+    rho_i is exactly 1 on every row the threshold leaves alone."""
+    kappa = c / (alpha + c)
+    C = kappa * norm
+    scope = slice(None) if row_subset is None else row_subset
+    # rows outside the max scope separate: their block is minimized at C_i
+    x, scoped = C.copy(), C[scope]
+    x[scope] = threshold_subproblem(np.full(scoped.size, alpha + c), scoped)
+    return kappa * np.divide(x, C, out=np.ones_like(x), where=C > 0)
 
 
 def _update_D_flat(t_flat, q_flat, c: float, graph: WeightGraph,
@@ -195,18 +233,14 @@ def _update_D_flat(t_flat, q_flat, c: float, graph: WeightGraph,
     """Exact D update, at the constant penalty c, from the non-local
     gradient t_flat of the current u."""
     _, R = graph.operators()
-    c_data = (c / (alpha + c)) * (t_flat - q_flat)
-    row_norm = np.sqrt(R @ c_data ** 2)
-    scope = slice(None) if row_mask is None else row_mask
-    # rows outside the max scope separate: their block is minimized at C_i
-    x, scoped = row_norm.copy(), row_norm[scope]
-    x[scope] = threshold_subproblem(np.full(scoped.size, alpha + c), scoped)
-    scale = np.divide(x, row_norm, out=np.zeros_like(x), where=row_norm > 0)
-    return (R.T @ scale) * c_data
+    y = t_flat - q_flat
+    return (R.T @ _row_scale(np.sqrt(R @ y ** 2), c, alpha, row_mask)) * y
 
 
 def _choose_c_from_t1(t1_flat, graph, u1, alpha, eps=1e-4, max_iter=1000):
-    t1_sq = float(np.dot(t1_flat, t1_flat))
+    _, R = graph.operators()
+    g1 = R @ t1_flat ** 2
+    t1_sq = float(g1.sum())
     c = alpha if alpha > 0 else 1.0
     # a first pass computed in floating point leaves a tiny gradient on an
     # analytically constant solution: test against round-off scale
@@ -215,9 +249,11 @@ def _choose_c_from_t1(t1_flat, graph, u1, alpha, eps=1e-4, max_iter=1000):
         warnings.warn("first-pass non-local gradient vanishes; "
                       "keeping the initial penalty c")
         return c
+    norm = np.sqrt(g1)
     for _ in range(max_iter):
-        d1 = _update_D_flat(t1_flat, 0.0, c, graph, alpha)
-        ratio = float(np.dot(d1 - t1_flat, d1 - t1_flat)) / t1_sq
+        # D1 - T1 = (rho_i - 1) T1 on row i: the ratio is a sum over nodes
+        rho = _row_scale(norm, c, alpha)
+        ratio = float(np.dot((rho - 1.0) ** 2, g1)) / t1_sq
         if abs(ratio - 0.25) <= eps:
             return c
         c = 4.0 * c * ratio
@@ -266,7 +302,6 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     """
     cfg = cfg or SolverConfig()
     n = graph.n_nodes
-    nnz = graph.weights.nnz
     G, R = graph.operators()
     # The penalty nu = c* is constant, so c* scales both sides of the value
     # update and cancels: the unit-penalty (GL) system serves the first
@@ -274,46 +309,80 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     solve = _value_solver(np.ones(n), graph, labels, cfg.lin_tol)
     row_subset = labels.unlabeled(n) if cfg.max_over_unlabeled_only else None
 
-    def f(grad):  # the objective from the gradient at hand: no second edge pass
-        return _model_value(R @ grad ** 2, cfg.alpha, row_subset)
-
-    u, report = solve(np.zeros(nnz))
-    grad = G @ u
+    u, report = solve(np.zeros(graph.weights.nnz))
+    reports = [report]
+    t = G @ u
+    g = R @ t ** 2
     if cfg.fixed_c is not None:
         c_star = float(cfg.fixed_c)
     else:
-        c_star = _choose_c_from_t1(grad, graph, u, cfg.alpha)
-    q = np.zeros(nnz)
-    D = _update_D_flat(grad, q, c_star, graph, cfg.alpha, row_subset)
+        c_star = _choose_c_from_t1(t, graph, u, cfg.alpha)
+    # Below kappa = 1 every row carries a multiplier, and every step takes
+    # all rows. At kappa = 1 (alpha = 0) D = t and q = 0 on every row the
+    # threshold leaves alone: a step takes the rows clipped now or carrying
+    # q from the last step.
+    every_row = c_star / (cfg.alpha + c_star) < 1
+    q = np.zeros(graph.weights.nnz)
+    carried = np.zeros(n, dtype=bool)
 
-    history = [f(grad)]
+    def d_update(update_q):
+        """D = rho y on the selected rows, y = t - q; then q' = D - y when
+        asked (the first update keeps q = 0). Returns the change
+        delta = D + q' - t on the selected edges, those edges and D."""
+        if every_row:
+            e, tails = slice(None), None
+            y = t - q
+            norm = np.sqrt(R @ y ** 2)
+        else:  # ||y_i|| from g where q = 0, from y on the rows carrying q
+            e, tails = graph.out_edges(carried)
+            y = t[e] - q[e]
+            norm = np.sqrt(np.where(
+                carried, np.bincount(tails, y ** 2, minlength=n), g))
+        rho = _row_scale(norm, c_star, cfg.alpha, row_subset)
+        if not every_row:  # the rows clipped now or carrying q
+            e, tails = graph.out_edges((rho != 1.0) | carried)
+            y = t[e] - q[e]
+        D = (R.T @ rho if every_row else rho[tails]) * y
+        if not update_q:
+            return D - t[e], e, D
+        q_new = D - y  # (rho - 1) y: exactly 0 where rho = 1
+        q[e] = q_new
+        carried[:] = rho != 1.0
+        return D + q_new - t[e], e, D
+
+    def primal():  # max|D - t|: D = t off the selected edges
+        return float(np.max(np.abs(D - t[e]), initial=0.0))
+
+    delta, e, D = d_update(update_q=False)
+    history = [_model_value(g, cfg.alpha, row_subset)]
     best_u, best_f = u, history[0]
     converged = False
     while len(history) < cfg.max_outer_iter:
-        u, report = solve(D + q)
-        grad = G @ u
-        D = _update_D_flat(grad, q, c_star, graph, cfg.alpha, row_subset)
-        q = q + D - grad
-        fval = f(grad)
+        u, report = solve(delta, u, e)
+        reports.append(report)
+        t = G @ u
+        g = R @ t ** 2
+        delta, e, D = d_update(update_q=True)
+        fval = _model_value(g, cfg.alpha, row_subset)
         history.append(fval)
         if fval < best_f:
             best_u, best_f = u, fval
         prev = history[-2]
         if prev == 0.0 or abs(fval - prev) / prev <= cfg.rel_obj_tol:
-            if (cfg.primal_tol is not None
-                    and float(np.max(np.abs(D - grad))) > cfg.primal_tol):
+            if cfg.primal_tol is not None and primal() > cfg.primal_tol:
                 continue
             converged = True
             break
 
-    primal = float(np.max(np.abs(D - grad))) if nnz else 0.0
     diag = ILDiagnostics(
         c_star=c_star,
         iterations=len(history),
         converged=converged,
         objective=best_f,
         history=np.asarray(history),
-        primal_residual=primal,
+        primal_residual=primal(),
         final_linear_report=report,
+        linear_unconverged=sum(not r.converged for r in reports),
+        linear_residual_max=max(r.relative_residual for r in reports),
     )
     return best_u, diag

@@ -62,6 +62,8 @@ class TestSolve:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is True
         assert report["c_star"] > 0
+        assert report["linear_unconverged"] == 0
+        assert 0 <= report["linear_residual_max"] <= 1e-10
         sol = np.loadtxt(out / "solution.csv", delimiter=",")
         assert sol.shape == (12, 2)
         assert np.isclose(sol[0, 1], 1.0)
@@ -112,6 +114,27 @@ class TestSolve:
         assert code == 1
         assert "error: label indices must lie in [0, 3)" in capsys.readouterr().err
 
+    def test_fractional_label_index_exit_1(self, tmp_path, capsys):
+        # a 3-node path: 1.7 must not pin node 1
+        graph = tmp_path / "g.csv"
+        graph.write_text("0,1,1.0\n1,0,1.0\n1,2,1.0\n2,1,1.0\n")
+        labels = tmp_path / "l.csv"
+        labels.write_text("0,1.0\n1.7,0.0\n")
+        code = main(["--out", str(tmp_path / "o"), "solve", str(graph), str(labels)])
+        assert code == 1
+        assert ":2: malformed row (node index 1.7 is not an integer)" in (
+            capsys.readouterr().err)
+
+    def test_fractional_graph_index_exit_1(self, tmp_path, capsys):
+        # 1.6 must not become the edge 1 -> 0
+        graph = tmp_path / "g.csv"
+        graph.write_text("0,1,1.0\n1.6,0,1.0\n1,2,1.0\n2,1,1.0\n")
+        labels = tmp_path / "l.csv"
+        labels.write_text("0,1.0\n2,0.0\n")
+        code = main(["--out", str(tmp_path / "o"), "solve", str(graph), str(labels)])
+        assert code == 1
+        assert "node indices must be integers" in capsys.readouterr().err
+
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_alpha_not_finite_exit_1(self, problem_files, tmp_path, capsys, alpha):
         graph, labels = problem_files
@@ -140,6 +163,9 @@ class TestToy2d:
         names = {ln.split(",")[0] for ln in lines[1:]}
         assert {"generating", "gl", "wnll", "il"} <= names
         assert (out / "solution_il.csv").exists()
+        report = json.loads((out / "report.json").read_text())
+        assert report["linear_unconverged"] == 0
+        assert report["linear_residual_max"] >= 0
 
 
 class TestInpaint:

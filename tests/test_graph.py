@@ -154,6 +154,29 @@ class TestWeightGraph:
         lap = np.diag(B.sum(axis=1)) - B
         assert np.allclose(system, lap[np.ix_(unl, unl)], rtol=1e-13, atol=1e-13)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1))
+    def test_out_edges_and_adjoint_on_a_node_subset(self, n, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_directed_graph(n, rng)
+        G, _ = graph.operators()
+        tails = graph.weights.tocoo().row  # the edges, in CSR order
+        mask = rng.random(n) < rng.random()
+        edges, edge_tails = graph.out_edges(mask)
+        assert np.array_equal(edges, np.flatnonzero(mask[tails]))
+        assert np.array_equal(edge_tails, tails[edges])
+        v = rng.standard_normal(edges.size)
+        full = np.zeros(graph.weights.nnz)
+        full[edges] = v
+        assert np.allclose(graph.gradient_adjoint(v, edges), G.T @ full,
+                           rtol=1e-13, atol=1e-13)
+
+    def test_from_csv_rejects_fractional_node_index(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("0,1,1.0\n1.6,0,1.0\n")
+        with pytest.raises(InvalidParameterError, match="integers"):
+            WeightGraph.from_csv(path)
+
 
 class TestExactKnn:
     def test_hand_line(self):

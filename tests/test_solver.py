@@ -9,9 +9,10 @@ import ilgraph.solver
 from conftest import random_connected_graph, random_directed_graph, random_labels
 from ilgraph.graph import InvalidParameterError, WeightGraph
 from ilgraph.linalg import DisconnectedGraphError
-from ilgraph.solver import (LabelAssignment, SolverConfig, _value_solver,
-                            choose_c, gl_solve, il_solve, nonlocal_inf_metric,
-                            objective, wnll_solve)
+from ilgraph.solver import (LabelAssignment, SolverConfig, _choose_c_from_t1,
+                            _update_D_flat, _value_solver, choose_c, gl_solve,
+                            il_solve, nonlocal_inf_metric, objective,
+                            threshold_subproblem, wnll_solve)
 
 
 def record_reports(monkeypatch):
@@ -26,6 +27,70 @@ def record_reports(monkeypatch):
 
     monkeypatch.setattr(ilgraph.solver, "solve_symmetric", recording)
     return reports
+
+
+def edge_space_d_update(t, q, c, R, alpha, scope):
+    """The D update on full edge vectors: scale kappa (t - q) row by row
+    from the norms of its rows."""
+    c_data = (c / (alpha + c)) * (t - q)
+    norm = np.sqrt(R @ c_data ** 2)
+    x = norm.copy()
+    x[scope] = threshold_subproblem(np.full(norm[scope].size, alpha + c),
+                                    norm[scope])
+    scale = np.divide(x, norm, out=np.zeros_like(x), where=norm > 0)
+    return (R.T @ scale) * c_data
+
+
+def reference_il_solve(graph, labels, cfg):
+    """Split Bregman on full edge vectors through G and R only: D, q and
+    s = D + q on every edge, u from a dense solve of the full value update,
+    and the penalty from the edge-space fixed point. Returns every iterate,
+    the penalty, the objective history and the final primal residual."""
+    G, R = graph.operators()
+    n = graph.n_nodes
+    unl = labels.unlabeled(n)
+    scope = unl if cfg.max_over_unlabeled_only else slice(None)
+    L = (G.T @ G).toarray()
+    A, B = L[np.ix_(unl, unl)], L[np.ix_(unl, labels.indices)]
+
+    def solve(s):
+        u = np.zeros(n)
+        u[labels.indices] = labels.values
+        u[unl] = np.linalg.solve(A, (G.T @ s)[unl] - B @ labels.values)
+        return u
+
+    def f(t):
+        g = R @ t ** 2
+        return g[scope].max(initial=0.0) + cfg.alpha * g.sum()
+
+    u = solve(np.zeros(G.shape[0]))
+    t = G @ u
+    c = cfg.fixed_c
+    if c is None:
+        c = cfg.alpha if cfg.alpha > 0 else 1.0
+        while True:
+            d = edge_space_d_update(t, 0.0, c, R, cfg.alpha, slice(None))
+            ratio = np.dot(d - t, d - t) / np.dot(t, t)
+            if abs(ratio - 0.25) <= 1e-4:
+                break
+            c = 4.0 * c * ratio
+    q = np.zeros_like(t)
+    D = edge_space_d_update(t, q, c, R, cfg.alpha, scope)
+    iterates, history = [u], [f(t)]
+    while len(history) < cfg.max_outer_iter:
+        u = solve(D + q)
+        t = G @ u
+        D = edge_space_d_update(t, q, c, R, cfg.alpha, scope)
+        q = q + D - t
+        iterates.append(u)
+        history.append(f(t))
+        prev = history[-2]
+        if prev == 0.0 or abs(history[-1] - prev) / prev <= cfg.rel_obj_tol:
+            if (cfg.primal_tol is not None
+                    and np.max(np.abs(D - t)) > cfg.primal_tol):
+                continue
+            break
+    return iterates, c, np.asarray(history), np.max(np.abs(D - t))
 
 
 def four_node_graph():
@@ -163,6 +228,42 @@ class TestValueUpdate:
         else:
             assert report.iterations > 0
 
+    @pytest.mark.parametrize("factored", [True, False])
+    def test_change_form_matches_full_update(self, monkeypatch, factored):
+        # u' for the target G u + delta, delta on a few edges, is the full
+        # value update for that target
+        if not factored:
+            monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
+        rng = np.random.default_rng(17)
+        graph = random_directed_graph(30, rng)
+        labels = random_labels(30, rng)
+        solve = _value_solver(rng.uniform(0.5, 2.0, size=30), graph, labels, 1e-12)
+        u, _ = solve(rng.standard_normal(graph.weights.nnz))
+        edges = np.sort(rng.choice(graph.weights.nnz, 15, replace=False))
+        delta = rng.standard_normal(edges.size)
+        G = graph.operators()[0]
+        s = G @ u
+        s[edges] += delta
+        expected, _ = solve(s)
+        for change, where in ((delta, edges), (s - G @ u, slice(None))):
+            moved, _ = solve(change, u, where)
+            assert np.allclose(moved, expected, rtol=1e-9, atol=1e-9)
+            assert np.array_equal(moved[labels.indices], labels.values)
+
+    def test_unconverged_solves_are_counted(self, monkeypatch):
+        monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
+        reports = record_reports(monkeypatch)
+        rng = np.random.default_rng(18)
+        graph = random_connected_graph(25, rng)
+        # a tolerance below round-off: no MINRES solve can meet it
+        _, diag = il_solve(graph, random_labels(25, rng),
+                           SolverConfig(lin_tol=1e-30, max_outer_iter=6,
+                                        rel_obj_tol=1e-15))
+        assert len(reports) == diag.iterations == 6
+        assert diag.linear_unconverged == len(reports)
+        assert diag.linear_residual_max == max(r.relative_residual
+                                               for r in reports) > 1e-30
+
     def test_il_solve_under_cap_converges_every_solve(self, monkeypatch):
         reports = record_reports(monkeypatch)
         rng = np.random.default_rng(12)
@@ -170,6 +271,8 @@ class TestValueUpdate:
         _, diag = il_solve(graph, random_labels(40, rng), SolverConfig())
         assert len(reports) == diag.iterations > 1
         assert all(r.converged and r.iterations == 0 for r in reports)
+        assert diag.linear_unconverged == 0
+        assert diag.linear_residual_max <= 1e-10
 
     @staticmethod
     def _single_solves(graph, labels):
@@ -224,6 +327,23 @@ class TestChooseC:
         d1 = _update_D_flat(t1, np.zeros_like(t1), c, graph, 0.0)
         ratio = np.sum((d1 - t1) ** 2) / np.sum(t1 * t1)
         assert abs(ratio - 0.25) <= 1e-4
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_node_space_selection_matches_edge_space(self, alpha, seed):
+        rng = np.random.default_rng(100 + seed)
+        graph = (random_directed_graph if seed % 2
+                 else random_connected_graph)(30, rng)
+        u1 = gl_solve(graph, random_labels(30, rng))
+        t1 = graph.operators()[0] @ u1
+        c = alpha if alpha > 0 else 1.0
+        for _ in range(1000):  # the fixed point on full edge vectors
+            d1 = _update_D_flat(t1, np.zeros_like(t1), c, graph, alpha)
+            ratio = np.sum((d1 - t1) ** 2) / np.sum(t1 * t1)
+            if abs(ratio - 0.25) <= 1e-4:
+                break
+            c = 4.0 * c * ratio
+        assert abs(_choose_c_from_t1(t1, graph, u1, alpha) - c) <= 1e-12 * c
 
     def test_constant_labels_warn_and_default(self):
         # all labels equal: the first pass is constant, T1 = 0
@@ -332,6 +452,75 @@ class TestILSolve:
             calls.clear()
             solve(graph, labels)
             assert len(calls) == 1
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5, 30), seed=st.integers(0, 2 ** 32 - 1),
+           directed=st.booleans(), alpha=st.sampled_from([0.0, 1e-3, 0.5]),
+           unlabeled_only=st.booleans(),
+           primal_tol=st.sampled_from([None, 1e-4]))
+    def test_matches_full_edge_reference(self, n, seed, directed, alpha,
+                                         unlabeled_only, primal_tol):
+        rng = np.random.default_rng(seed)
+        graph = (random_directed_graph if directed
+                 else random_connected_graph)(n, rng)
+        labels = random_labels(n, rng)
+        cfg = SolverConfig(alpha=alpha, max_over_unlabeled_only=unlabeled_only,
+                           primal_tol=primal_tol, max_outer_iter=300)
+        u, diag = il_solve(graph, labels, cfg)
+        ref_iterates, ref_c, ref_history, ref_primal = reference_il_solve(
+            graph, labels, cfg)
+        assert abs(diag.c_star - ref_c) <= 1e-9 * ref_c
+        if ref_history.min() <= 1e-12 * ref_history[0]:
+            # an optimum of 0, reached to round-off: the relative stopping
+            # test then turns on the last bits of values near 1e-30, and
+            # only the limit can agree
+            assert diag.objective <= 1e-12 * ref_history[0]
+            return
+        assert diag.iterations == ref_history.size
+        assert np.allclose(diag.history, ref_history, rtol=1e-9, atol=0.0)
+        # near-equal objectives may rank either way: u must be the
+        # reference's iterate at the step il_solve picked
+        assert np.isclose(diag.objective, ref_history.min(), rtol=1e-9, atol=0.0)
+        best = int(np.argmin(diag.history))
+        assert np.allclose(u, ref_iterates[best], rtol=1e-9, atol=1e-9)
+        assert np.isclose(diag.primal_residual, ref_primal, rtol=1e-9,
+                          atol=1e-12)
+
+    def test_alpha0_iteration_makes_two_full_edge_passes(self):
+        # wrap G and R: at alpha = 0 an iteration applies G once and R
+        # once, and neither adjoint
+        calls = []
+
+        class Counting:
+            def __init__(self, M, name):
+                self.M, self.name = M, name
+
+            def __matmul__(self, x):
+                calls.append(self.name)
+                return self.M @ x
+
+            @property
+            def T(self):
+                return Counting(self.M.T, self.name + ".T")
+
+            def __getattr__(self, attr):
+                return getattr(self.M, attr)
+
+        def counts(max_outer_iter):
+            rng = np.random.default_rng(19)
+            graph = random_connected_graph(40, rng)
+            G, R = graph.operators()
+            object.__setattr__(graph, "_operators",
+                               (Counting(G, "G"), Counting(R, "R")))
+            calls.clear()
+            _, diag = il_solve(graph, random_labels(40, rng), SolverConfig(
+                fixed_c=0.05, rel_obj_tol=1e-15, max_outer_iter=max_outer_iter))
+            assert diag.iterations == max_outer_iter
+            return {k: calls.count(k) for k in ("G", "R", "G.T", "R.T")}
+
+        few, more = counts(3), counts(13)
+        assert {k: more[k] - few[k] for k in few} == {"G": 10, "R": 10,
+                                                       "G.T": 0, "R.T": 0}
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(InvalidParameterError):
