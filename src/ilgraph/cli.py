@@ -172,15 +172,15 @@ def cmd_inpaint(args) -> int:
     else:
         raise InputError("one of --mask-density or --mask-file is required")
     cfg = inpaint_mod.InpaintConfig(
-        method=args.method, alpha=args.alpha,
-        patch_size=(args.patch, args.patch), k=args.k, k_sigma=args.k_sigma,
-        outer_iters=args.outer_iters, seed=args.seed)
+        method=args.method, patch_size=(args.patch, args.patch), k=args.k,
+        k_sigma=args.k_sigma, outer_iters=args.outer_iters, seed=args.seed,
+        solver=SolverConfig(alpha=args.alpha))
     resolved = {"command": "inpaint", "image": str(args.image),
                 "oracle_weights": args.oracle_weights,
                 "mask_density": args.mask_density, "mask_file": args.mask_file,
-                "method": cfg.method, "alpha": cfg.alpha,
-                "patch": args.patch, "k": cfg.k, "k_sigma": cfg.k_sigma,
-                "outer_iters": cfg.outer_iters, "seed": cfg.seed}
+                "method": cfg.method, "patch": args.patch, "k": cfg.k,
+                "k_sigma": cfg.k_sigma, "outer_iters": cfg.outer_iters,
+                "seed": cfg.seed, **dataclasses.asdict(cfg.solver)}
     write_report(out / "config.json", resolved)
     t0 = time.perf_counter()
     if args.oracle_weights:
@@ -208,12 +208,13 @@ def cmd_gamma(args) -> int:
         problem = gamma_mod.circle_benchmark()
     schedule = gamma_mod.BandwidthSchedule(n_values, r_adjust=args.r_adjust,
                                            dim=problem.intrinsic_dim)
+    cfg = SolverConfig(alpha=0.0)
     write_report(out / "config.json", {
         "command": "gamma", "problem": args.problem, "trials": args.trials,
         "seed": args.seed, "r_adjust": args.r_adjust,
-        "n_values": n_values})
+        "n_values": n_values, **dataclasses.asdict(cfg)})
     rows = gamma_mod.convergence_study(problem, schedule, args.trials,
-                                       seed=args.seed)
+                                       seed=args.seed, solver_cfg=cfg)
     gamma_mod.rows_to_csv(rows, out / "study.csv")
     return 0
 

@@ -212,16 +212,15 @@ def build_full_kernel_graph(points, kernel: KernelSpec, s: float,
 def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
                       trials: int, seed: int = 0,
                       kernel: Optional[KernelSpec] = None,
-                      p: float = 2.0,
                       solver_cfg: Optional[SolverConfig] = None):
     """Sample, solve the discrete problem, and record the energy of its
-    minimizer against the predicted limit. One row per (n, trial), each
-    sampled by its own generator spawned from seed. A row whose solve fails
-    is flagged with the error as its reason."""
+    minimizer against the predicted limit, at p = 2, the exponent the
+    discrete solver covers. One row per (n, trial), each sampled by its own
+    generator spawned from seed. A row whose solve fails is flagged with
+    the error as its reason."""
     if trials < 1:
         raise InvalidParameterError("trials must be a positive integer")
-    if p != 2.0:
-        raise InvalidParameterError("the discrete solver covers p = 2 only")
+    p = 2.0
     kernel = kernel or KernelSpec.tent()
     schedule.validate()
     sigma = sigma_eta(kernel, p, problem.intrinsic_dim)

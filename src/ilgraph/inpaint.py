@@ -8,7 +8,7 @@ the quartic self-tuning kernel truncated to k nearest neighbors.
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -87,7 +87,6 @@ class SampleMask:
 @dataclass
 class InpaintConfig:
     method: str = "il"  # gl | wnll | il
-    alpha: float = 0.0
     patch_size: Tuple[int, int] = (11, 11)
     k: int = 50
     k_sigma: int = 20
@@ -145,11 +144,10 @@ def _solve_on_patches(patches: PatchSet, intensities, mask: SampleMask,
     graph = self_tuning_weights(PointCloud(patches.vectors), cfg.k, cfg.k_sigma)
     labeled = np.nonzero(mask.known.ravel())[0]
     labels = LabelAssignment(labeled, intensities.ravel()[labeled])
-    scfg = replace(cfg.solver, alpha=cfg.alpha)
     if cfg.method == "il":
-        u, _ = il_solve(graph, labels, scfg)
+        u, _ = il_solve(graph, labels, cfg.solver)
     else:
-        u = _SOLVERS[cfg.method](graph, labels, scfg)
+        u = _SOLVERS[cfg.method](graph, labels, cfg.solver)
     return u.reshape(patches.image_shape)
 
 

@@ -73,21 +73,18 @@ def factor_if_small(A):
                      options={"SymmetricMode": True})
 
 
-def solve_symmetric(A, b, tol: float = DEFAULT_TOL, max_iter: int = None,
-                    factor=None):
+def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
     """Solve A x = b for symmetric A. Returns (x, SolveReport).
 
     With a factor of A from factor_if_small, one direct solve (0
-    iterations); otherwise MINRES. Either way the report holds the true
-    relative residual. Non-convergence is reported, not raised; the
-    caller decides.
+    iterations); otherwise MINRES, capped at 10 n iterations. Either way
+    the report holds the true relative residual. Non-convergence is
+    reported, not raised; the caller decides.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
@@ -100,7 +97,7 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, max_iter: int = None,
     if factor is not None:
         x = factor.solve(b)
     else:
-        x, _ = spla.minres(A, b, rtol=tol, maxiter=max_iter, callback=cb)
+        x, _ = spla.minres(A, b, rtol=tol, maxiter=10 * n, callback=cb)
     res = np.linalg.norm(A @ x - b) / b_norm
     converged = bool(res <= tol)
     return x, SolveReport(count[0], float(res), converged)

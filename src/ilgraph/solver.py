@@ -16,16 +16,19 @@ Edge work goes through the graph's non-local gradient G and row sum R
 G^T diag(nu_e) G u = G^T (nu_e * s) on the unlabeled nodes, and the row
 energies are R (G u)^2.
 
+Every value update is one step: for the target s = G u + delta it
+solves A du = (G^T (nu_e * delta))_unl, A the restricted matrix, and
+moves u' = u + du. The first update is the step from u0, the labels
+pinned and zeros elsewhere, towards s = 0.
+
 The D update scales each row of y = t - q, t = G u, by one factor rho_i
-and the multiplier becomes q' = (rho - 1) y. At alpha = 0, rho_i is
-exactly 1 on every row the threshold leaves alone, so q lives only on
-the clipped rows and s = D + q' equals t elsewhere. il_solve therefore
-keeps q only on those rows and solves for the change in u: with
-s = t + delta, u' = u + du where A du = (G^T delta)_unl, A the restricted
-matrix, and delta is nonzero only on the rows clipped now or carrying q.
-Each iteration makes two full edge passes, t = G u and g = R t^2; the
-rest touches the edges of those rows. At alpha > 0 every row carries q
-and the same code takes all rows.
+and the multiplier becomes q' = (rho - 1) y, so s = D + q' equals t on
+every row with rho_i = 1. il_solve keeps q only on the rows with
+rho_i != 1 and steps with delta on the edges of the rows where rho_i != 1
+now or q is carried from the last step. At alpha = 0, rho_i is exactly 1
+on every row the threshold leaves alone, so those are the clipped rows;
+at alpha > 0 they are all rows. Each iteration makes two full edge
+passes, t = G u and g = R t^2; the rest touches the selected edges.
 """
 
 import warnings
@@ -171,13 +174,12 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     """Least-squares value update for fixed positive penalties nu, built once.
 
     Checks the labels, assembles A, the block of G^T diag(nu_e) G on the
-    unlabeled unknowns (each edge takes its tail's penalty), and its label
-    coupling, and factors A when linalg.factor_if_small allows. Returns
-    solve(s_flat) -> (u, SolveReport), which forms G^T (nu_e * s) and
-    solves; labeled values are pinned exactly. Given the current u,
-    solve(delta, u, edges) instead takes the target G u + delta, with delta
-    listed on ``edges`` only (an index array or slice(None)), and solves
-    A du = (G^T (nu_e * delta))_unl for the change in u.
+    unlabeled unknowns (each edge takes its tail's penalty), and factors A
+    when linalg.factor_if_small allows. Returns ((u, SolveReport), step):
+    the first value update, for the target s = 0, and step(u, delta,
+    edges), which takes the target G u + delta, with delta listed on the
+    index array ``edges`` only, and solves A du = (G^T (nu_e * delta))_unl
+    for the change in u. Labeled values stay pinned exactly.
     """
     n = graph.n_nodes
     unl = labels.unlabeled(n)
@@ -190,28 +192,28 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     # the product is symmetric: the transpose of its CSC form is its CSR form
     DG = G.tocsc()
     DG.data *= nu_e[DG.indices]
-    L_unl = (G.T @ DG).T[unl]
-    A, coupling = L_unl[:, unl], L_unl[:, labels.indices] @ labels.values
-    del DG, L_unl  # free the assembly before a factor is built
+    A = (G.T @ DG).T[unl][:, unl]
+    del DG  # free the assembly before a factor is built
     lu = factor_if_small(A)
 
-    def solve(s_flat, u=None, edges=slice(None)):
-        v = nu_e[edges] * np.asarray(s_flat, dtype=float)
-        r = (G.T @ v if isinstance(edges, slice)
-             else graph.gradient_adjoint(v, edges))
-        if u is None:
-            u = np.zeros(n)
-            u[labels.indices] = labels.values
-            r[unl] -= coupling
-        else:
-            u = u.copy()
+    def advance(u, r):
+        """u + du with A du = r_unl."""
+        u = u.copy()
         if unl.size == 0:
             return u, SolveReport(0, 0.0, True)
         du, report = solve_symmetric(A, r[unl], tol=lin_tol, factor=lu)
         u[unl] += du
         return u, report
 
-    return solve
+    def step(u, delta, edges):
+        return advance(u, graph.gradient_adjoint(nu_e[edges] * delta, edges))
+
+    # the step from u0 towards s = 0: delta = -G u0 on every edge
+    u0 = np.zeros(n)
+    u0[labels.indices] = labels.values
+    v = G @ u0
+    v *= nu_e
+    return advance(u0, -(G.T @ v)), step
 
 
 def _row_scale(norm, c: float, alpha: float, row_subset=None):
@@ -237,9 +239,7 @@ def _update_D_flat(t_flat, q_flat, c: float, graph: WeightGraph,
     return (R.T @ _row_scale(np.sqrt(R @ y ** 2), c, alpha, row_mask)) * y
 
 
-def _choose_c_from_t1(t1_flat, graph, u1, alpha, eps=1e-4, max_iter=1000):
-    _, R = graph.operators()
-    g1 = R @ t1_flat ** 2
+def _choose_c_from_g1(g1, u1, alpha, eps=1e-4, max_iter=1000):
     t1_sq = float(g1.sum())
     c = alpha if alpha > 0 else 1.0
     # a first pass computed in floating point leaves a tiny gradient on an
@@ -266,8 +266,8 @@ def choose_c(graph: WeightGraph, labels: LabelAssignment, alpha: float,
     """Adaptive penalty: fixed-point iteration driving the first-iteration
     thresholding ratio ||D1 - T1||_F^2 / ||T1||_F^2 to 1/4."""
     u1 = gl_solve(graph, labels)
-    t1 = graph.operators()[0] @ u1
-    return _choose_c_from_t1(t1, graph, u1, alpha, eps)
+    G, R = graph.operators()
+    return _choose_c_from_g1(R @ (G @ u1) ** 2, u1, alpha, eps)
 
 
 def gl_solve(graph: WeightGraph, labels: LabelAssignment,
@@ -275,8 +275,8 @@ def gl_solve(graph: WeightGraph, labels: LabelAssignment,
     """Graph-Laplacian baseline: minimizer of the quadratic energy, equal
     to the first value update with unit penalties."""
     cfg = cfg or SolverConfig()
-    solve = _value_solver(np.ones(graph.n_nodes), graph, labels, cfg.lin_tol)
-    u, report = solve(np.zeros(graph.weights.nnz))
+    (u, report), _ = _value_solver(np.ones(graph.n_nodes), graph, labels,
+                                   cfg.lin_tol)
     return (u, report) if full_output else u
 
 
@@ -288,8 +288,7 @@ def wnll_solve(graph: WeightGraph, labels: LabelAssignment,
     n = graph.n_nodes
     nu = np.full(n, n / labels.count)
     nu[labels.unlabeled(n)] = 1.0
-    solve = _value_solver(nu, graph, labels, cfg.lin_tol)
-    u, report = solve(np.zeros(graph.weights.nnz))
+    (u, report), _ = _value_solver(nu, graph, labels, cfg.lin_tol)
     return (u, report) if full_output else u
 
 
@@ -306,22 +305,17 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     # The penalty nu = c* is constant, so c* scales both sides of the value
     # update and cancels: the unit-penalty (GL) system serves the first
     # pass and every outer iteration.
-    solve = _value_solver(np.ones(n), graph, labels, cfg.lin_tol)
+    (u, report), step = _value_solver(np.ones(n), graph, labels, cfg.lin_tol)
     row_subset = labels.unlabeled(n) if cfg.max_over_unlabeled_only else None
-
-    u, report = solve(np.zeros(graph.weights.nnz))
     reports = [report]
     t = G @ u
     g = R @ t ** 2
     if cfg.fixed_c is not None:
         c_star = float(cfg.fixed_c)
     else:
-        c_star = _choose_c_from_t1(t, graph, u, cfg.alpha)
-    # Below kappa = 1 every row carries a multiplier, and every step takes
-    # all rows. At kappa = 1 (alpha = 0) D = t and q = 0 on every row the
-    # threshold leaves alone: a step takes the rows clipped now or carrying
-    # q from the last step.
-    every_row = c_star / (cfg.alpha + c_star) < 1
+        c_star = _choose_c_from_g1(g, u, cfg.alpha)
+    # D = t and q = 0 on every row with rho_i = 1: a step takes the rows
+    # with rho_i != 1 now or carrying q from the last step
     q = np.zeros(graph.weights.nnz)
     carried = np.zeros(n, dtype=bool)
 
@@ -329,20 +323,15 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         """D = rho y on the selected rows, y = t - q; then q' = D - y when
         asked (the first update keeps q = 0). Returns the change
         delta = D + q' - t on the selected edges, those edges and D."""
-        if every_row:
-            e, tails = slice(None), None
-            y = t - q
-            norm = np.sqrt(R @ y ** 2)
-        else:  # ||y_i|| from g where q = 0, from y on the rows carrying q
-            e, tails = graph.out_edges(carried)
-            y = t[e] - q[e]
-            norm = np.sqrt(np.where(
-                carried, np.bincount(tails, y ** 2, minlength=n), g))
+        e, tails = graph.out_edges(carried)
+        y = t[e] - q[e]
+        # ||y_i|| from g where q = 0, from y on the rows carrying q
+        norm = np.sqrt(np.where(
+            carried, np.bincount(tails, y ** 2, minlength=n), g))
         rho = _row_scale(norm, c_star, cfg.alpha, row_subset)
-        if not every_row:  # the rows clipped now or carrying q
-            e, tails = graph.out_edges((rho != 1.0) | carried)
-            y = t[e] - q[e]
-        D = (R.T @ rho if every_row else rho[tails]) * y
+        e, tails = graph.out_edges((rho != 1.0) | carried)
+        y = t[e] - q[e]
+        D = rho[tails] * y
         if not update_q:
             return D - t[e], e, D
         q_new = D - y  # (rho - 1) y: exactly 0 where rho = 1
@@ -358,7 +347,7 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     best_u, best_f = u, history[0]
     converged = False
     while len(history) < cfg.max_outer_iter:
-        u, report = solve(delta, u, e)
+        u, report = step(u, delta, e)
         reports.append(report)
         t = G @ u
         g = R @ t ** 2

@@ -151,15 +151,14 @@ def test_criterion_3_baselines_are_first_update():
         n = int(rng.integers(15, 60))
         graph = random_connected_graph(n, rng)
         labels = random_labels(n, rng)
-        zero_s = np.zeros(graph.weights.nnz)
         lin_tol = SolverConfig().lin_tol  # identical linear systems
         u_gl = gl_solve(graph, labels)
-        v_gl, _ = _value_solver(np.ones(n), graph, labels, lin_tol)(zero_s)
+        (v_gl, _), _ = _value_solver(np.ones(n), graph, labels, lin_tol)
         worst = max(worst, float(np.max(np.abs(u_gl - v_gl))))
         nu = np.ones(n)
         nu[labels.indices] = n / labels.count
         u_wn = wnll_solve(graph, labels)
-        v_wn, _ = _value_solver(nu, graph, labels, lin_tol)(zero_s)
+        (v_wn, _), _ = _value_solver(nu, graph, labels, lin_tol)
         worst = max(worst, float(np.max(np.abs(u_wn - v_wn))))
     ok = worst <= 1e-10
     assert _report(3, f"gl/wnll equal one value update, worst gap {worst:.1e}", ok)
@@ -254,7 +253,7 @@ def test_criterion_7_inpainting_desk_scale():
     scfg = SolverConfig(alpha=0.0, max_outer_iter=300)
     vals = {}
     for method in ("gl", "wnll", "il"):
-        cfg = InpaintConfig(method=method, alpha=0.0, solver=scfg)
+        cfg = InpaintConfig(method=method, solver=scfg)
         out = oracle_weight_inpaint(img, mask, cfg)
         vals[method] = psnr(out, img)
     gap_ok = vals["il"] - vals["gl"] >= 1.0

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,10 @@ import pytest
 import ilgraph.solver
 from ilgraph.cli import build_parser, main, write_report
 from ilgraph.inpaint import Image, write_pgm
-from ilgraph.solver import ConvergenceError
+from ilgraph.solver import ConvergenceError, SolverConfig
+
+# every field of the solver configuration a run solves with
+SOLVER_KEYS = {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 @pytest.fixture
@@ -97,7 +101,7 @@ class TestSolve:
             raise ConvergenceError("adaptive penalty selection did not settle "
                                    "in 1000 iterations")
 
-        monkeypatch.setattr(ilgraph.solver, "_choose_c_from_t1", unsettled)
+        monkeypatch.setattr(ilgraph.solver, "_choose_c_from_g1", unsettled)
         graph, labels = problem_files
         code = main(["--out", str(tmp_path / "o"), "solve", str(graph), str(labels)])
         assert code == 2
@@ -180,10 +184,13 @@ class TestInpaint:
         code = main(["--out", str(out), "inpaint", str(src),
                      "--mask-density", "0.3", "--method", "gl",
                      "--patch", "5", "--k", "8", "--k-sigma", "4",
-                     "--oracle-weights", str(src)])
+                     "--alpha", "0.25", "--oracle-weights", str(src)])
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["psnr_db"] > 10
+        config = json.loads((out / "config.json").read_text())
+        assert SOLVER_KEYS <= config.keys()
+        assert config["alpha"] == 0.25
         assert (out / "out.pgm").exists()
         assert (out / "mask.csv").exists()
 
@@ -192,7 +199,7 @@ class TestInpaint:
             raise ConvergenceError("adaptive penalty selection did not settle "
                                    "in 1000 iterations")
 
-        monkeypatch.setattr(ilgraph.solver, "_choose_c_from_t1", unsettled)
+        monkeypatch.setattr(ilgraph.solver, "_choose_c_from_g1", unsettled)
         yy, xx = np.mgrid[0:16, 0:16]
         src = tmp_path / "img.pgm"
         write_pgm(Image(127.5 + 100 * np.sin((xx + 2 * yy) / 3.0)), src)
@@ -270,6 +277,8 @@ class TestGamma:
         config = json.loads((out / "config.json").read_text())
         assert config["command"] == "gamma"
         assert config["n_values"] == [60, 120]
+        assert SOLVER_KEYS <= config.keys()
+        assert config["alpha"] == 0.0
 
     def test_bad_trials(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "gamma", "--trials", "0"])

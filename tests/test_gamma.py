@@ -178,11 +178,6 @@ class TestStudy:
             convergence_study(interval_benchmark(),
                               BandwidthSchedule([60], dim=1), trials=1)
 
-    def test_rejects_p_not_two(self):
-        with pytest.raises(InvalidParameterError):
-            convergence_study(interval_benchmark(),
-                              BandwidthSchedule([60], dim=1), trials=1, p=3.0)
-
     def test_rejects_zero_trials(self):
         with pytest.raises(InvalidParameterError):
             convergence_study(interval_benchmark(),

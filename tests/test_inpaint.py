@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ilgraph.inpaint
 from ilgraph.graph import InvalidParameterError
 from ilgraph.inpaint import (Image, InpaintConfig, SampleMask,
                              extract_patches, inpaint, oracle_weight_inpaint,
@@ -146,7 +147,7 @@ def tiny_image(n=24):
 
 
 def tiny_config(method):
-    return InpaintConfig(method=method, alpha=0.0, patch_size=(5, 5), k=10,
+    return InpaintConfig(method=method, patch_size=(5, 5), k=10,
                          k_sigma=5, outer_iters=2,
                          solver=SolverConfig(alpha=0.0, max_outer_iter=60))
 
@@ -173,13 +174,23 @@ class TestPipelines:
         o2 = inpaint(img, mask, tiny_config("gl"))
         assert np.array_equal(o1.pixels, o2.pixels)
 
-    def test_caller_solver_config_unchanged(self):
+    def test_caller_solver_config_unchanged(self, monkeypatch):
+        received = []
+        solve = ilgraph.inpaint.il_solve
+
+        def recording(graph, labels, cfg=None):
+            received.append(cfg)
+            return solve(graph, labels, cfg)
+
+        monkeypatch.setattr(ilgraph.inpaint, "il_solve", recording)
         img = tiny_image()
         mask = SampleMask.random(img.shape, 0.2, seed=0)
         scfg = SolverConfig(alpha=0.5, max_outer_iter=5)
-        cfg = InpaintConfig(method="il", alpha=0.0, patch_size=(5, 5), k=10,
+        cfg = InpaintConfig(method="il", patch_size=(5, 5), k=10,
                             k_sigma=5, solver=scfg)
         oracle_weight_inpaint(img, mask, cfg)
+        # il_solve solves with the caller's configuration itself
+        assert len(received) == 1 and received[0] is scfg
         assert cfg.solver is scfg
         assert scfg == SolverConfig(alpha=0.5, max_outer_iter=5)
 

@@ -40,8 +40,10 @@ class TestSolveSymmetric:
         rng = np.random.default_rng(3)
         A = spd_matrix(40, rng)
         b = rng.standard_normal(40)
-        _, report = solve_symmetric(A, b, tol=1e-14, max_iter=1)
+        # a tolerance below round-off: no MINRES solve can meet it
+        _, report = solve_symmetric(A, b, tol=1e-30)
         assert not report.converged
+        assert report.relative_residual > 1e-30
 
     def test_rejects_bad_tol(self):
         with pytest.raises(InvalidParameterError):

@@ -9,7 +9,7 @@ import ilgraph.solver
 from conftest import random_connected_graph, random_directed_graph, random_labels
 from ilgraph.graph import InvalidParameterError, WeightGraph
 from ilgraph.linalg import DisconnectedGraphError
-from ilgraph.solver import (LabelAssignment, SolverConfig, _choose_c_from_t1,
+from ilgraph.solver import (LabelAssignment, SolverConfig, _choose_c_from_g1,
                             _update_D_flat, _value_solver, choose_c, gl_solve,
                             il_solve, nonlocal_inf_metric, objective,
                             threshold_subproblem, wnll_solve)
@@ -27,6 +27,19 @@ def record_reports(monkeypatch):
 
     monkeypatch.setattr(ilgraph.solver, "solve_symmetric", recording)
     return reports
+
+
+def step_to_target(step, u0, s, graph):
+    """The value update for the full target s, as the step from u0."""
+    G = graph.operators()[0]
+    return step(u0, s - G @ u0, np.arange(G.shape[0]))
+
+
+def pinned_zeros(labels, n):
+    """The labels pinned, zeros elsewhere."""
+    u0 = np.zeros(n)
+    u0[labels.indices] = labels.values
+    return u0
 
 
 def edge_space_d_update(t, q, c, R, alpha, scope):
@@ -208,7 +221,9 @@ class TestValueUpdate:
         with pytest.MonkeyPatch.context() as mp:
             if not factored:
                 mp.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
-            u, report = _value_solver(nu, graph, labels, 1e-10)(s_flat)
+            first, step = _value_solver(nu, graph, labels, 1e-10)
+            u, report = step_to_target(step, pinned_zeros(labels, n), s_flat,
+                                       graph)
         # dense oracle: minimize sum_ij nu_i w_ij (s_ij - sqrt(w_ij)(u_i - u_j))^2
         # over the unlabeled values, with the labeled ones pinned
         coo = graph.weights.tocoo()
@@ -219,7 +234,8 @@ class TestValueUpdate:
         weight = nu[rows]
         unl = labels.unlabeled(n)
         lhs = G[:, unl].T @ (weight[:, None] * G[:, unl])
-        rhs = G[:, unl].T @ (weight * (s_flat - G[:, labels.indices] @ labels.values))
+        coupling = G[:, labels.indices] @ labels.values
+        rhs = G[:, unl].T @ (weight * (s_flat - coupling))
         x = np.linalg.solve(lhs, rhs)
         assert np.allclose(u[unl], x, rtol=1e-8, atol=1e-8)
         assert np.array_equal(u[labels.indices], labels.values)
@@ -227,6 +243,11 @@ class TestValueUpdate:
             assert report.iterations == 0 and report.converged
         else:
             assert report.iterations > 0
+        # the first update is the one for the target s = 0
+        u_first, _ = first
+        x = np.linalg.solve(lhs, -G[:, unl].T @ (weight * coupling))
+        assert np.allclose(u_first[unl], x, rtol=1e-8, atol=1e-8)
+        assert np.array_equal(u_first[labels.indices], labels.values)
 
     @pytest.mark.parametrize("factored", [True, False])
     def test_change_form_matches_full_update(self, monkeypatch, factored):
@@ -237,16 +258,19 @@ class TestValueUpdate:
         rng = np.random.default_rng(17)
         graph = random_directed_graph(30, rng)
         labels = random_labels(30, rng)
-        solve = _value_solver(rng.uniform(0.5, 2.0, size=30), graph, labels, 1e-12)
-        u, _ = solve(rng.standard_normal(graph.weights.nnz))
-        edges = np.sort(rng.choice(graph.weights.nnz, 15, replace=False))
+        _, step = _value_solver(rng.uniform(0.5, 2.0, size=30), graph, labels,
+                                1e-12)
+        u0 = pinned_zeros(labels, 30)
+        m = graph.weights.nnz
+        u, _ = step_to_target(step, u0, rng.standard_normal(m), graph)
+        edges = np.sort(rng.choice(m, 15, replace=False))
         delta = rng.standard_normal(edges.size)
         G = graph.operators()[0]
         s = G @ u
         s[edges] += delta
-        expected, _ = solve(s)
-        for change, where in ((delta, edges), (s - G @ u, slice(None))):
-            moved, _ = solve(change, u, where)
+        expected, _ = step_to_target(step, u0, s, graph)
+        for change, where in ((delta, edges), (s - G @ u, np.arange(m))):
+            moved, _ = step(u, change, where)
             assert np.allclose(moved, expected, rtol=1e-9, atol=1e-9)
             assert np.array_equal(moved[labels.indices], labels.values)
 
@@ -321,8 +345,7 @@ class TestChooseC:
         graph = random_connected_graph(30, rng)
         labels = random_labels(30, rng)
         c = choose_c(graph, labels, alpha=0.0, eps=1e-4)
-        u1, _ = _value_solver(np.ones(30), graph, labels, lin_tol=1e-10)(
-            np.zeros(graph.weights.nnz))
+        (u1, _), _ = _value_solver(np.ones(30), graph, labels, lin_tol=1e-10)
         t1 = graph.operators()[0] @ u1
         d1 = _update_D_flat(t1, np.zeros_like(t1), c, graph, 0.0)
         ratio = np.sum((d1 - t1) ** 2) / np.sum(t1 * t1)
@@ -335,7 +358,8 @@ class TestChooseC:
         graph = (random_directed_graph if seed % 2
                  else random_connected_graph)(30, rng)
         u1 = gl_solve(graph, random_labels(30, rng))
-        t1 = graph.operators()[0] @ u1
+        G, R = graph.operators()
+        t1 = G @ u1
         c = alpha if alpha > 0 else 1.0
         for _ in range(1000):  # the fixed point on full edge vectors
             d1 = _update_D_flat(t1, np.zeros_like(t1), c, graph, alpha)
@@ -343,7 +367,7 @@ class TestChooseC:
             if abs(ratio - 0.25) <= 1e-4:
                 break
             c = 4.0 * c * ratio
-        assert abs(_choose_c_from_t1(t1, graph, u1, alpha) - c) <= 1e-12 * c
+        assert abs(_choose_c_from_g1(R @ t1 ** 2, u1, alpha) - c) <= 1e-12 * c
 
     def test_constant_labels_warn_and_default(self):
         # all labels equal: the first pass is constant, T1 = 0
@@ -355,14 +379,15 @@ class TestChooseC:
         assert c == 1.0
 
     def test_unsettled_selection_raises_convergence_error(self):
-        from ilgraph.solver import ConvergenceError, _choose_c_from_t1
+        from ilgraph.solver import ConvergenceError
         rng = np.random.default_rng(5)
         graph = random_connected_graph(20, rng)
         labels = random_labels(20, rng)
         u1 = gl_solve(graph, labels)
-        t1 = graph.operators()[0] @ u1
+        G, R = graph.operators()
         with pytest.raises(ConvergenceError, match="did not settle"):
-            _choose_c_from_t1(t1, graph, u1, 0.0, eps=1e-300, max_iter=2)
+            _choose_c_from_g1(R @ (G @ u1) ** 2, u1, 0.0, eps=1e-300,
+                              max_iter=2)
 
     def test_alpha_seeds_initial_c(self):
         rng = np.random.default_rng(4)
@@ -486,8 +511,9 @@ class TestILSolve:
         assert np.isclose(diag.primal_residual, ref_primal, rtol=1e-9,
                           atol=1e-12)
 
-    def test_alpha0_iteration_makes_two_full_edge_passes(self):
-        # wrap G and R: at alpha = 0 an iteration applies G once and R
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_iteration_makes_two_full_edge_passes(self, alpha):
+        # wrap G and R: at every alpha an iteration applies G once and R
         # once, and neither adjoint
         calls = []
 
@@ -514,7 +540,8 @@ class TestILSolve:
                                (Counting(G, "G"), Counting(R, "R")))
             calls.clear()
             _, diag = il_solve(graph, random_labels(40, rng), SolverConfig(
-                fixed_c=0.05, rel_obj_tol=1e-15, max_outer_iter=max_outer_iter))
+                alpha=alpha, fixed_c=0.05, rel_obj_tol=1e-15,
+                max_outer_iter=max_outer_iter))
             assert diag.iterations == max_outer_iter
             return {k: calls.count(k) for k in ("G", "R", "G.T", "R.T")}
 
