@@ -3,7 +3,10 @@
 Subcommands: solve (graph + labels CSV), toy2d (the grid benchmark),
 inpaint (PGM images), gamma (convergence study). Every run writes its
 fully resolved configuration next to the outputs. Exit codes: 0 success,
-1 input error, 2 solver non-convergence (partial results still written).
+1 input error, 2 solver non-convergence (partial results still written):
+solve, toy2d and inpaint return 2 when their report says the iteration
+did not converge or a linear solve missed lin_tol (toy2d reports IL's
+solves only).
 """
 
 import argparse
@@ -89,6 +92,14 @@ def write_report(path, report):
         fh.write("\n")
 
 
+def _exit_code(report) -> int:
+    """One rule for every solving command: 2 when its report says the
+    iteration did not converge or a linear solve missed lin_tol, else 0."""
+    failed = (not report.get("converged", True)
+              or report.get("linear_unconverged", 0) > 0)
+    return 2 if failed else 0
+
+
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("ILGRAPH_OUT", ".")
     path = Path(out)
@@ -107,10 +118,8 @@ def cmd_solve(args) -> int:
     write_report(out / "config.json", resolved)
     t0 = time.perf_counter()
     report = {"method": args.method, "config": resolved}
-    converged = True
     if args.method == "il":
         u, diag = il_solve(graph, labels, cfg)
-        converged = diag.converged
         report.update(objective=diag.objective, c_star=diag.c_star,
                       iterations=diag.iterations, converged=diag.converged,
                       primal_residual=diag.primal_residual,
@@ -120,7 +129,6 @@ def cmd_solve(args) -> int:
     else:
         solver = gl_solve if args.method == "gl" else wnll_solve
         u, lin = solver(graph, labels, cfg, full_output=True)
-        converged = lin.converged
         report.update(objective=objective(u, graph, cfg.alpha),
                       converged=lin.converged,
                       linear_iterations=lin.iterations,
@@ -129,7 +137,7 @@ def cmd_solve(args) -> int:
     report["seconds"] = time.perf_counter() - t0
     write_solution_csv(out / "solution.csv", u)
     write_report(out / "report.json", report)
-    return 0 if converged else 2
+    return _exit_code(report)
 
 
 def cmd_toy2d(args) -> int:
@@ -158,7 +166,7 @@ def cmd_toy2d(args) -> int:
                       linear_unconverged=diag.linear_unconverged,
                       linear_residual_max=diag.linear_residual_max)
     write_report(out / "report.json", report)
-    return 0 if (diag is None or diag.converged) else 2
+    return _exit_code(report)
 
 
 def cmd_inpaint(args) -> int:
@@ -185,18 +193,19 @@ def cmd_inpaint(args) -> int:
     t0 = time.perf_counter()
     if args.oracle_weights:
         clear = inpaint_mod.read_pgm(args.oracle_weights)
-        result = inpaint_mod.oracle_weight_inpaint(clear, mask, cfg)
+        result, linear = inpaint_mod.oracle_weight_inpaint(clear, mask, cfg)
         truth = clear
     else:
-        result = inpaint_mod.inpaint(img, mask, cfg)
+        result, linear = inpaint_mod.inpaint(img, mask, cfg)
         truth = inpaint_mod.read_pgm(args.ground_truth) if args.ground_truth else None
     inpaint_mod.write_pgm(result, out / "out.pgm")
     mask.to_csv(out / "mask.csv")
-    report = {"config": resolved, "seconds": time.perf_counter() - t0}
+    report = {"config": resolved, "seconds": time.perf_counter() - t0,
+              **linear}
     if truth is not None:
         report["psnr_db"] = inpaint_mod.psnr(result, truth)
     write_report(out / "report.json", report)
-    return 0
+    return _exit_code(report)
 
 
 def cmd_gamma(args) -> int:

@@ -7,6 +7,7 @@ the quartic self-tuning kernel truncated to k nearest neighbors.
 """
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
@@ -141,14 +142,38 @@ _SOLVERS = {"gl": gl_solve, "wnll": wnll_solve}
 
 def _solve_on_patches(patches: PatchSet, intensities, mask: SampleMask,
                       cfg: InpaintConfig):
+    """Values on the image grid and the solve's diagnostics, under the
+    report names of the solve command: converged for every method, then
+    linear_unconverged and linear_residual_max for IL, the SolveReport's
+    iterations and residual for GL and WNLL."""
     graph = self_tuning_weights(PointCloud(patches.vectors), cfg.k, cfg.k_sigma)
     labeled = np.nonzero(mask.known.ravel())[0]
     labels = LabelAssignment(labeled, intensities.ravel()[labeled])
     if cfg.method == "il":
-        u, _ = il_solve(graph, labels, cfg.solver)
+        u, diag = il_solve(graph, labels, cfg.solver)
+        linear = {"converged": diag.converged,
+                  "linear_unconverged": diag.linear_unconverged,
+                  "linear_residual_max": diag.linear_residual_max}
     else:
-        u = _SOLVERS[cfg.method](graph, labels, cfg.solver)
-    return u.reshape(patches.image_shape)
+        u, report = _SOLVERS[cfg.method](graph, labels, cfg.solver,
+                                         full_output=True)
+        linear = {"converged": report.converged,
+                  "linear_iterations": report.iterations,
+                  "relative_residual": report.relative_residual}
+    return u.reshape(patches.image_shape), linear
+
+
+# how _combine_linear merges each diagnostic of two solves
+_MERGE = {"converged": lambda x, y: x and y,
+          "linear_iterations": operator.add,
+          "linear_unconverged": operator.add,
+          "relative_residual": max, "linear_residual_max": max}
+
+
+def _combine_linear(a, b):
+    """The diagnostics of two solves taken together: converged only if
+    both did, counts add, the worst residual stays."""
+    return {key: _MERGE[key](a[key], b[key]) for key in a}
 
 
 def _finalize(values, img_known: Image, mask: SampleMask) -> Image:
@@ -157,9 +182,10 @@ def _finalize(values, img_known: Image, mask: SampleMask) -> Image:
     return Image(out)
 
 
-def inpaint(img_known: Image, mask: SampleMask, cfg: InpaintConfig) -> Image:
+def inpaint(img_known: Image, mask: SampleMask, cfg: InpaintConfig):
     """Blind pipeline: fill unknowns with random values, then alternate
-    weight construction from the current image with a solve."""
+    weight construction from the current image with a solve. Returns
+    (Image, diagnostics over every solve)."""
     if img_known.shape != mask.known.shape:
         raise InvalidParameterError("image and mask dimensions must match")
     rng = np.random.default_rng(cfg.seed)
@@ -167,22 +193,25 @@ def inpaint(img_known: Image, mask: SampleMask, cfg: InpaintConfig) -> Image:
     unknown = ~mask.known
     current[unknown] = rng.uniform(0.0, 255.0, size=int(unknown.sum()))
     p_x, p_y = cfg.patch_size
+    linear = None
     for _ in range(cfg.outer_iters):
         patches = extract_patches(Image(current), p_x, p_y)
-        values = _solve_on_patches(patches, current, mask, cfg)
+        values, last = _solve_on_patches(patches, current, mask, cfg)
+        linear = last if linear is None else _combine_linear(linear, last)
         current = _finalize(values, img_known, mask).pixels
-    return Image(current)
+    return Image(current), linear
 
 
 def oracle_weight_inpaint(img_clear: Image, mask: SampleMask,
-                          cfg: InpaintConfig) -> Image:
-    """Single solve with weights built from clear-image patches."""
+                          cfg: InpaintConfig):
+    """Single solve with weights built from clear-image patches. Returns
+    (Image, diagnostics of the solve)."""
     if img_clear.shape != mask.known.shape:
         raise InvalidParameterError("image and mask dimensions must match")
     p_x, p_y = cfg.patch_size
     patches = extract_patches(img_clear, p_x, p_y)
-    values = _solve_on_patches(patches, img_clear.pixels, mask, cfg)
-    return _finalize(values, img_clear, mask)
+    values, linear = _solve_on_patches(patches, img_clear.pixels, mask, cfg)
+    return _finalize(values, img_clear, mask), linear
 
 
 # one PNM header token, after any whitespace and # comments

@@ -10,7 +10,7 @@ sparse symmetric linear solve for u, an exact closed-form update for D
 (a max-of-quadratics problem solved by one sort and prefix sums), and a
 multiplier update for q. GL and WNLL are exactly the first u-update with
 constant and label-boosted penalties respectively. Every u-update takes
-a sparse factor when linalg.factor_if_small allows one, else MINRES.
+a sparse factor when linalg.factor_if_small allows one, else deflated CG.
 Edge work goes through the graph's non-local gradient G and row sum R
 (WeightGraph.operators): the splitting is D = G u, the u-update solves
 G^T diag(nu_e) G u = G^T (nu_e * s) on the unlabeled nodes, and the row
@@ -38,8 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .graph import InvalidParameterError, WeightGraph
-from .linalg import (SolveReport, check_label_connectivity, factor_if_small,
-                     solve_symmetric)
+from .linalg import (Deflation, SolveReport, check_label_connectivity,
+                     factor_if_small, solve_symmetric)
 
 
 class ConvergenceError(RuntimeError):
@@ -175,7 +175,9 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
 
     Checks the labels, assembles A, the block of G^T diag(nu_e) G on the
     unlabeled unknowns (each edge takes its tail's penalty), and factors A
-    when linalg.factor_if_small allows. Returns ((u, SolveReport), step):
+    when linalg.factor_if_small allows; otherwise its solves are CG, and
+    every solve after the first is deflated on the Ritz vectors the first
+    one leaves in a linalg.Deflation. Returns ((u, SolveReport), step):
     the first value update, for the target s = 0, and step(u, delta,
     edges), which takes the target G u + delta, with delta listed on the
     index array ``edges`` only, and solves A du = (G^T (nu_e * delta))_unl
@@ -194,14 +196,16 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     DG.data *= nu_e[DG.indices]
     A = (G.T @ DG).T[unl][:, unl]
     del DG  # free the assembly before a factor is built
-    lu = factor_if_small(A)
+    factor = factor_if_small(A)
+    if factor is None:  # CG, deflated by what its first solve learns
+        factor = Deflation(unl.size)
 
     def advance(u, r):
         """u + du with A du = r_unl."""
         u = u.copy()
         if unl.size == 0:
             return u, SolveReport(0, 0.0, True)
-        du, report = solve_symmetric(A, r[unl], tol=lin_tol, factor=lu)
+        du, report = solve_symmetric(A, r[unl], tol=lin_tol, factor=factor)
         u[unl] += du
         return u, report
 

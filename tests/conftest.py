@@ -1,8 +1,16 @@
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
+import ilgraph.linalg
 from ilgraph.graph import WeightGraph
 from ilgraph.solver import LabelAssignment
+
+
+@pytest.fixture
+def over_cap(monkeypatch):
+    """No matrix is small enough to factor: every solve iterates."""
+    monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
 
 
 def random_connected_graph(n, rng, density=0.15):

@@ -254,7 +254,7 @@ def test_criterion_7_inpainting_desk_scale():
     vals = {}
     for method in ("gl", "wnll", "il"):
         cfg = InpaintConfig(method=method, solver=scfg)
-        out = oracle_weight_inpaint(img, mask, cfg)
+        out, _ = oracle_weight_inpaint(img, mask, cfg)
         vals[method] = psnr(out, img)
     gap_ok = vals["il"] - vals["gl"] >= 1.0
     order_ok = vals["il"] >= vals["wnll"] >= vals["gl"]

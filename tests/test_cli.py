@@ -32,6 +32,71 @@ def problem_files(tmp_path):
     return graph, labels
 
 
+def _small_image(tmp_path):
+    """A 16x16 PGM whose 3x3 patches are all distinct."""
+    yy, xx = np.mgrid[0:16, 0:16]
+    src = tmp_path / "img.pgm"
+    write_pgm(Image(np.clip(127.5 + 100 * np.sin((xx + yy) / np.sqrt(1.7))
+                            + 0.41 * yy, 0, 255)), src)
+    return src
+
+
+class TestExitRule:
+    @pytest.mark.parametrize("command", ["solve", "toy2d", "inpaint",
+                                         "inpaint-gl"])
+    def test_unconverged_linear_solve_exit_2(self, problem_files, tmp_path,
+                                             monkeypatch, command):
+        # every linear solve reports a miss; the run still finishes
+        calls = []
+        solve = ilgraph.solver.solve_symmetric
+
+        def unconverged(*args, **kwargs):
+            x, report = solve(*args, **kwargs)
+            calls.append(1)
+            return x, dataclasses.replace(report, converged=False)
+
+        monkeypatch.setattr(ilgraph.solver, "solve_symmetric", unconverged)
+        out = tmp_path / "o"
+        graph, labels = problem_files
+        src = _small_image(tmp_path)
+        patch = ["--patch", "3", "--k", "8", "--k-sigma", "4"]
+        argv = {"solve": ["solve", str(graph), str(labels)],
+                "toy2d": ["toy2d", "--grid", "8", "--sigma", "0.2", "--k", "6",
+                          "--method", "il"],
+                "inpaint": ["inpaint", str(src), "--mask-density", "0.3",
+                            "--method", "il", "--outer-iters", "2", *patch],
+                "inpaint-gl": ["inpaint", str(src), "--mask-density", "0.3",
+                               "--method", "gl", "--oracle-weights", str(src),
+                               *patch]}[command]
+        assert main(["--out", str(out), *argv]) == 2
+        report = json.loads((out / "report.json").read_text())
+        if command == "inpaint-gl":
+            assert report["converged"] is False
+            assert report["relative_residual"] <= 1e-10
+        else:
+            assert report["linear_unconverged"] == len(calls) > 1
+            assert report["linear_residual_max"] <= 1e-10
+
+    def test_unconverged_il_inpaint_exit_2(self, tmp_path, monkeypatch):
+        # every linear solve meets lin_tol, the IL iteration does not
+        il = ilgraph.inpaint.il_solve
+
+        def unconverged(*args, **kwargs):
+            u, diag = il(*args, **kwargs)
+            return u, dataclasses.replace(diag, converged=False)
+
+        monkeypatch.setattr(ilgraph.inpaint, "il_solve", unconverged)
+        out = tmp_path / "o"
+        src = _small_image(tmp_path)
+        assert main(["--out", str(out), "inpaint", str(src),
+                     "--mask-density", "0.3", "--method", "il",
+                     "--oracle-weights", str(src), "--patch", "3", "--k", "8",
+                     "--k-sigma", "4"]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["converged"] is False
+        assert report["linear_unconverged"] == 0
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -188,6 +253,8 @@ class TestInpaint:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["psnr_db"] > 10
+        assert report["converged"] is True
+        assert 0 <= report["relative_residual"] <= 1e-10
         config = json.loads((out / "config.json").read_text())
         assert SOLVER_KEYS <= config.keys()
         assert config["alpha"] == 0.25

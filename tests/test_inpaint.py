@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import ilgraph.inpaint
+import ilgraph.solver
 from ilgraph.graph import InvalidParameterError
 from ilgraph.inpaint import (Image, InpaintConfig, SampleMask,
                              extract_patches, inpaint, oracle_weight_inpaint,
@@ -156,23 +157,60 @@ class TestPipelines:
     def test_oracle_pins_samples_and_range(self):
         img = tiny_image()
         mask = SampleMask.random(img.shape, 0.2, seed=0)
-        out = oracle_weight_inpaint(img, mask, tiny_config("gl"))
+        out, _ = oracle_weight_inpaint(img, mask, tiny_config("gl"))
         assert np.array_equal(out.pixels[mask.known], img.pixels[mask.known])
         assert out.pixels.min() >= 0.0 and out.pixels.max() <= 255.0
 
     def test_blind_inpaint_improves_over_random(self):
         img = tiny_image()
         mask = SampleMask.random(img.shape, 0.3, seed=1)
-        out = inpaint(img, mask, tiny_config("wnll"))
+        out, _ = inpaint(img, mask, tiny_config("wnll"))
         assert np.array_equal(out.pixels[mask.known], img.pixels[mask.known])
         assert psnr(out, img) > 10.0
 
     def test_blind_deterministic(self):
         img = tiny_image()
         mask = SampleMask.random(img.shape, 0.3, seed=2)
-        o1 = inpaint(img, mask, tiny_config("gl"))
-        o2 = inpaint(img, mask, tiny_config("gl"))
+        o1, _ = inpaint(img, mask, tiny_config("gl"))
+        o2, _ = inpaint(img, mask, tiny_config("gl"))
         assert np.array_equal(o1.pixels, o2.pixels)
+
+    @pytest.mark.parametrize("method", ["gl", "il"])
+    def test_blind_linear_diagnostics_cover_every_solve(self, monkeypatch,
+                                                        over_cap, method):
+        reports = []
+        solve = ilgraph.solver.solve_symmetric
+
+        def recording(*args, **kwargs):
+            x, report = solve(*args, **kwargs)
+            reports.append(report)
+            return x, report
+
+        diags = []
+        il = ilgraph.inpaint.il_solve
+
+        def recording_il(*args, **kwargs):
+            u, diag = il(*args, **kwargs)
+            diags.append(diag)
+            return u, diag
+
+        monkeypatch.setattr(ilgraph.solver, "solve_symmetric", recording)
+        monkeypatch.setattr(ilgraph.inpaint, "il_solve", recording_il)
+        img = tiny_image()
+        mask = SampleMask.random(img.shape, 0.3, seed=1)
+        _, linear = inpaint(img, mask, tiny_config(method))
+        worst = max(r.relative_residual for r in reports)
+        if method == "gl":  # one solve per outer iteration
+            assert len(reports) == 2
+            assert linear == {"converged": True, "relative_residual": worst,
+                              "linear_iterations": sum(r.iterations
+                                                       for r in reports)}
+        else:  # converged only if both outer iterations' il_solve did
+            assert len(diags) == 2
+            assert linear == {"converged": all(d.converged for d in diags),
+                              "linear_unconverged": 0,
+                              "linear_residual_max": worst}
+        assert worst <= 1e-10
 
     def test_caller_solver_config_unchanged(self, monkeypatch):
         received = []

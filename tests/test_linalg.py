@@ -4,8 +4,9 @@ import scipy.sparse as sp
 
 import ilgraph.linalg
 from ilgraph.graph import InvalidParameterError
-from ilgraph.linalg import (DisconnectedGraphError, check_label_connectivity,
-                            factor_if_small, solve_symmetric)
+from ilgraph.linalg import (Deflation, DisconnectedGraphError,
+                            check_label_connectivity, factor_if_small,
+                            solve_symmetric)
 
 
 def spd_matrix(n, rng):
@@ -40,7 +41,7 @@ class TestSolveSymmetric:
         rng = np.random.default_rng(3)
         A = spd_matrix(40, rng)
         b = rng.standard_normal(40)
-        # a tolerance below round-off: no MINRES solve can meet it
+        # a tolerance below round-off: no iterative solve can meet it
         _, report = solve_symmetric(A, b, tol=1e-30)
         assert not report.converged
         assert report.relative_residual > 1e-30
@@ -87,6 +88,69 @@ class TestFactor:
         assert factor_if_small(A) is not None
         monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 2 * n - 2)
         assert factor_if_small(A) is None
+
+
+class TestDeflation:
+    @pytest.mark.parametrize("rank", [1, 5, 19])
+    def test_any_basis_gives_the_same_solution(self, rank):
+        # the basis only changes the iteration count, never x
+        rng = np.random.default_rng(5)
+        A = grid_laplacian(10)
+        b = rng.standard_normal(A.shape[0])
+        expected = np.linalg.solve(A.toarray(), b)
+        plain, _ = solve_symmetric(A, b, tol=1e-12)
+        deflation = Deflation(A.shape[0])
+        deflation.set_basis(A, rng.standard_normal((A.shape[0], rank)))
+        x, report = solve_symmetric(A, b, tol=1e-12, factor=deflation)
+        assert report.converged and report.iterations > 0
+        assert np.allclose(x, expected, rtol=1e-9, atol=1e-10)
+        assert np.allclose(x, plain, rtol=1e-9, atol=1e-10)
+
+    def test_later_solves_take_fewer_iterations(self, over_cap):
+        A = grid_laplacian(30)
+        assert factor_if_small(A) is None
+        deflation = Deflation(A.shape[0])
+        rng = np.random.default_rng(6)
+        reports = [solve_symmetric(A, rng.standard_normal(A.shape[0]),
+                                   factor=deflation)[1] for _ in range(6)]
+        assert all(r.converged for r in reports)
+        first, later = reports[0], reports[1:]
+        assert deflation.W.shape[1] == ilgraph.linalg.RITZ_VECTORS
+        assert np.mean([r.iterations for r in later]) < first.iterations
+        # the first solve's smallest Ritz value has converged to the
+        # smallest eigenvalue, 4 (1 - cos(pi / 31)) on this grid
+        ritz = np.linalg.eigvalsh(deflation.W.T @ deflation.AW)
+        assert np.isclose(ritz[0], 4 * (1 - np.cos(np.pi / 31)), rtol=1e-8)
+
+    def test_first_solve_past_the_record_learns_from_its_start(
+            self, over_cap, monkeypatch):
+        # the first solve runs past LANCZOS_STEPS; the Ritz values it
+        # leaves are those of A on the Krylov space of its first steps
+        steps = 20
+        monkeypatch.setattr(ilgraph.linalg, "LANCZOS_STEPS", steps)
+        A = grid_laplacian(30)
+        rng = np.random.default_rng(7)
+        b = rng.standard_normal(A.shape[0])
+        deflation = Deflation(A.shape[0])
+        _, first = solve_symmetric(A, b, factor=deflation)
+        assert first.converged and first.iterations > steps
+        Q = np.empty((A.shape[0], steps))  # orthonormal basis of K_steps(A, b)
+        q = b / np.linalg.norm(b)
+        for j in range(steps):
+            Q[:, j] = q
+            q = A @ q
+            for _ in range(2):
+                q -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ q)
+            q /= np.linalg.norm(q)
+        expected = np.linalg.eigvalsh(Q.T @ (A @ Q))
+        ritz = np.linalg.eigvalsh(deflation.W.T @ deflation.AW)
+        assert np.allclose(ritz, expected[:ilgraph.linalg.RITZ_VECTORS],
+                           rtol=1e-8)
+        b = rng.standard_normal(A.shape[0])
+        x, later = solve_symmetric(A, b, factor=deflation)
+        assert later.converged
+        assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-8,
+                           atol=1e-10)
 
 
 class TestConnectivity:

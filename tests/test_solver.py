@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ilgraph.linalg
@@ -274,12 +274,11 @@ class TestValueUpdate:
             assert np.allclose(moved, expected, rtol=1e-9, atol=1e-9)
             assert np.array_equal(moved[labels.indices], labels.values)
 
-    def test_unconverged_solves_are_counted(self, monkeypatch):
-        monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
+    def test_unconverged_solves_are_counted(self, monkeypatch, over_cap):
         reports = record_reports(monkeypatch)
         rng = np.random.default_rng(18)
         graph = random_connected_graph(25, rng)
-        # a tolerance below round-off: no MINRES solve can meet it
+        # a tolerance below round-off: no iterative solve can meet it
         _, diag = il_solve(graph, random_labels(25, rng),
                            SolverConfig(lin_tol=1e-30, max_outer_iter=6,
                                         rel_obj_tol=1e-15))
@@ -313,11 +312,10 @@ class TestValueUpdate:
         assert len(reports) == 3
         assert all(r.converged and r.iterations == 0 for r in reports)
 
-    def test_single_solves_over_cap_run_minres(self, monkeypatch):
+    def test_single_solves_over_cap_iterate(self, monkeypatch, over_cap):
         def refuse(*args, **kwargs):
             raise AssertionError("splu called above the cap")
 
-        monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
         monkeypatch.setattr(ilgraph.linalg.spla, "splu", refuse)
         reports = record_reports(monkeypatch)
         rng = np.random.default_rng(15)
@@ -326,16 +324,61 @@ class TestValueUpdate:
         assert len(reports) == 3
         assert all(r.iterations > 0 for r in reports)
 
-    def test_il_solve_over_cap_never_factors(self, monkeypatch):
+    def test_il_solve_over_cap_never_factors(self, monkeypatch, over_cap):
         def refuse(*args, **kwargs):
             raise AssertionError("splu called above the cap")
 
-        monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
         monkeypatch.setattr(ilgraph.linalg.spla, "splu", refuse)
+        reports = record_reports(monkeypatch)
         rng = np.random.default_rng(13)
         graph = random_connected_graph(30, rng)
         _, diag = il_solve(graph, random_labels(30, rng), SolverConfig())
         assert diag.final_linear_report.iterations > 0
+        assert len(reports) == diag.iterations > 1
+        assert all(r.converged for r in reports)
+        assert diag.linear_unconverged == 0
+        assert diag.linear_residual_max <= 1e-10
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n=st.integers(4, 40), n_labels=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1), directed=st.booleans())
+    def test_deflated_updates_match_dense_solve(self, over_cap, n, n_labels,
+                                                seed, directed):
+        # one system, many right-hand sides: the first update learns the
+        # deflation basis, every later one is deflated on it
+        rng = np.random.default_rng(seed)
+        graph = (random_directed_graph if directed
+                 else random_connected_graph)(n, rng)
+        labels = random_labels(n, rng, n_labels=n_labels)
+        nu = rng.uniform(0.5, 2.0, size=n)
+        unl = labels.unlabeled(n)
+        u0 = pinned_zeros(labels, n)
+        ranks = []  # deflation rank each solve starts with, None unlearnt
+        solve_symmetric = ilgraph.solver.solve_symmetric
+
+        def recording(A, b, tol, factor):
+            ranks.append(factor.W.shape[1] if factor.learnt else None)
+            return solve_symmetric(A, b, tol=tol, factor=factor)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ilgraph.solver, "solve_symmetric", recording)
+            (_, first), step = _value_solver(nu, graph, labels, 1e-10)
+            G = graph.operators()[0].toarray()
+            weight = nu[graph.weights.tocoo().row]
+            lhs = G[:, unl].T @ (weight[:, None] * G[:, unl])
+            for _ in range(4):
+                s = rng.standard_normal(G.shape[0])
+                u, report = step_to_target(step, u0, s, graph)
+                rhs = G[:, unl].T @ (weight * (s - G @ u0))
+                assert np.allclose(u[unl], np.linalg.solve(lhs, rhs),
+                                   rtol=1e-8, atol=1e-8)
+                assert np.array_equal(u[labels.indices], labels.values)
+                assert report.converged and report.iterations > 0
+        assert first.converged and first.iterations > 0
+        rank = min(ilgraph.linalg.RITZ_VECTORS, first.iterations - 1,
+                   unl.size - 1)
+        assert ranks == [None] + [rank] * 4
 
 
 class TestChooseC:
@@ -495,11 +538,16 @@ class TestILSolve:
         ref_iterates, ref_c, ref_history, ref_primal = reference_il_solve(
             graph, labels, cfg)
         assert abs(diag.c_star - ref_c) <= 1e-9 * ref_c
-        if ref_history.min() <= 1e-12 * ref_history[0]:
-            # an optimum of 0, reached to round-off: the relative stopping
+        # the objective of any u inside the label range is at most this
+        scale = ((1 + alpha) * np.ptp(labels.values) ** 2
+                 * graph.weights.sum())
+        zero = 1e-12 * max(ref_history[0], scale)
+        if ref_history.min() <= zero:
+            # an optimum of 0, reached to round-off (from the first pass
+            # on when the labels already fit it): the relative stopping
             # test then turns on the last bits of values near 1e-30, and
             # only the limit can agree
-            assert diag.objective <= 1e-12 * ref_history[0]
+            assert diag.objective <= zero
             return
         assert diag.iterations == ref_history.size
         assert np.allclose(diag.history, ref_history, rtol=1e-9, atol=0.0)
