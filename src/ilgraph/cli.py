@@ -6,7 +6,9 @@ fully resolved configuration next to the outputs. Exit codes: 0 success,
 1 input error, 2 solver non-convergence (partial results still written):
 solve, toy2d and inpaint return 2 when their report says the iteration
 did not converge or a linear solve missed lin_tol (toy2d reports IL's
-solves only).
+solves only); gamma returns 2 when any row of study.csv is flagged, did
+not converge or missed lin_tol, as its converged, linear_unconverged and
+flagged columns show.
 """
 
 import argparse
@@ -29,10 +31,6 @@ from .solver import (ConvergenceError, LabelAssignment, SolverConfig, gl_solve,
                      il_solve, nonlocal_inf_metric, objective, wnll_solve)
 
 
-class InputError(Exception):
-    pass
-
-
 def read_labels_csv(path) -> LabelAssignment:
     indices, values = [], []
     with open(path) as fh:
@@ -51,18 +49,19 @@ def read_labels_csv(path) -> LabelAssignment:
                 indices.append(int(index))
                 values.append(float(parts[1]))
             except ValueError as exc:
-                raise InputError(f"{path}:{lineno}: malformed row ({exc})") from exc
+                raise InvalidParameterError(
+                    f"{path}:{lineno}: malformed row ({exc})") from exc
     try:
         return LabelAssignment(np.array(indices), np.array(values))
     except InvalidParameterError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InvalidParameterError(f"{path}: {exc}") from exc
 
 
 def read_graph_csv(path) -> WeightGraph:
     try:
         return WeightGraph.from_csv(path)
-    except (InvalidParameterError, ValueError, OSError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    except (ValueError, OSError) as exc:  # InvalidParameterError too
+        raise InvalidParameterError(f"{path}: {exc}") from exc
 
 
 def write_solution_csv(path, u):
@@ -178,7 +177,8 @@ def cmd_inpaint(args) -> int:
         mask = inpaint_mod.SampleMask.random(img.shape, args.mask_density,
                                              seed=args.seed)
     else:
-        raise InputError("one of --mask-density or --mask-file is required")
+        raise InvalidParameterError(
+            "one of --mask-density or --mask-file is required")
     cfg = inpaint_mod.InpaintConfig(
         method=args.method, patch_size=(args.patch, args.patch), k=args.k,
         k_sigma=args.k_sigma, outer_iters=args.outer_iters, seed=args.seed,
@@ -225,7 +225,8 @@ def cmd_gamma(args) -> int:
     rows = gamma_mod.convergence_study(problem, schedule, args.trials,
                                        seed=args.seed, solver_cfg=cfg)
     gamma_mod.rows_to_csv(rows, out / "study.csv")
-    return 0
+    # a flagged row never converged: the rule of the other commands, per row
+    return max(_exit_code(dataclasses.asdict(row)) for row in rows)
 
 
 def build_parser():
@@ -279,8 +280,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, InvalidParameterError, FileNotFoundError,
-            DisconnectedGraphError, DegenerateBandwidthError) as exc:
+    except (InvalidParameterError, FileNotFoundError, DisconnectedGraphError,
+            DegenerateBandwidthError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

@@ -185,6 +185,9 @@ class StudyRow:
     sup_dist: float
     flagged: bool
     reason: str = ""    # why the row is flagged: the solver error
+    # il_solve's diagnostics; a flagged row has none and never converged
+    converged: bool = False
+    linear_unconverged: int = 0
 
 
 def build_full_kernel_graph(points, kernel: KernelSpec, s: float,
@@ -216,8 +219,9 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
     """Sample, solve the discrete problem, and record the energy of its
     minimizer against the predicted limit, at p = 2, the exponent the
     discrete solver covers. One row per (n, trial), each sampled by its own
-    generator spawned from seed. A row whose solve fails is flagged with
-    the error as its reason."""
+    generator spawned from seed. A row records whether its solve converged
+    and how many value updates missed lin_tol; a row whose solve fails is
+    flagged with the error as its reason."""
     if trials < 1:
         raise InvalidParameterError("trials must be a positive integer")
     p = 2.0
@@ -239,7 +243,7 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
             graph = build_full_kernel_graph(pts, kernel, s, dim=problem.intrinsic_dim)
             labels = LabelAssignment(label_idx, label_val)
             try:
-                u, _ = il_solve(graph, labels, cfg)
+                u, diag = il_solve(graph, labels, cfg)
             except (DisconnectedGraphError, ConvergenceError,
                     InvalidParameterError) as exc:
                 rows.append(StudyRow(n, trial, s, math.nan, target, math.nan,
@@ -250,7 +254,9 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
             energy = _graph_energy(u, graph, s, p)
             rel = abs(energy - target) / target if target else math.nan
             sup = float(np.max(np.abs(u - problem.minimizer(params))))
-            rows.append(StudyRow(n, trial, s, energy, target, rel, sup, False))
+            rows.append(StudyRow(n, trial, s, energy, target, rel, sup, False,
+                                 converged=diag.converged,
+                                 linear_unconverged=diag.linear_unconverged))
     return rows
 
 
@@ -258,8 +264,10 @@ def rows_to_csv(rows, path):
     with open(path, "w", newline="") as fh:
         out = csv.writer(fh, lineterminator="\n")
         out.writerow(["n", "trial", "s_n", "energy", "target", "rel_error",
-                      "sup_dist", "flagged", "reason"])
+                      "sup_dist", "converged", "linear_unconverged",
+                      "flagged", "reason"])
         for r in rows:
             out.writerow([r.n, r.trial, *(f"{v:.10g}" for v in (
                 r.s_n, r.energy, r.target, r.rel_error, r.sup_dist)),
-                int(r.flagged), r.reason])
+                int(r.converged), r.linear_unconverged, int(r.flagged),
+                r.reason])

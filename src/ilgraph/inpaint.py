@@ -10,7 +10,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -107,8 +107,6 @@ class PatchSet:
     """One patch vector per pixel, row-major over the image grid."""
 
     vectors: np.ndarray
-    patch_size: Tuple[int, int]
-    image_shape: Tuple[int, int]
 
 
 def extract_patches(img: Image, p_x: int, p_y: int) -> PatchSet:
@@ -124,7 +122,7 @@ def extract_patches(img: Image, p_x: int, p_y: int) -> PatchSet:
     padded = np.pad(img.pixels, ((hx, hx), (hy, hy)), mode="reflect")
     windows = np.lib.stride_tricks.sliding_window_view(padded, (p_x, p_y))
     vectors = windows.reshape(m * n, p_x * p_y).copy()
-    return PatchSet(vectors, (p_x, p_y), (m, n))
+    return PatchSet(vectors)
 
 
 def psnr(f: Image, f_star: Image) -> float:
@@ -137,30 +135,33 @@ def psnr(f: Image, f_star: Image) -> float:
     return 20.0 * math.log10(255.0 / math.sqrt(mse))
 
 
-_SOLVERS = {"gl": gl_solve, "wnll": wnll_solve}
-
-
-def _solve_on_patches(patches: PatchSet, intensities, mask: SampleMask,
-                      cfg: InpaintConfig):
-    """Values on the image grid and the solve's diagnostics, under the
-    report names of the solve command: converged for every method, then
+def _inpaint_pass(weights_from: Image, img_known: Image, mask: SampleMask,
+                  cfg: InpaintConfig):
+    """One solve on the patch graph of weights_from, labeled by img_known
+    on the known pixels. Returns the values clipped to [0, 255] with the
+    known pixels restored, and the solve's diagnostics under the report
+    names of the solve command: converged for every method, then
     linear_unconverged and linear_residual_max for IL, the SolveReport's
     iterations and residual for GL and WNLL."""
+    patches = extract_patches(weights_from, *cfg.patch_size)
     graph = self_tuning_weights(PointCloud(patches.vectors), cfg.k, cfg.k_sigma)
-    labeled = np.nonzero(mask.known.ravel())[0]
-    labels = LabelAssignment(labeled, intensities.ravel()[labeled])
+    known = mask.known
+    labeled = np.nonzero(known.ravel())[0]
+    labels = LabelAssignment(labeled, img_known.pixels.ravel()[labeled])
     if cfg.method == "il":
         u, diag = il_solve(graph, labels, cfg.solver)
         linear = {"converged": diag.converged,
                   "linear_unconverged": diag.linear_unconverged,
                   "linear_residual_max": diag.linear_residual_max}
     else:
-        u, report = _SOLVERS[cfg.method](graph, labels, cfg.solver,
-                                         full_output=True)
+        solve = gl_solve if cfg.method == "gl" else wnll_solve
+        u, report = solve(graph, labels, cfg.solver, full_output=True)
         linear = {"converged": report.converged,
                   "linear_iterations": report.iterations,
                   "relative_residual": report.relative_residual}
-    return u.reshape(patches.image_shape), linear
+    out = np.clip(u.reshape(known.shape), 0.0, 255.0)
+    out[known] = img_known.pixels[known]
+    return Image(out), linear
 
 
 # how _combine_linear merges each diagnostic of two solves
@@ -176,12 +177,6 @@ def _combine_linear(a, b):
     return {key: _MERGE[key](a[key], b[key]) for key in a}
 
 
-def _finalize(values, img_known: Image, mask: SampleMask) -> Image:
-    out = np.clip(values, 0.0, 255.0)
-    out[mask.known] = img_known.pixels[mask.known]
-    return Image(out)
-
-
 def inpaint(img_known: Image, mask: SampleMask, cfg: InpaintConfig):
     """Blind pipeline: fill unknowns with random values, then alternate
     weight construction from the current image with a solve. Returns
@@ -192,14 +187,11 @@ def inpaint(img_known: Image, mask: SampleMask, cfg: InpaintConfig):
     current = img_known.pixels.copy()
     unknown = ~mask.known
     current[unknown] = rng.uniform(0.0, 255.0, size=int(unknown.sum()))
-    p_x, p_y = cfg.patch_size
-    linear = None
+    current, linear = Image(current), None
     for _ in range(cfg.outer_iters):
-        patches = extract_patches(Image(current), p_x, p_y)
-        values, last = _solve_on_patches(patches, current, mask, cfg)
+        current, last = _inpaint_pass(current, img_known, mask, cfg)
         linear = last if linear is None else _combine_linear(linear, last)
-        current = _finalize(values, img_known, mask).pixels
-    return Image(current), linear
+    return current, linear
 
 
 def oracle_weight_inpaint(img_clear: Image, mask: SampleMask,
@@ -208,10 +200,7 @@ def oracle_weight_inpaint(img_clear: Image, mask: SampleMask,
     (Image, diagnostics of the solve)."""
     if img_clear.shape != mask.known.shape:
         raise InvalidParameterError("image and mask dimensions must match")
-    p_x, p_y = cfg.patch_size
-    patches = extract_patches(img_clear, p_x, p_y)
-    values, linear = _solve_on_patches(patches, img_clear.pixels, mask, cfg)
-    return _finalize(values, img_clear, mask), linear
+    return _inpaint_pass(img_clear, img_clear, mask, cfg)
 
 
 # one PNM header token, after any whitespace and # comments

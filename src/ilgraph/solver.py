@@ -28,7 +28,9 @@ rho_i != 1 and steps with delta on the edges of the rows where rho_i != 1
 now or q is carried from the last step. At alpha = 0, rho_i is exactly 1
 on every row the threshold leaves alone, so those are the clipped rows;
 at alpha > 0 they are all rows. Each iteration makes two full edge
-passes, t = G u and g = R t^2; the rest touches the selected edges.
+passes, t = G u and g = R t^2, and one edge selection; the rest touches
+the selected edges. The rows carrying q lie in the last selection,
+which supplies their norms ||y_i||.
 """
 
 import warnings
@@ -234,15 +236,6 @@ def _row_scale(norm, c: float, alpha: float, row_subset=None):
     return kappa * np.divide(x, C, out=np.ones_like(x), where=C > 0)
 
 
-def _update_D_flat(t_flat, q_flat, c: float, graph: WeightGraph,
-                   alpha: float, row_mask=None):
-    """Exact D update, at the constant penalty c, from the non-local
-    gradient t_flat of the current u."""
-    _, R = graph.operators()
-    y = t_flat - q_flat
-    return (R.T @ _row_scale(np.sqrt(R @ y ** 2), c, alpha, row_mask)) * y
-
-
 def _choose_c_from_g1(g1, u1, alpha, eps=1e-4, max_iter=1000):
     t1_sq = float(g1.sum())
     c = alpha if alpha > 0 else 1.0
@@ -322,14 +315,16 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     # with rho_i != 1 now or carrying q from the last step
     q = np.zeros(graph.weights.nnz)
     carried = np.zeros(n, dtype=bool)
+    e = tails = np.zeros(0, dtype=np.intp)  # the last selection
 
     def d_update(update_q):
         """D = rho y on the selected rows, y = t - q; then q' = D - y when
-        asked (the first update keeps q = 0). Returns the change
-        delta = D + q' - t on the selected edges, those edges and D."""
-        e, tails = graph.out_edges(carried)
+        asked (the first update keeps q = 0). Selects the edges e and
+        returns the change delta = D + q' - t on them, and D."""
+        nonlocal e, tails
+        # ||y_i|| from g where q = 0, from y on the rows carrying q: whole
+        # rows of the last selection, which holds every one of them
         y = t[e] - q[e]
-        # ||y_i|| from g where q = 0, from y on the rows carrying q
         norm = np.sqrt(np.where(
             carried, np.bincount(tails, y ** 2, minlength=n), g))
         rho = _row_scale(norm, c_star, cfg.alpha, row_subset)
@@ -337,16 +332,16 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         y = t[e] - q[e]
         D = rho[tails] * y
         if not update_q:
-            return D - t[e], e, D
+            return D - t[e], D
         q_new = D - y  # (rho - 1) y: exactly 0 where rho = 1
         q[e] = q_new
         carried[:] = rho != 1.0
-        return D + q_new - t[e], e, D
+        return D + q_new - t[e], D
 
     def primal():  # max|D - t|: D = t off the selected edges
         return float(np.max(np.abs(D - t[e]), initial=0.0))
 
-    delta, e, D = d_update(update_q=False)
+    delta, D = d_update(update_q=False)
     history = [_model_value(g, cfg.alpha, row_subset)]
     best_u, best_f = u, history[0]
     converged = False
@@ -355,7 +350,7 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         reports.append(report)
         t = G @ u
         g = R @ t ** 2
-        delta, e, D = d_update(update_q=True)
+        delta, D = d_update(update_q=True)
         fval = _model_value(g, cfg.alpha, row_subset)
         history.append(fval)
         if fval < best_f:

@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 import ilgraph.linalg
 from ilgraph.graph import WeightGraph
-from ilgraph.solver import LabelAssignment
+from ilgraph.solver import LabelAssignment, threshold_subproblem
 
 
 @pytest.fixture
@@ -39,3 +39,15 @@ def random_directed_graph(n, rng, density=0.3):
 def random_labels(n, rng, n_labels=3):
     idx = rng.choice(n, size=n_labels, replace=False)
     return LabelAssignment(idx, rng.uniform(-1.0, 1.0, size=n_labels))
+
+
+def edge_space_d_update(t, q, c, R, alpha, scope):
+    """The D update on full edge vectors: scale kappa (t - q) row by row
+    from the norms of its rows."""
+    c_data = (c / (alpha + c)) * (t - q)
+    norm = np.sqrt(R @ c_data ** 2)
+    x = norm.copy()
+    x[scope] = threshold_subproblem(np.full(norm[scope].size, alpha + c),
+                                    norm[scope])
+    scale = np.divide(x, norm, out=np.zeros_like(x), where=norm > 0)
+    return (R.T @ scale) * c_data

@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import spearmanr
 
-from conftest import random_connected_graph, random_labels
+from conftest import edge_space_d_update, random_connected_graph, random_labels
 from ilgraph.gamma import BandwidthSchedule, convergence_study, interval_benchmark
 from ilgraph.graph import WeightGraph
 from ilgraph.inpaint import (Image, InpaintConfig, SampleMask,
@@ -306,7 +306,6 @@ def test_criterion_8_invariants(tmp_path):
         16.0 * nonlocal_inf_metric(v, graph), rtol=1e-12)
 
     # minimality of the exact splitting-variable update
-    from ilgraph.solver import _update_D_flat
     rows = graph.weights.tocoo().row
     alpha = 1e-3
     c = 0.8
@@ -320,7 +319,8 @@ def test_criterion_8_invariants(tmp_path):
         return (row_sq.max() + alpha * np.sum(d_flat ** 2)
                 + np.sum(nu[rows] * (d_flat - target) ** 2))
 
-    d_star = _update_D_flat(grad, q, c, graph, alpha)
+    d_star = edge_space_d_update(grad, q, c, graph.operators()[1], alpha,
+                                 slice(None))
     base = d_objective(d_star)
     minimal = all(
         d_objective(d_star + eps * rng.standard_normal(d_star.size)) >= base - 1e-10

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import ilgraph.gamma
 import ilgraph.solver
 from ilgraph.cli import build_parser, main, write_report
 from ilgraph.inpaint import Image, write_pgm
@@ -346,6 +347,37 @@ class TestGamma:
         assert config["n_values"] == [60, 120]
         assert SOLVER_KEYS <= config.keys()
         assert config["alpha"] == 0.0
+
+    def test_failed_row_exits_2_and_study_is_written(self, tmp_path,
+                                                      monkeypatch):
+        il_solve = ilgraph.gamma.il_solve
+
+        def unsettled(graph, labels, cfg=None):
+            if graph.n_nodes > 100:
+                raise ConvergenceError("did not settle")
+            return il_solve(graph, labels, cfg)
+
+        monkeypatch.setattr(ilgraph.gamma, "il_solve", unsettled)
+        out = tmp_path / "g"
+        code = main(["--out", str(out), "gamma", "--n-values", "60,120",
+                     "--trials", "1"])
+        assert code == 2
+        study = (out / "study.csv").read_text().strip().splitlines()
+        assert study[0].endswith(",converged,linear_unconverged,flagged,reason")
+        assert study[1].endswith(",1,0,0,")
+        assert study[2].endswith(",0,0,1,ConvergenceError: did not settle")
+
+    def test_unconverged_row_exits_2(self, tmp_path, monkeypatch):
+        il_solve = ilgraph.gamma.il_solve
+        monkeypatch.setattr(
+            ilgraph.gamma, "il_solve", lambda graph, labels, cfg=None: il_solve(
+                graph, labels, dataclasses.replace(cfg, max_outer_iter=2)))
+        out = tmp_path / "g"
+        code = main(["--out", str(out), "gamma", "--n-values", "60",
+                     "--trials", "1"])
+        assert code == 2
+        row = (out / "study.csv").read_text().strip().splitlines()[1]
+        assert row.endswith(",0,0,0,")
 
     def test_bad_trials(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "gamma", "--trials", "0"])

@@ -9,14 +9,16 @@ from ilgraph.gamma import (BandwidthSchedule, ContinuumProblem,
                            convergence_study, discrete_energy,
                            interval_benchmark, rows_to_csv, sigma_eta)
 from ilgraph.graph import InvalidParameterError, KernelSpec
-from ilgraph.solver import ConvergenceError, SolverConfig
+from ilgraph.solver import ConvergenceError, ILDiagnostics, SolverConfig
 
 
 def pinned_stub(graph, labels, cfg=None):
-    """Stands in for il_solve: zeros with the labels pinned."""
+    """Stands in for il_solve: zeros with the labels pinned, converged."""
     u = np.zeros(graph.n_nodes)
     u[labels.indices] = labels.values
-    return u, None
+    return u, ILDiagnostics(c_star=1.0, iterations=1, converged=True,
+                            objective=0.0, history=np.zeros(1),
+                            primal_residual=0.0)
 
 
 class TestSigmaEta:
@@ -122,6 +124,7 @@ class TestStudy:
         assert len(rows) == 2
         for r in rows:
             assert not r.flagged
+            assert r.converged and r.linear_unconverged == 0
             assert math.isfinite(r.rel_error)
             assert np.isclose(r.target, math.sqrt(1 / 6), rtol=1e-8)
         rows_to_csv(rows, tmp_path / "study.csv")
@@ -162,6 +165,7 @@ class TestStudy:
         rows = convergence_study(interval_benchmark(),
                                  BandwidthSchedule([60, 120], dim=1), trials=1)
         assert [r.flagged for r in rows] == [False, True]
+        assert [r.converged for r in rows] == [True, False]
         assert rows[0].reason == ""
         assert rows[1].reason == "ConvergenceError: did not settle"
         assert math.isnan(rows[1].energy)

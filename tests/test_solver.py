@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 import ilgraph.linalg
 import ilgraph.solver
-from conftest import random_connected_graph, random_directed_graph, random_labels
+from conftest import (edge_space_d_update, random_connected_graph,
+                      random_directed_graph, random_labels)
 from ilgraph.graph import InvalidParameterError, WeightGraph
 from ilgraph.linalg import DisconnectedGraphError
 from ilgraph.solver import (LabelAssignment, SolverConfig, _choose_c_from_g1,
-                            _update_D_flat, _value_solver, choose_c, gl_solve,
-                            il_solve, nonlocal_inf_metric, objective,
-                            threshold_subproblem, wnll_solve)
+                            _value_solver, choose_c, gl_solve, il_solve,
+                            nonlocal_inf_metric, objective, wnll_solve)
 
 
 def record_reports(monkeypatch):
@@ -40,18 +40,6 @@ def pinned_zeros(labels, n):
     u0 = np.zeros(n)
     u0[labels.indices] = labels.values
     return u0
-
-
-def edge_space_d_update(t, q, c, R, alpha, scope):
-    """The D update on full edge vectors: scale kappa (t - q) row by row
-    from the norms of its rows."""
-    c_data = (c / (alpha + c)) * (t - q)
-    norm = np.sqrt(R @ c_data ** 2)
-    x = norm.copy()
-    x[scope] = threshold_subproblem(np.full(norm[scope].size, alpha + c),
-                                    norm[scope])
-    scale = np.divide(x, norm, out=np.zeros_like(x), where=norm > 0)
-    return (R.T @ scale) * c_data
 
 
 def reference_il_solve(graph, labels, cfg):
@@ -383,14 +371,14 @@ class TestValueUpdate:
 
 class TestChooseC:
     def test_first_iteration_ratio_near_quarter(self):
-        from ilgraph.solver import _update_D_flat, _value_solver
         rng = np.random.default_rng(2)
         graph = random_connected_graph(30, rng)
         labels = random_labels(30, rng)
         c = choose_c(graph, labels, alpha=0.0, eps=1e-4)
         (u1, _), _ = _value_solver(np.ones(30), graph, labels, lin_tol=1e-10)
-        t1 = graph.operators()[0] @ u1
-        d1 = _update_D_flat(t1, np.zeros_like(t1), c, graph, 0.0)
+        G, R = graph.operators()
+        t1 = G @ u1
+        d1 = edge_space_d_update(t1, 0.0, c, R, 0.0, slice(None))
         ratio = np.sum((d1 - t1) ** 2) / np.sum(t1 * t1)
         assert abs(ratio - 0.25) <= 1e-4
 
@@ -405,7 +393,7 @@ class TestChooseC:
         t1 = G @ u1
         c = alpha if alpha > 0 else 1.0
         for _ in range(1000):  # the fixed point on full edge vectors
-            d1 = _update_D_flat(t1, np.zeros_like(t1), c, graph, alpha)
+            d1 = edge_space_d_update(t1, 0.0, c, R, alpha, slice(None))
             ratio = np.sum((d1 - t1) ** 2) / np.sum(t1 * t1)
             if abs(ratio - 0.25) <= 1e-4:
                 break
@@ -561,8 +549,8 @@ class TestILSolve:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_iteration_makes_two_full_edge_passes(self, alpha):
-        # wrap G and R: at every alpha an iteration applies G once and R
-        # once, and neither adjoint
+        # wrap G, R and out_edges: at every alpha an iteration applies G
+        # once and R once, neither adjoint, and selects edges once
         calls = []
 
         class Counting:
@@ -586,16 +574,24 @@ class TestILSolve:
             G, R = graph.operators()
             object.__setattr__(graph, "_operators",
                                (Counting(G, "G"), Counting(R, "R")))
+            out_edges = graph.out_edges
+
+            def counting_out_edges(mask):
+                calls.append("out_edges")
+                return out_edges(mask)
+
+            object.__setattr__(graph, "out_edges", counting_out_edges)
             calls.clear()
             _, diag = il_solve(graph, random_labels(40, rng), SolverConfig(
                 alpha=alpha, fixed_c=0.05, rel_obj_tol=1e-15,
                 max_outer_iter=max_outer_iter))
             assert diag.iterations == max_outer_iter
-            return {k: calls.count(k) for k in ("G", "R", "G.T", "R.T")}
+            return {k: calls.count(k)
+                    for k in ("G", "R", "G.T", "R.T", "out_edges")}
 
         few, more = counts(3), counts(13)
-        assert {k: more[k] - few[k] for k in few} == {"G": 10, "R": 10,
-                                                       "G.T": 0, "R.T": 0}
+        assert {k: more[k] - few[k] for k in few} == {
+            "G": 10, "R": 10, "G.T": 0, "R.T": 0, "out_edges": 10}
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(InvalidParameterError):
