@@ -32,25 +32,29 @@ from .solver import (ConvergenceError, LabelAssignment, SolverConfig, gl_solve,
 
 
 def read_labels_csv(path) -> LabelAssignment:
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except (ValueError, OSError) as exc:  # undecodable bytes, or no file
+        raise InvalidParameterError(f"{path}: {exc}") from exc
     indices, values = [], []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(",")
-            try:
-                if len(parts) != 2:
-                    raise ValueError("expected two fields")
-                index = float(parts[0])
-                if not index.is_integer():
-                    raise InvalidParameterError(
-                        f"node index {parts[0].strip()} is not an integer")
-                indices.append(int(index))
-                values.append(float(parts[1]))
-            except ValueError as exc:
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        try:
+            if len(parts) != 2:
+                raise ValueError("expected two fields")
+            index = float(parts[0])
+            if not index.is_integer():
                 raise InvalidParameterError(
-                    f"{path}:{lineno}: malformed row ({exc})") from exc
+                    f"node index {parts[0].strip()} is not an integer")
+            indices.append(int(index))
+            values.append(float(parts[1]))
+        except ValueError as exc:
+            raise InvalidParameterError(
+                f"{path}:{lineno}: malformed row ({exc})") from exc
     try:
         return LabelAssignment(np.array(indices), np.array(values))
     except InvalidParameterError as exc:
@@ -102,7 +106,10 @@ def _exit_code(report) -> int:
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("ILGRAPH_OUT", ".")
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InvalidParameterError(f"{out}: {exc}") from exc
     return path
 
 
@@ -179,6 +186,11 @@ def cmd_inpaint(args) -> int:
     else:
         raise InvalidParameterError(
             "one of --mask-density or --mask-file is required")
+    # read before the solve, so that a bad file does not waste the run
+    truth_path = args.oracle_weights or args.ground_truth
+    truth = inpaint_mod.read_pgm(truth_path) if truth_path else None
+    if truth is not None and truth.shape != img.shape:
+        raise InvalidParameterError(f"{truth_path}: image dimensions must match")
     cfg = inpaint_mod.InpaintConfig(
         method=args.method, patch_size=(args.patch, args.patch), k=args.k,
         k_sigma=args.k_sigma, outer_iters=args.outer_iters, seed=args.seed,
@@ -192,12 +204,9 @@ def cmd_inpaint(args) -> int:
     write_report(out / "config.json", resolved)
     t0 = time.perf_counter()
     if args.oracle_weights:
-        clear = inpaint_mod.read_pgm(args.oracle_weights)
-        result, linear = inpaint_mod.oracle_weight_inpaint(clear, mask, cfg)
-        truth = clear
+        result, linear = inpaint_mod.oracle_weight_inpaint(truth, mask, cfg)
     else:
         result, linear = inpaint_mod.inpaint(img, mask, cfg)
-        truth = inpaint_mod.read_pgm(args.ground_truth) if args.ground_truth else None
     inpaint_mod.write_pgm(result, out / "out.pgm")
     mask.to_csv(out / "mask.csv")
     report = {"config": resolved, "seconds": time.perf_counter() - t0,
@@ -210,7 +219,10 @@ def cmd_inpaint(args) -> int:
 
 def cmd_gamma(args) -> int:
     out = _out_dir(args)
-    n_values = [int(v) for v in args.n_values.split(",")]
+    try:
+        n_values = [int(v) for v in args.n_values.split(",")]
+    except ValueError as exc:
+        raise InvalidParameterError(f"--n-values: {exc}") from exc
     if args.problem == "1d":
         problem = gamma_mod.interval_benchmark()
     else:

@@ -18,8 +18,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import quad
-from scipy.special import gammaln
 
 from .graph import InvalidParameterError, KernelSpec, WeightGraph
 from .linalg import DisconnectedGraphError
@@ -37,6 +35,9 @@ def sigma_eta(kernel: KernelSpec, p: float, dim: int) -> float:
         raise InvalidParameterError("p must exceed 1")
     if dim < 1:
         raise InvalidParameterError("dimension must be a positive integer")
+    # imported here: scipy.integrate loads scipy.optimize too, and no other
+    # function needs either
+    from scipy.integrate import quad
     r = kernel.support_radius / kernel.bandwidth  # support of the profile
     radial, _ = quad(lambda t: kernel.profile(t) * t ** (p + dim - 1), 0.0, r,
                      epsabs=0.0, epsrel=1e-10)
@@ -46,7 +47,7 @@ def sigma_eta(kernel: KernelSpec, p: float, dim: int) -> float:
     else:
         # integral of |omega_1|^p over the unit sphere S^{d-1}
         angular = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.exp(
-            gammaln((p + 1) / 2.0) - gammaln((p + dim) / 2.0))
+            math.lgamma((p + 1) / 2.0) - math.lgamma((p + dim) / 2.0))
     return float((radial * angular) ** (1.0 / p))
 
 
@@ -162,6 +163,11 @@ class BandwidthSchedule:
 
     def validate(self):
         """s(n) must vanish while dominating the transportation rate."""
+        # s(1) is 0 under the default rule: a study needs n >= 2
+        if not self.n_values or min(self.n_values) < 2:
+            raise InvalidParameterError("sample sizes must be at least 2")
+        if not (math.isfinite(self.r_adjust) and self.r_adjust > 0):
+            raise InvalidParameterError("r_adjust must be positive and finite")
         probes = [int(v) for v in np.geomspace(max(16, min(self.n_values)),
                                                100 * max(self.n_values), 12)]
         s_vals = np.array([self.s(n) for n in probes])
@@ -193,6 +199,7 @@ class StudyRow:
 def build_full_kernel_graph(points, kernel: KernelSpec, s: float,
                             dim: Optional[int] = None) -> WeightGraph:
     """All pairs within the scaled support radius, w_ij = eta_s(|x_i-x_j|)."""
+    # imported here: only graph builds from coordinates need scipy.spatial
     from scipy.spatial import cKDTree
     points = np.atleast_2d(points)
     n, d = points.shape

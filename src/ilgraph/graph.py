@@ -16,7 +16,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.spatial import cKDTree
 
 
 class InvalidParameterError(ValueError):
@@ -138,6 +137,8 @@ class WeightGraph:
             w = w.tocsr()
         w.eliminate_zeros()
         w.sort_indices()
+        if not np.all(np.isfinite(w.data)):
+            raise InvalidParameterError("weights must be finite")
         if w.nnz and w.data.min() < 0:
             raise InvalidParameterError("weights must be nonnegative")
         object.__setattr__(self, "weights", w)
@@ -248,6 +249,8 @@ def exact_knn(points: np.ndarray, k: int):
 def _kdtree_candidates(points, k):
     """gather(start, stop) -> (rows, cols, distances) of every point in a
     kd-tree ball of each row's k-th neighbor distance."""
+    # imported here: only low-dimensional kNN needs scipy.spatial
+    from scipy.spatial import cKDTree
     tree = cKDTree(points)
 
     def gather(start, stop):

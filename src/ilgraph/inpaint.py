@@ -71,7 +71,7 @@ class SampleMask:
         """Mask from (row, col) lines; every pixel must lie in the image."""
         try:
             coords = np.loadtxt(path, delimiter=",", dtype=int, ndmin=2)
-        except ValueError as exc:
+        except (ValueError, OSError) as exc:
             raise InvalidParameterError(f"{path}: {exc}") from exc
         if coords.shape[1:] != (2,) or np.any((coords < 0) | (coords >= shape)):
             raise InvalidParameterError(f"{path}: mask needs (row, col) lines "
@@ -209,8 +209,11 @@ _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]+)")
 
 def read_pgm(path) -> Image:
     """P2 (ASCII) and P5 (binary, maxval <= 255) readers."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise InvalidParameterError(f"{path}: {exc}") from exc
     header, pos = [], 0
     while len(header) < 4 and (token := _PGM_TOKEN.match(data, pos)):
         header.append(token.group(1))

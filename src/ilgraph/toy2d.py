@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import KernelSpec, PointCloud, WeightGraph, knn_graph
+from .graph import (InvalidParameterError, KernelSpec, PointCloud, WeightGraph,
+                    knn_graph)
 from .solver import (LabelAssignment, SolverConfig, gl_solve, il_solve,
                      nonlocal_inf_metric, wnll_solve)
 
@@ -32,6 +33,8 @@ class ToyProblem:
 def build_toy2d(grid: int = 101, sigma: float = 0.02, k: int = 10) -> ToyProblem:
     """Grid of (grid x grid) unlabeled points plus the three labeled points
     appended at the end; gaussian weights truncated to k nearest neighbors."""
+    if grid < 2:
+        raise InvalidParameterError("grid must have at least 2 points per side")
     axis = np.linspace(0.0, 1.0, grid)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])

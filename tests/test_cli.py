@@ -213,6 +213,36 @@ class TestSolve:
         assert code == 1
         assert "error: alpha must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("weight", ["nan", "inf"])
+    def test_non_finite_weight_exit_1(self, tmp_path, capsys, weight):
+        # NaN used to end in a singular-factor traceback, inf in exit 2
+        graph = tmp_path / "g.csv"
+        graph.write_text(f"0,1,1.0\n1,0,1.0\n1,2,{weight}\n2,1,1.0\n")
+        labels = tmp_path / "l.csv"
+        labels.write_text("0,1.0\n2,0.0\n")
+        code = main(["--out", str(tmp_path / "o"), "solve", str(graph), str(labels)])
+        assert code == 1
+        assert "weights must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["directory", "not text"])
+    def test_unreadable_labels_exit_1(self, problem_files, tmp_path, capsys,
+                                      kind):
+        graph, labels = problem_files
+        if kind == "directory":
+            labels = tmp_path
+        else:
+            labels.write_bytes(b"\xff\xfe0,1\n")
+        code = main(["--out", str(tmp_path / "o"), "solve", str(graph), str(labels)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {labels}: ")
+
+    def test_out_names_a_file_exit_1(self, problem_files, tmp_path, capsys):
+        graph, labels = problem_files
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(["--out", str(out), "solve", str(graph), str(labels)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
     def test_disconnected_exit_1(self, tmp_path, capsys):
         graph = tmp_path / "g.csv"
         graph.write_text("0,1,1.0\n1,0,1.0\n2,3,1.0\n3,2,1.0\n")
@@ -236,6 +266,11 @@ class TestToy2d:
         report = json.loads((out / "report.json").read_text())
         assert report["linear_unconverged"] == 0
         assert report["linear_residual_max"] >= 0
+
+    @pytest.mark.parametrize("grid", ["-5", "0"])
+    def test_bad_grid_exit_1(self, tmp_path, capsys, grid):
+        assert main(["--out", str(tmp_path), "toy2d", "--grid", grid]) == 1
+        assert capsys.readouterr().err.startswith("error: grid must have")
 
 
 class TestInpaint:
@@ -323,6 +358,28 @@ class TestInpaint:
                              "--outer-iters", "0") == 1
         assert "outer_iters must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("which", ["image", "mask"])
+    def test_input_is_a_directory_exit_1(self, tmp_path, capsys, which):
+        if which == "image":
+            code = self._inpaint(tmp_path, tmp_path, "--mask-density", "0.3")
+        else:
+            code = self._inpaint(tmp_path, _small_image(tmp_path),
+                                 "--mask-file", str(tmp_path))
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
+
+    @pytest.mark.parametrize("truth", ["missing", "mis-sized"])
+    def test_bad_ground_truth_exit_1_before_solving(self, tmp_path, capsys,
+                                                    truth):
+        src = _small_image(tmp_path)
+        path = tmp_path / "truth.pgm"
+        if truth == "mis-sized":
+            write_pgm(Image(np.full((6, 6), 100.0)), path)
+        assert self._inpaint(tmp_path, src, "--mask-density", "0.3",
+                             "--ground-truth", str(path)) == 1
+        assert capsys.readouterr().err.startswith(f"error: {path}: ")
+        assert not (tmp_path / "o" / "out.pgm").exists()
+
     def test_requires_mask_source(self, tmp_path, capsys):
         src = tmp_path / "img.pgm"
         write_pgm(Image(np.full((6, 6), 100.0)), src)
@@ -378,6 +435,16 @@ class TestGamma:
         assert code == 2
         row = (out / "study.csv").read_text().strip().splitlines()[1]
         assert row.endswith(",0,0,0,")
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n-values", "abc"], "error: --n-values: "),
+        (["--n-values", "0"], "error: sample sizes must be at least 2"),
+        (["--problem", "circle", "--r-adjust", "0"],
+         "error: r_adjust must be positive"),
+    ])
+    def test_bad_input_exit_1(self, tmp_path, capsys, flags, message):
+        assert main(["--out", str(tmp_path), "gamma", *flags]) == 1
+        assert capsys.readouterr().err.startswith(message)
 
     def test_bad_trials(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "gamma", "--trials", "0"])

@@ -109,6 +109,13 @@ class TestBandwidthSchedule:
         with pytest.raises(InvalidParameterError):
             sched.validate()
 
+    @pytest.mark.parametrize("n_values, r_adjust", [
+        ([0, 100], 1.0), ([-5], 1.0), ([1], 1.0), ([], 1.0),
+        ([100], 0.0), ([100], -1.0), ([100], math.nan), ([100], math.inf)])
+    def test_rejects_bad_inputs(self, n_values, r_adjust):
+        with pytest.raises(InvalidParameterError):
+            BandwidthSchedule(n_values, r_adjust=r_adjust).validate()
+
     def test_s_decreases(self):
         sched = BandwidthSchedule([0], dim=1)
         assert sched.s(2000) < sched.s(125)

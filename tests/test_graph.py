@@ -96,6 +96,11 @@ class TestWeightGraph:
         with pytest.raises(InvalidParameterError):
             WeightGraph(sp.csr_matrix(np.array([[0.0, -1.0], [0.0, 0.0]])))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            WeightGraph(sp.csr_matrix(np.array([[0.0, bad], [1.0, 0.0]])))
+
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidParameterError):
             WeightGraph(sp.csr_matrix(np.ones((2, 3))))
