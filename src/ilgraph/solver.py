@@ -9,8 +9,11 @@ The splitting introduces D_ij = sqrt(w_ij) (u_i - u_j) and alternates a
 sparse symmetric linear solve for u, an exact closed-form update for D
 (a max-of-quadratics problem solved by one sort and prefix sums), and a
 multiplier update for q. GL and WNLL are exactly the first u-update with
-constant and label-boosted penalties respectively. Every u-update takes
-a sparse factor when linalg.factor_if_small allows one, else deflated CG.
+constant and label-boosted penalties respectively. Every u-update solves
+by the path linalg.factor_if_small picks from its matrix: a band Cholesky
+factor where the matrix is dense within its RCM band (1-D kernel
+graphs), a sparse LU factor where it is not, and deflated CG where a
+factor would be big.
 Edge work goes through the graph's non-local gradient G and row sum R
 (WeightGraph.operators): the splitting is D = G u, the u-update solves
 G^T diag(nu_e) G u = G^T (nu_e * s) on the unlabeled nodes, and the row
@@ -38,6 +41,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import InvalidParameterError, WeightGraph
 from .linalg import (Deflation, SolveReport, check_label_connectivity,
@@ -45,7 +49,8 @@ from .linalg import (Deflation, SolveReport, check_label_connectivity,
 
 
 class ConvergenceError(RuntimeError):
-    """Raised when an iteration the solve depends on does not settle."""
+    """Raised when an iteration the solve depends on does not settle, or a
+    factorization it depends on breaks down."""
 
 
 @dataclass(frozen=True)
@@ -176,14 +181,19 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     """Least-squares value update for fixed positive penalties nu, built once.
 
     Checks the labels, assembles A, the block of G^T diag(nu_e) G on the
-    unlabeled unknowns (each edge takes its tail's penalty), and factors A
-    when linalg.factor_if_small allows; otherwise its solves are CG, and
-    every solve after the first is deflated on the Ritz vectors the first
-    one leaves in a linalg.Deflation. Returns ((u, SolveReport), step):
-    the first value update, for the target s = 0, and step(u, delta,
-    edges), which takes the target G u + delta, with delta listed on the
-    index array ``edges`` only, and solves A du = (G^T (nu_e * delta))_unl
-    for the change in u. Labeled values stay pinned exactly.
+    unlabeled unknowns (each edge takes its tail's penalty), straight from
+    the weights with no sparse product, and factors A when
+    linalg.factor_if_small allows: by band Cholesky when A is dense within
+    its band, else by sparse LU. Otherwise its solves are CG, and every
+    solve after the first is deflated on the Ritz vectors the first one
+    leaves in a linalg.Deflation. A band factor that breaks down, A not
+    numerically positive definite, raises ConvergenceError.
+
+    Returns ((u, SolveReport), step): the first value update, for the
+    target s = 0, and step(u, delta, edges), which takes the target
+    G u + delta, with delta listed on the index array ``edges`` only, and
+    solves A du = (G^T (nu_e * delta))_unl for the change in u. Labeled
+    values stay pinned exactly.
     """
     n = graph.n_nodes
     unl = labels.unlabeled(n)
@@ -191,14 +201,18 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
 
     G, R = graph.operators()
     nu_e = R.T @ nu
-    # diag(nu_e) G as a CSC copy scaled in place, so G.T @ DG converts no
-    # operand (6 MB less peak RSS than G.T @ diags(nu_e) @ G at 309k edges);
-    # the product is symmetric: the transpose of its CSC form is its CSR form
-    DG = G.tocsc()
-    DG.data *= nu_e[DG.indices]
-    A = (G.T @ DG).T[unl][:, unl]
-    del DG  # free the assembly before a factor is built
-    factor = factor_if_small(A)
+    # G^T diag(nu_e) G = diag(S 1) - S, S = NW + NW^T, NW = diag(nu) W
+    w = graph.weights
+    S = sp.csr_matrix((nu_e * w.data, w.indices, w.indptr), shape=w.shape)
+    S = S + S.T
+    A = sp.diags((S @ np.ones(n))[unl]) - S[unl][:, unl]
+    del S  # free the assembly before a factor is built
+    try:
+        factor = factor_if_small(A)
+    except np.linalg.LinAlgError as exc:  # from the band Cholesky
+        raise ConvergenceError(
+            f"value-update matrix is not numerically positive definite: {exc}"
+        ) from exc
     if factor is None:  # CG, deflated by what its first solve learns
         factor = Deflation(unl.size)
 
@@ -294,7 +308,8 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     """Split Bregman solve of the infinity-Laplacian model.
 
     Returns (u, ILDiagnostics); u is the best iterate by objective value,
-    with labeled entries pinned exactly.
+    clipped to the range of the label values, with labeled entries pinned
+    exactly. The diagnostics' objective is that of the returned u.
     """
     cfg = cfg or SolverConfig()
     n = graph.n_nodes
@@ -362,11 +377,14 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
             converged = True
             break
 
+    # clipping to the label range, which holds a minimizer, is 1-Lipschitz:
+    # no row energy rises
+    best_u = np.clip(best_u, labels.values.min(), labels.values.max())
     diag = ILDiagnostics(
         c_star=c_star,
         iterations=len(history),
         converged=converged,
-        objective=best_f,
+        objective=_model_value(R @ (G @ best_u) ** 2, cfg.alpha, row_subset),
         history=np.asarray(history),
         primal_residual=primal(),
         final_linear_report=report,

@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ilgraph.gamma
+import ilgraph.linalg
 import ilgraph.solver
 from ilgraph.cli import build_parser, main, write_report
 from ilgraph.inpaint import Image, write_pgm
@@ -96,6 +101,97 @@ class TestExitRule:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is False
         assert report["linear_unconverged"] == 0
+
+    @pytest.mark.parametrize("method", ["il", "gl", "wnll"])
+    def test_band_cholesky_failure_exit_2(self, problem_files, tmp_path,
+                                          capsys, monkeypatch, method):
+        # the cycle's value-update matrix is dense in its RCM band
+        def breaks_down(*args, **kwargs):
+            raise np.linalg.LinAlgError("2-th leading minor not positive")
+
+        monkeypatch.setattr(ilgraph.linalg, "cholesky_banded", breaks_down)
+        graph, labels = problem_files
+        code = main(["--out", str(tmp_path / "o"), "solve", "--method", method,
+                     str(graph), str(labels)])
+        assert code == 2
+        assert "not numerically positive definite" in capsys.readouterr().err
+
+
+NODES = st.sampled_from(["0", "1", "2", "3", "1.5", "-1", "nan", "x"])
+WEIGHTS = st.sampled_from(["1", "0.25", "0", "-1", "nan", "inf", "1e300",
+                           "1e-300", ""])
+LABEL_LINES = st.sampled_from(["3,-1", "1.5,0", "x,1", "2", "", "# note",
+                               "0,nan", "9,1", "-1,0", "1,inf"])
+REALS = ["0", "-1", "1.5", "nan", "inf"]
+COUNTS = ["0", "-1", "1"]
+
+
+def _field(draw, valid, invalid):
+    """valid three times in four, else one of the invalid values."""
+    return draw(st.sampled_from(invalid)) if draw(st.integers(0, 3)) == 0 \
+        else valid
+
+
+def _pgm(draw, side):
+    """A side x side P5 or P2 image, now and then cut short."""
+    pixels = np.random.default_rng(side).integers(0, 256, side * side)
+    if draw(st.booleans()):
+        data = f"P5\n{side} {side}\n255\n".encode() + bytes(pixels.tolist())
+    else:
+        data = f"P2\n{side} {side}\n255\n{' '.join(map(str, pixels))}\n".encode()
+    return data[:_field(draw, len(data), [len(data) - 1, 9, 0])]
+
+
+@st.composite
+def cli_runs(draw):
+    """(files, argv) of one tiny run, argv naming the files by name: valid
+    inputs with some fields spoiled."""
+    method = draw(st.sampled_from(["gl", "wnll", "il"]))
+    alpha = _field(draw, "0.01", REALS)
+    command = draw(st.sampled_from(["solve", "inpaint", "toy2d", "gamma"]))
+    if command == "solve":
+        cycle = [(str(i), str(j), "1") for i in range(4) for j in range(4)
+                 if (i - j) % 4 in (1, 3)]
+        rows = cycle + draw(st.lists(st.tuples(NODES, NODES, WEIGHTS),
+                                     max_size=3))
+        labels = ["0,1", "2,-0.5"] + draw(st.lists(LABEL_LINES, max_size=2))
+        files = {"graph.csv": "\n".join(map(",".join, rows)).encode(),
+                 "labels.csv": "\n".join(labels).encode()}
+        return files, ["solve", "graph.csv", "labels.csv", "--method", method,
+                       "--alpha", alpha]
+    if command == "inpaint":
+        files = {"img.pgm": _pgm(draw, 5), "truth.pgm": _pgm(draw, 4)}
+        truth = draw(st.sampled_from([[], ["--ground-truth", "truth.pgm"],
+                                      ["--oracle-weights", "truth.pgm"]]))
+        return files, ["inpaint", "img.pgm", "--method", method,
+                       "--alpha", alpha,
+                       "--mask-density", _field(draw, "0.5", REALS),
+                       "--patch", _field(draw, "3", COUNTS),
+                       "--k", _field(draw, "3", COUNTS),
+                       "--k-sigma", _field(draw, "2", COUNTS),
+                       "--outer-iters", _field(draw, "1", COUNTS), *truth]
+    if command == "toy2d":
+        return {}, ["toy2d", "--method", method, "--alpha", alpha,
+                    "--grid", _field(draw, "4", COUNTS),
+                    "--sigma", _field(draw, "0.5", REALS),
+                    "--k", _field(draw, "3", COUNTS)]
+    return {}, ["gamma", "--problem", draw(st.sampled_from(["1d", "circle"])),
+                "--n-values", _field(draw, "6,8", ["0", "-3", "abc", ""]),
+                "--trials", _field(draw, "1", COUNTS),
+                "--r-adjust", _field(draw, "1", REALS)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=cli_runs())
+def test_any_tiny_input_returns_an_exit_code(run):
+    # Python exits 1 on an uncaught exception too, so the test asks that
+    # main return a code, not that the process exit with one
+    files, argv = run
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        argv = [str(Path(tmp) / a) if a in files else a for a in argv]
+        assert main(["--out", str(Path(tmp) / "out"), *argv]) in (0, 1, 2)
 
 
 class TestParser:

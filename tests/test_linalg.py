@@ -3,8 +3,9 @@ import pytest
 import scipy.sparse as sp
 
 import ilgraph.linalg
-from ilgraph.graph import InvalidParameterError
-from ilgraph.linalg import (Deflation, DisconnectedGraphError,
+from ilgraph.gamma import build_full_kernel_graph
+from ilgraph.graph import InvalidParameterError, KernelSpec
+from ilgraph.linalg import (BandCholesky, Deflation, DisconnectedGraphError,
                             check_label_connectivity, factor_if_small,
                             solve_symmetric)
 
@@ -59,8 +60,35 @@ def grid_laplacian(side):
     return (sp.kron(path, eye) + sp.kron(eye, path)).tocsr()
 
 
+def refuse_band(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cholesky_banded called")
+
+    monkeypatch.setattr(ilgraph.linalg, "cholesky_banded", refuse)
+
+
+def kernel_laplacian_1d(n, rng):
+    """GL matrix of a tent-kernel graph on n uniform samples of [0, 1],
+    restricted to all nodes but the first: dense within its RCM band."""
+    graph = build_full_kernel_graph(rng.uniform(size=(n, 1)),
+                                    KernelSpec.tent(), 4.0 / n ** 0.5, dim=1)
+    G, _ = graph.operators()
+    return (G.T @ G).tocsr()[1:][:, 1:]
+
+
+def block_tridiagonal(blocks):
+    """2x2 blocks [[2, -1], [-1, 2]] down the diagonal, the off-diagonal
+    pair of each block dropped where ``blocks`` is False."""
+    n = 2 * len(blocks)
+    off = np.zeros(n - 1)
+    off[0::2] = -np.asarray(blocks, dtype=float)
+    return sp.diags([off, 2 * np.ones(n), off], [-1, 0, 1]).tocsr()
+
+
 class TestFactor:
-    def test_factored_solve_matches_dense(self):
+    def test_factored_solve_matches_dense(self, monkeypatch):
+        # the grid's RCM band holds far more entries than the grid: LU
+        refuse_band(monkeypatch)
         A = grid_laplacian(12)
         b = np.random.default_rng(4).standard_normal(A.shape[0])
         factor = factor_if_small(A)
@@ -88,6 +116,53 @@ class TestFactor:
         assert factor_if_small(A) is not None
         monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 2 * n - 2)
         assert factor_if_small(A) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_1d_kernel_graph_takes_band_cholesky(self, seed):
+        rng = np.random.default_rng(seed)
+        A = kernel_laplacian_1d(int(rng.integers(40, 200)), rng)
+        b = rng.standard_normal(A.shape[0])
+        factor = factor_if_small(A)
+        assert isinstance(factor, BandCholesky)
+        x, report = solve_symmetric(A, b, factor=factor)
+        expected = np.linalg.solve(A.toarray(), b)
+        assert np.allclose(x, expected, rtol=1e-10,
+                           atol=1e-10 * np.abs(expected).max())
+        assert report.iterations == 0 and report.converged
+        assert report.relative_residual == (np.linalg.norm(A @ x - b)
+                                            / np.linalg.norm(b))
+
+    def test_band_rule_is_inclusive(self, monkeypatch):
+        # half-bandwidth 1 on 8 unknowns: the band holds 16 entries, as
+        # many as A with all four blocks coupled, more than with three
+        assert isinstance(factor_if_small(block_tridiagonal([1, 1, 1, 1])),
+                          BandCholesky)
+        refuse_band(monkeypatch)
+        assert factor_if_small(block_tridiagonal([1, 1, 1, 0])) is not None
+
+    def test_duplicate_entries_are_summed(self):
+        # every entry of the tridiagonal [-1, 2, -1] stored as two halves
+        n = 30
+        A = sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1]).tocsr()
+        halves = sp.csr_matrix((np.repeat(A.data / 2, 2),
+                                np.repeat(A.indices, 2), 2 * A.indptr),
+                               shape=A.shape)
+        b = np.random.default_rng(8).standard_normal(n)
+        factor = factor_if_small(halves)
+        assert isinstance(factor, BandCholesky)
+        assert np.allclose(factor.solve(b), np.linalg.solve(A.toarray(), b),
+                           rtol=1e-10, atol=1e-10)
+        assert not halves.has_canonical_format  # the input is left as given
+
+    def test_band_cholesky_of_indefinite_matrix_raises(self):
+        # tridiagonal, so dense in its band, with eigenvalues
+        # 0.5 - 2 cos(k pi / 41) of both signs
+        n = 40
+        A = sp.diags([-np.ones(n - 1), 0.5 * np.ones(n), -np.ones(n - 1)],
+                     [-1, 0, 1]).tocsr()
+        with pytest.raises(np.linalg.LinAlgError):
+            factor_if_small(A)
 
 
 class TestDeflation:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import ilgraph.linalg
@@ -236,6 +236,34 @@ class TestValueUpdate:
         x = np.linalg.solve(lhs, -G[:, unl].T @ (weight * coupling))
         assert np.allclose(u_first[unl], x, rtol=1e-8, atol=1e-8)
         assert np.array_equal(u_first[labels.indices], labels.values)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("wnll", [False, True])
+    def test_matrix_assembled_from_weights(self, monkeypatch, seed, wnll):
+        # diag(S 1) - S, S = diag(nu) W + (diag(nu) W)^T, is G^T diag(nu_e) G;
+        # the sinks of a random directed graph have no out-edges
+        rng = np.random.default_rng(seed)
+        n = 30
+        graph = random_directed_graph(n, rng)
+        labels = random_labels(n, rng)
+        nu = np.ones(n)
+        if wnll:
+            nu[labels.indices] = n / labels.count
+        matrices = []
+        factor_if_small = ilgraph.solver.factor_if_small
+
+        def recording(A):
+            matrices.append(A)
+            return factor_if_small(A)
+
+        monkeypatch.setattr(ilgraph.solver, "factor_if_small", recording)
+        _value_solver(nu, graph, labels, 1e-10)
+        G, R = graph.operators()
+        unl = labels.unlabeled(n)
+        expected = (G.T @ sp.diags(R.T @ nu) @ G)[unl][:, unl].toarray()
+        (A,) = matrices
+        assert (np.abs(A.toarray() - expected).max()
+                <= 1e-12 * np.abs(expected).max())
 
     @pytest.mark.parametrize("factored", [True, False])
     def test_change_form_matches_full_update(self, monkeypatch, factored):
@@ -483,6 +511,23 @@ class TestILSolve:
             assert u.min() >= lo - 1e-6
             assert u.max() <= hi + 1e-6
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(5, 30), seed=st.integers(0, 2 ** 32 - 1),
+           directed=st.booleans(), alpha=st.sampled_from([0.0, 1e-3]))
+    # the best iterate leaves the label range
+    @example(n=5, seed=501467, directed=True, alpha=0.0)
+    def test_result_clipped_to_label_range(self, n, seed, directed, alpha):
+        rng = np.random.default_rng(seed)
+        graph = (random_directed_graph if directed
+                 else random_connected_graph)(n, rng)
+        labels = random_labels(n, rng)
+        u, diag = il_solve(graph, labels, SolverConfig(alpha=alpha))
+        assert labels.values.min() <= u.min()
+        assert u.max() <= labels.values.max()
+        # the least of the history is the unclipped best iterate's objective
+        assert diag.objective == objective(u, graph, alpha)
+        assert diag.objective <= diag.history.min()
+
     def test_final_linear_report_is_last_solve(self, monkeypatch):
         reports = record_reports(monkeypatch)
         rng = np.random.default_rng(10)
@@ -540,10 +585,16 @@ class TestILSolve:
         assert diag.iterations == ref_history.size
         assert np.allclose(diag.history, ref_history, rtol=1e-9, atol=0.0)
         # near-equal objectives may rank either way: u must be the
-        # reference's iterate at the step il_solve picked
-        assert np.isclose(diag.objective, ref_history.min(), rtol=1e-9, atol=0.0)
+        # reference's iterate at the step il_solve picked, clipped to the
+        # label range, and no worse than the reference's best
         best = int(np.argmin(diag.history))
-        assert np.allclose(u, ref_iterates[best], rtol=1e-9, atol=1e-9)
+        expected = np.clip(ref_iterates[best], labels.values.min(),
+                           labels.values.max())
+        assert np.allclose(u, expected, rtol=1e-9, atol=1e-9)
+        subset = labels.unlabeled(n) if unlabeled_only else None
+        assert np.isclose(diag.objective, objective(u, graph, alpha, subset),
+                          rtol=1e-12, atol=0.0)
+        assert diag.objective <= ref_history.min() * (1 + 1e-9)
         assert np.isclose(diag.primal_residual, ref_primal, rtol=1e-9,
                           atol=1e-12)
 
