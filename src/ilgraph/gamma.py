@@ -213,10 +213,15 @@ def build_full_kernel_graph(points, kernel: KernelSpec, s: float,
     i, j = pairs[:, 0], pairs[:, 1]
     dist = np.linalg.norm(points[i] - points[j], axis=1)
     w = kernel.profile(dist / s) / s ** d
-    rows = np.concatenate([i, j])
-    cols = np.concatenate([j, i])
-    data = np.concatenate([w, w])
-    return WeightGraph(sp.csr_matrix((data, (rows, cols)), shape=(n, n)))
+    coo = sp.coo_matrix((np.concatenate([w, w]), (np.concatenate([i, j]),
+                                                  np.concatenate([j, i]))),
+                        shape=(n, n))
+    # query_pairs lists each pair once, so there is nothing to sum: with
+    # the COO flagged canonical, tocsr only groups the entries by row (a
+    # counting sort). The transpose's counting sort then orders each row,
+    # and W^T = W.
+    coo.has_canonical_format = True
+    return WeightGraph(coo.tocsr().T.tocsr())
 
 
 def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,

@@ -135,8 +135,9 @@ class WeightGraph:
             w = w.tolil()
             w.setdiag(0.0)
             w = w.tocsr()
+        # a kernel may weigh a pair 0 (the tent at the edge of its support)
         w.eliminate_zeros()
-        w.sort_indices()
+        w.sum_duplicates()  # sorts and sums only input not already canonical
         if not np.all(np.isfinite(w.data)):
             raise InvalidParameterError("weights must be finite")
         if w.nnz and w.data.min() < 0:

@@ -47,22 +47,30 @@ def build_toy2d(grid: int = 101, sigma: float = 0.02, k: int = 10) -> ToyProblem
 
 def run_toy2d(problem: ToyProblem, methods=("gl", "wnll", "il"),
               cfg: SolverConfig = None):
-    """Solve with the requested methods; returns per-method metric values
-    plus the metric of the generating function, and IL diagnostics."""
+    """Solve with the requested methods. Returns the metric of the
+    generating function and of each method, each method's solution, both
+    in the order of ``methods``, and IL diagnostics (None without IL).
+
+    IL runs first. Its first value update is the GL solution, so with both
+    requested GL is read off its diagnostics: one factor of the GL system
+    serves both, and it is freed when il_solve returns, before WNLL builds
+    its own."""
     cfg = cfg or SolverConfig(alpha=0.0)
-    metrics = {"generating": nonlocal_inf_metric(
-        generating_function(problem.points), problem.graph)}
+    unknown = [m for m in methods if m not in ("gl", "wnll", "il")]
+    if unknown:
+        raise ValueError(f"unknown method {unknown[0]!r}")
     solutions = {}
     diagnostics = None
-    for method in methods:
-        if method == "gl":
-            u = gl_solve(problem.graph, problem.labels, cfg)
-        elif method == "wnll":
-            u = wnll_solve(problem.graph, problem.labels, cfg)
-        elif method == "il":
-            u, diagnostics = il_solve(problem.graph, problem.labels, cfg)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        solutions[method] = u
-        metrics[method] = nonlocal_inf_metric(u, problem.graph)
+    if "il" in methods:
+        solutions["il"], diagnostics = il_solve(problem.graph, problem.labels, cfg)
+        if "gl" in methods:
+            solutions["gl"] = diagnostics.first_update
+    for method, solve in (("gl", gl_solve), ("wnll", wnll_solve)):
+        if method in methods and method not in solutions:
+            solutions[method] = solve(problem.graph, problem.labels, cfg)
+    solutions = {method: solutions[method] for method in methods}
+    metrics = {"generating": nonlocal_inf_metric(
+        generating_function(problem.points), problem.graph)}
+    metrics.update((method, nonlocal_inf_metric(u, problem.graph))
+                   for method, u in solutions.items())
     return metrics, solutions, diagnostics

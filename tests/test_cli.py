@@ -356,8 +356,8 @@ class TestToy2d:
         assert code in (0, 2)
         lines = (out / "metrics.csv").read_text().strip().splitlines()
         assert lines[0] == "method,nonlocal_inf_metric"
-        names = {ln.split(",")[0] for ln in lines[1:]}
-        assert {"generating", "gl", "wnll", "il"} <= names
+        names = [ln.split(",")[0] for ln in lines[1:]]
+        assert names == ["generating", "gl", "wnll", "il"]
         assert (out / "solution_il.csv").exists()
         report = json.loads((out / "report.json").read_text())
         assert report["linear_unconverged"] == 0

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import ilgraph.gamma
 from ilgraph.gamma import (BandwidthSchedule, ContinuumProblem,
@@ -199,3 +200,27 @@ class TestStudy:
         g = build_full_kernel_graph(pts, KernelSpec.tent(), 0.2, dim=1)
         w = g.weights
         assert (abs(w - w.T) > 1e-12).nnz == 0
+
+    @pytest.mark.parametrize("dim, n, s", [(1, 300, 0.05), (1, 60, 0.5),
+                                           (2, 200, 0.2), (2, 50, 0.6)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_full_kernel_graph_arrays_equal_summed_construction(self, dim, n,
+                                                                s, seed):
+        # the CSR arrays, edge order included, are those of the COO
+        # construction that sums duplicates, so il_objective stays bitwise;
+        # a lattice point at distance s from another gets tent weight 0
+        from scipy.spatial import cKDTree
+        pts = np.random.default_rng(seed).uniform(size=(n, dim))
+        pts[:3] = np.arange(3)[:, None] * s / np.sqrt(dim)
+        ker = KernelSpec.tent()
+        pairs = cKDTree(pts).query_pairs(r=s, output_type="ndarray")
+        i, j = pairs.T
+        w = ker.profile(np.linalg.norm(pts[i] - pts[j], axis=1) / s) / s ** dim
+        old = sp.csr_matrix((np.concatenate([w, w]), (np.concatenate([i, j]),
+                                                      np.concatenate([j, i]))),
+                            shape=(n, n))
+        old.eliminate_zeros()
+        new = build_full_kernel_graph(pts, ker, s).weights
+        assert np.array_equal(new.indptr, old.indptr)
+        assert np.array_equal(new.indices, old.indices)
+        assert np.array_equal(new.data, old.data)

@@ -101,6 +101,15 @@ class TestWeightGraph:
         with pytest.raises(InvalidParameterError, match="finite"):
             WeightGraph(sp.csr_matrix(np.array([[0.0, bad], [1.0, 0.0]])))
 
+    def test_repeated_entries_summed(self):
+        # COO-style input: the entry (0, 1) given twice, unsorted columns
+        mat = sp.csr_matrix((np.array([1.0, 2.0, 0.5]), np.array([2, 1, 1]),
+                             np.array([0, 3, 3, 3])), shape=(3, 3))
+        w = WeightGraph(mat).weights
+        assert w.has_canonical_format
+        assert np.array_equal(w.indices, [1, 2])
+        assert np.array_equal(w.data, [2.5, 1.0])
+
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidParameterError):
             WeightGraph(sp.csr_matrix(np.ones((2, 3))))

@@ -242,6 +242,17 @@ class TestConnectivity:
             check_label_connectivity(sp.csr_matrix(dense), np.array([0]))
         assert "2" in str(err.value) and "3" in str(err.value)
 
+    def test_symmetric_caller_skips_symmetrizing(self):
+        # a symmetric matrix: its strong components are its components
+        dense = np.zeros((4, 4))
+        dense[0, 1] = dense[1, 0] = 1.0
+        dense[2, 3] = dense[3, 2] = 1.0
+        check_label_connectivity(sp.csr_matrix(dense), np.array([0, 2]),
+                                 symmetric=True)
+        with pytest.raises(DisconnectedGraphError, match="2, 3"):
+            check_label_connectivity(sp.csr_matrix(dense), np.array([0]),
+                                     symmetric=True)
+
     def test_directed_support_symmetrized(self):
         # one-directional edge still counts as connectivity
         dense = np.zeros((2, 2))

@@ -541,9 +541,9 @@ class TestILSolve:
         calls = []
         check = ilgraph.solver.check_label_connectivity
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(1)
-            return check(*args)
+            return check(*args, **kwargs)
 
         monkeypatch.setattr(ilgraph.solver, "check_label_connectivity", counting)
         rng = np.random.default_rng(11)
@@ -553,6 +553,21 @@ class TestILSolve:
             calls.clear()
             solve(graph, labels)
             assert len(calls) == 1
+
+    @pytest.mark.parametrize("factored", [True, False])
+    @pytest.mark.parametrize("alpha", [0.0, 1e-2])
+    @pytest.mark.parametrize("unlabeled_only", [False, True])
+    def test_first_update_is_gl_solution(self, request, factored, alpha,
+                                         unlabeled_only):
+        if not factored:
+            request.getfixturevalue("over_cap")
+        rng = np.random.default_rng(12)
+        graph = random_directed_graph(40, rng)
+        labels = random_labels(40, rng)
+        cfg = SolverConfig(alpha=alpha, max_over_unlabeled_only=unlabeled_only,
+                           max_outer_iter=5)
+        _, diag = il_solve(graph, labels, cfg)
+        assert np.array_equal(diag.first_update, gl_solve(graph, labels, cfg))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(5, 30), seed=st.integers(0, 2 ** 32 - 1),

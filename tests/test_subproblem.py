@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ilgraph.graph import InvalidParameterError
-from ilgraph.solver import threshold_subproblem
+from ilgraph.solver import THRESHOLD_TOP, threshold_subproblem
 
 
 def subproblem_objective(x, a, c):
@@ -34,6 +34,15 @@ def scan_oracle(a, c, grid=4001, refine=60):
             lo = m1
     tau = 0.5 * (lo + hi)
     return np.minimum(c, tau), val(tau)
+
+
+def full_sort_reference(a, c):
+    """The minimizer by one sort of every entry."""
+    order = np.argsort(-c)
+    cs, as_ = c[order], a[order]
+    m = np.cumsum(as_ * cs) / (1.0 + np.cumsum(as_))
+    t = np.count_nonzero(cs > m)
+    return np.minimum(c, m[t - 1]) if t else c.copy()
 
 
 class TestHandCases:
@@ -127,3 +136,43 @@ class TestAgainstOracle:
         # tied targets share one value
         for value in np.unique(c):
             assert np.ptp(x[c == value]) == 0.0
+
+
+class TestPartialSort:
+    """Only the largest entries are sorted; with the constant a that the D
+    update passes, the result is bitwise that of sorting them all."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 4 * THRESHOLD_TOP),
+           a=st.sampled_from([1e-3, 0.05, 0.3, 1.0, 4.0, 50.0]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           distinct=st.sampled_from([0, 3, 50]), tail=st.booleans())
+    def test_bitwise_equal_to_full_sort(self, n, a, seed, distinct, tail):
+        # a small a clips many entries (more than THRESHOLD_TOP: the
+        # candidate path), a large one few; drawn from a few distinct
+        # values (none: continuous), the entries tie across the partition's
+        # boundary
+        rng = np.random.default_rng(seed)
+        c = (rng.choice(rng.uniform(0.0, 3.0, size=distinct), size=n)
+             if distinct else rng.exponential(size=n))
+        if tail:  # a long tail of equal small entries
+            c[rng.random(n) < 0.7] = 0.25
+        a = np.full(n, a)
+        assert np.array_equal(threshold_subproblem(a, c),
+                              full_sort_reference(a, c))
+
+    @pytest.mark.parametrize("clipped", [THRESHOLD_TOP // 2, THRESHOLD_TOP,
+                                         THRESHOLD_TOP + 1, 5 * THRESHOLD_TOP])
+    def test_both_paths(self, clipped):
+        # a = 1 and one group of g equal entries 2 over n - g ones: the group
+        # is clipped to 2g / (1 + g) > 1 and no other entry is, so g entries
+        # are clipped. From THRESHOLD_TOP on, all of the partition's entries
+        # are clipped and the candidates are sorted; every g but
+        # THRESHOLD_TOP puts the partition's boundary inside a tied group.
+        n = 8 * THRESHOLD_TOP
+        c = np.ones(n)
+        c[np.random.default_rng(clipped).choice(n, clipped, replace=False)] = 2.0
+        a = np.ones(n)
+        x = threshold_subproblem(a, c)
+        assert np.count_nonzero(x < c) == clipped
+        assert np.array_equal(x, full_sort_reference(a, c))
