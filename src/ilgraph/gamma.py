@@ -213,15 +213,13 @@ def build_full_kernel_graph(points, kernel: KernelSpec, s: float,
     i, j = pairs[:, 0], pairs[:, 1]
     dist = np.linalg.norm(points[i] - points[j], axis=1)
     w = kernel.profile(dist / s) / s ** d
-    coo = sp.coo_matrix((np.concatenate([w, w]), (np.concatenate([i, j]),
-                                                  np.concatenate([j, i]))),
-                        shape=(n, n))
-    # query_pairs lists each pair once, so there is nothing to sum: with
-    # the COO flagged canonical, tocsr only groups the entries by row (a
-    # counting sort). The transpose's counting sort then orders each row,
-    # and W^T = W.
-    coo.has_canonical_format = True
-    return WeightGraph(coo.tocsr().T.tocsr())
+    # query_pairs lists each pair once with i < j: one sort of the pairs
+    # gives the upper triangle U in CSR order, and W = U + U^T merges two
+    # canonical matrices with no duplicate to sum
+    order = np.argsort(i * n + j)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(i, minlength=n))])
+    upper = sp.csr_matrix((w[order], j[order], indptr), shape=(n, n))
+    return WeightGraph(upper + upper.T)
 
 
 def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,

@@ -135,13 +135,15 @@ class WeightGraph:
             w = w.tolil()
             w.setdiag(0.0)
             w = w.tocsr()
-        # a kernel may weigh a pair 0 (the tent at the edge of its support)
-        w.eliminate_zeros()
-        w.sum_duplicates()  # sorts and sums only input not already canonical
+        # checked entry by entry, before repeated entries are summed
         if not np.all(np.isfinite(w.data)):
             raise InvalidParameterError("weights must be finite")
         if w.nnz and w.data.min() < 0:
             raise InvalidParameterError("weights must be nonnegative")
+        # a kernel may weigh a pair 0 (the tent at the edge of its support);
+        # what is left is positive, and so are its sums
+        w.eliminate_zeros()
+        w.sum_duplicates()  # sorts and sums only input not already canonical
         object.__setattr__(self, "weights", w)
 
     @property

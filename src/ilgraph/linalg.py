@@ -271,19 +271,13 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
     return x, SolveReport(iterations, res, bool(res <= tol))
 
 
-def check_label_connectivity(weights: sp.spmatrix, labeled_idx: np.ndarray,
-                             symmetric: bool = False):
-    """Every connected component of the support (edges taken both ways)
-    must contain a labeled node, otherwise the restricted system is
-    singular. A caller whose CSR matrix is symmetric, with no stored zeros,
-    says so: its strong components are then its components, found with no
-    transposed copy."""
-    if symmetric:
-        n_comp, labels = sp.csgraph.connected_components(
-            weights, directed=True, connection="strong")
-    else:
-        n_comp, labels = sp.csgraph.connected_components(weights != 0,
-                                                         directed=False)
+def check_label_connectivity(support: sp.csr_matrix, labeled_idx: np.ndarray):
+    """Every connected component of the graph must contain a labeled node,
+    otherwise the restricted system is singular. ``support`` is symmetric
+    with no stored zeros (an edge taken both ways), so its strong
+    components are its components, found with no transposed copy."""
+    n_comp, labels = sp.csgraph.connected_components(
+        support, directed=True, connection="strong")
     has_label = np.zeros(n_comp, dtype=bool)
     has_label[np.unique(labels[labeled_idx])] = True
     if not has_label.all():

@@ -228,7 +228,7 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     w = graph.weights
     S = sp.csr_matrix((nu_e * w.data, w.indices, w.indptr), shape=w.shape)
     S = S + S.T
-    check_label_connectivity(S, labels.indices, symmetric=True)
+    check_label_connectivity(S, labels.indices)
     A = sp.diags((S @ np.ones(n))[unl]) - S[unl][:, unl]
     del S  # free the assembly before a factor is built
     try:

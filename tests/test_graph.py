@@ -110,6 +110,13 @@ class TestWeightGraph:
         assert np.array_equal(w.indices, [1, 2])
         assert np.array_equal(w.data, [2.5, 1.0])
 
+    def test_negative_repeated_entry_rejected(self):
+        # (0, 1) given as -1 and +1: each entry is checked, not their sum 0
+        mat = sp.csr_matrix((np.array([-1.0, 1.0]), np.array([1, 1]),
+                             np.array([0, 2, 2])), shape=(2, 2))
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            WeightGraph(mat)
+
     def test_rejects_nonsquare(self):
         with pytest.raises(InvalidParameterError):
             WeightGraph(sp.csr_matrix(np.ones((2, 3))))

@@ -4,10 +4,11 @@ import scipy.sparse as sp
 
 import ilgraph.linalg
 from ilgraph.gamma import build_full_kernel_graph
-from ilgraph.graph import InvalidParameterError, KernelSpec
+from ilgraph.graph import InvalidParameterError, KernelSpec, WeightGraph
 from ilgraph.linalg import (BandCholesky, Deflation, DisconnectedGraphError,
                             check_label_connectivity, factor_if_small,
                             solve_symmetric)
+from ilgraph.solver import LabelAssignment, gl_solve
 
 
 def spd_matrix(n, rng):
@@ -242,19 +243,11 @@ class TestConnectivity:
             check_label_connectivity(sp.csr_matrix(dense), np.array([0]))
         assert "2" in str(err.value) and "3" in str(err.value)
 
-    def test_symmetric_caller_skips_symmetrizing(self):
-        # a symmetric matrix: its strong components are its components
-        dense = np.zeros((4, 4))
-        dense[0, 1] = dense[1, 0] = 1.0
-        dense[2, 3] = dense[3, 2] = 1.0
-        check_label_connectivity(sp.csr_matrix(dense), np.array([0, 2]),
-                                 symmetric=True)
-        with pytest.raises(DisconnectedGraphError, match="2, 3"):
-            check_label_connectivity(sp.csr_matrix(dense), np.array([0]),
-                                     symmetric=True)
-
     def test_directed_support_symmetrized(self):
-        # one-directional edge still counts as connectivity
+        # one-directional edge still counts as connectivity: the value
+        # update hands the check its support taken both ways
         dense = np.zeros((2, 2))
         dense[0, 1] = 1.0
-        check_label_connectivity(sp.csr_matrix(dense), np.array([1]))
+        graph = WeightGraph(sp.csr_matrix(dense))
+        u = gl_solve(graph, LabelAssignment(np.array([1]), np.array([2.0])))
+        assert np.allclose(u, [2.0, 2.0])
