@@ -4,16 +4,16 @@ from .graph import (DegenerateBandwidthError, InvalidParameterError,
                     KernelSpec, PointCloud, WeightGraph, knn_graph,
                     self_tuning_weights)
 from .linalg import DisconnectedGraphError, SolveReport, solve_symmetric
-from .solver import (ConvergenceError, ILDiagnostics, LabelAssignment,
+from .solver import (ConvergenceError, Diagnostics, LabelAssignment,
                      SolverConfig, choose_c, gl_solve, il_solve,
-                     nonlocal_inf_metric, objective, threshold_subproblem,
-                     wnll_solve)
+                     nonlocal_inf_metric, objective, solve,
+                     threshold_subproblem, wnll_solve)
 
 __all__ = [
     "ConvergenceError",
     "DegenerateBandwidthError",
+    "Diagnostics",
     "DisconnectedGraphError",
-    "ILDiagnostics",
     "InvalidParameterError",
     "KernelSpec",
     "LabelAssignment",
@@ -28,6 +28,7 @@ __all__ = [
     "nonlocal_inf_metric",
     "objective",
     "self_tuning_weights",
+    "solve",
     "solve_symmetric",
     "threshold_subproblem",
     "wnll_solve",

@@ -3,11 +3,13 @@
 Subcommands: solve (graph + labels CSV), toy2d (the grid benchmark),
 inpaint (PGM images), gamma (convergence study). Every run writes its
 fully resolved configuration next to the outputs. Exit codes: 0 success,
-1 input error, 2 solver non-convergence (partial results still written):
-solve, toy2d and inpaint return 2 when their report says the iteration
-did not converge or a linear solve missed lin_tol (toy2d reports IL's
-solves only); gamma returns 2 when any row of study.csv is flagged, did
-not converge or missed lin_tol, as its converged, linear_unconverged and
+1 input error, 2 solver non-convergence (partial results still written).
+solve, toy2d and inpaint write the fields of solver.Diagnostics, over
+every solve of the run, into report.json, and return 2 when it says the
+iteration did not converge or a linear solve missed lin_tol. inpaint
+takes PSNR against --ground-truth, else against the --oracle-weights
+image. gamma returns 2 when any row of study.csv is flagged, did not
+converge or missed lin_tol, as its converged, linear_unconverged and
 flagged columns show.
 """
 
@@ -27,8 +29,8 @@ from . import inpaint as inpaint_mod
 from . import toy2d as toy_mod
 from .graph import DegenerateBandwidthError, InvalidParameterError, WeightGraph
 from .linalg import DisconnectedGraphError
-from .solver import (ConvergenceError, LabelAssignment, SolverConfig, gl_solve,
-                     il_solve, nonlocal_inf_metric, objective, wnll_solve)
+from .solver import (ConvergenceError, LabelAssignment, SolverConfig,
+                     nonlocal_inf_metric, solve)
 
 
 def read_labels_csv(path) -> LabelAssignment:
@@ -95,11 +97,15 @@ def write_report(path, report):
         fh.write("\n")
 
 
+def _diagnostics(diag) -> dict:
+    """A solver.Diagnostics as report.json keys, all but first_update."""
+    return {k: v for k, v in vars(diag).items() if k != "first_update"}
+
+
 def _exit_code(report) -> int:
     """One rule for every solving command: 2 when its report says the
     iteration did not converge or a linear solve missed lin_tol, else 0."""
-    failed = (not report.get("converged", True)
-              or report.get("linear_unconverged", 0) > 0)
+    failed = not report["converged"] or report["linear_unconverged"] > 0
     return 2 if failed else 0
 
 
@@ -123,24 +129,10 @@ def cmd_solve(args) -> int:
                 **dataclasses.asdict(cfg)}
     write_report(out / "config.json", resolved)
     t0 = time.perf_counter()
-    report = {"method": args.method, "config": resolved}
-    if args.method == "il":
-        u, diag = il_solve(graph, labels, cfg)
-        report.update(objective=diag.objective, c_star=diag.c_star,
-                      iterations=diag.iterations, converged=diag.converged,
-                      primal_residual=diag.primal_residual,
-                      linear_unconverged=diag.linear_unconverged,
-                      linear_residual_max=diag.linear_residual_max,
-                      objective_history=diag.history.tolist())
-    else:
-        solver = gl_solve if args.method == "gl" else wnll_solve
-        u, lin = solver(graph, labels, cfg, full_output=True)
-        report.update(objective=objective(u, graph, cfg.alpha),
-                      converged=lin.converged,
-                      linear_iterations=lin.iterations,
-                      relative_residual=lin.relative_residual)
-    report["metric"] = nonlocal_inf_metric(u, graph)
-    report["seconds"] = time.perf_counter() - t0
+    u, diag = solve(args.method, graph, labels, cfg)
+    report = {"method": args.method, "config": resolved, **_diagnostics(diag),
+              "metric": nonlocal_inf_metric(u, graph),
+              "seconds": time.perf_counter() - t0}
     write_solution_csv(out / "solution.csv", u)
     write_report(out / "report.json", report)
     return _exit_code(report)
@@ -164,13 +156,8 @@ def cmd_toy2d(args) -> int:
             fh.write(f"{name},{val:.10g}\n")
     for name, u in solutions.items():
         write_solution_csv(out / f"solution_{name}.csv", u)
-    report = {"config": resolved, "metrics": metrics,
+    report = {"config": resolved, "metrics": metrics, **_diagnostics(diag),
               "seconds": time.perf_counter() - t0}
-    if diag is not None:
-        report.update(c_star=diag.c_star, iterations=diag.iterations,
-                      converged=diag.converged,
-                      linear_unconverged=diag.linear_unconverged,
-                      linear_residual_max=diag.linear_residual_max)
     write_report(out / "report.json", report)
     return _exit_code(report)
 
@@ -187,32 +174,35 @@ def cmd_inpaint(args) -> int:
         raise InvalidParameterError(
             "one of --mask-density or --mask-file is required")
     # read before the solve, so that a bad file does not waste the run
-    truth_path = args.oracle_weights or args.ground_truth
-    truth = inpaint_mod.read_pgm(truth_path) if truth_path else None
-    if truth is not None and truth.shape != img.shape:
-        raise InvalidParameterError(f"{truth_path}: image dimensions must match")
+    paths = (args.oracle_weights, args.ground_truth)
+    oracle, truth = (inpaint_mod.read_pgm(p) if p else None for p in paths)
+    for path, other in zip(paths, (oracle, truth)):
+        if other is not None and other.shape != img.shape:
+            raise InvalidParameterError(f"{path}: image dimensions must match")
     cfg = inpaint_mod.InpaintConfig(
         method=args.method, patch_size=(args.patch, args.patch), k=args.k,
         k_sigma=args.k_sigma, outer_iters=args.outer_iters, seed=args.seed,
         solver=SolverConfig(alpha=args.alpha))
     resolved = {"command": "inpaint", "image": str(args.image),
                 "oracle_weights": args.oracle_weights,
+                "ground_truth": args.ground_truth,
                 "mask_density": args.mask_density, "mask_file": args.mask_file,
                 "method": cfg.method, "patch": args.patch, "k": cfg.k,
                 "k_sigma": cfg.k_sigma, "outer_iters": cfg.outer_iters,
                 "seed": cfg.seed, **dataclasses.asdict(cfg.solver)}
     write_report(out / "config.json", resolved)
     t0 = time.perf_counter()
-    if args.oracle_weights:
-        result, linear = inpaint_mod.oracle_weight_inpaint(truth, mask, cfg)
+    if oracle is not None:
+        result, diag = inpaint_mod.oracle_weight_inpaint(oracle, mask, cfg)
     else:
-        result, linear = inpaint_mod.inpaint(img, mask, cfg)
+        result, diag = inpaint_mod.inpaint(img, mask, cfg)
     inpaint_mod.write_pgm(result, out / "out.pgm")
     mask.to_csv(out / "mask.csv")
     report = {"config": resolved, "seconds": time.perf_counter() - t0,
-              **linear}
-    if truth is not None:
-        report["psnr_db"] = inpaint_mod.psnr(result, truth)
+              **_diagnostics(diag)}
+    reference = truth if truth is not None else oracle
+    if reference is not None:
+        report["psnr_db"] = inpaint_mod.psnr(result, reference)
     write_report(out / "report.json", report)
     return _exit_code(report)
 

@@ -7,7 +7,6 @@ the quartic self-tuning kernel truncated to k nearest neighbors.
 """
 
 import math
-import operator
 import re
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -15,7 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .graph import InvalidParameterError, PointCloud, self_tuning_weights
-from .solver import LabelAssignment, SolverConfig, gl_solve, il_solve, wnll_solve
+from .solver import LabelAssignment, SolverConfig, solve
 
 
 @dataclass(frozen=True)
@@ -139,65 +138,40 @@ def _inpaint_pass(weights_from: Image, img_known: Image, mask: SampleMask,
                   cfg: InpaintConfig):
     """One solve on the patch graph of weights_from, labeled by img_known
     on the known pixels. Returns the values clipped to [0, 255] with the
-    known pixels restored, and the solve's diagnostics under the report
-    names of the solve command: converged for every method, then
-    linear_unconverged and linear_residual_max for IL, the SolveReport's
-    iterations and residual for GL and WNLL."""
+    known pixels restored, and the solve's Diagnostics."""
     patches = extract_patches(weights_from, *cfg.patch_size)
     graph = self_tuning_weights(PointCloud(patches.vectors), cfg.k, cfg.k_sigma)
     known = mask.known
     labeled = np.nonzero(known.ravel())[0]
     labels = LabelAssignment(labeled, img_known.pixels.ravel()[labeled])
-    if cfg.method == "il":
-        u, diag = il_solve(graph, labels, cfg.solver)
-        linear = {"converged": diag.converged,
-                  "linear_unconverged": diag.linear_unconverged,
-                  "linear_residual_max": diag.linear_residual_max}
-    else:
-        solve = gl_solve if cfg.method == "gl" else wnll_solve
-        u, report = solve(graph, labels, cfg.solver, full_output=True)
-        linear = {"converged": report.converged,
-                  "linear_iterations": report.iterations,
-                  "relative_residual": report.relative_residual}
+    u, diag = solve(cfg.method, graph, labels, cfg.solver)
     out = np.clip(u.reshape(known.shape), 0.0, 255.0)
     out[known] = img_known.pixels[known]
-    return Image(out), linear
-
-
-# how _combine_linear merges each diagnostic of two solves
-_MERGE = {"converged": lambda x, y: x and y,
-          "linear_iterations": operator.add,
-          "linear_unconverged": operator.add,
-          "relative_residual": max, "linear_residual_max": max}
-
-
-def _combine_linear(a, b):
-    """The diagnostics of two solves taken together: converged only if
-    both did, counts add, the worst residual stays."""
-    return {key: _MERGE[key](a[key], b[key]) for key in a}
+    return Image(out), diag
 
 
 def inpaint(img_known: Image, mask: SampleMask, cfg: InpaintConfig):
     """Blind pipeline: fill unknowns with random values, then alternate
     weight construction from the current image with a solve. Returns
-    (Image, diagnostics over every solve)."""
+    (Image, Diagnostics): the last solve's, every other folded in by
+    Diagnostics.absorb."""
     if img_known.shape != mask.known.shape:
         raise InvalidParameterError("image and mask dimensions must match")
     rng = np.random.default_rng(cfg.seed)
     current = img_known.pixels.copy()
     unknown = ~mask.known
     current[unknown] = rng.uniform(0.0, 255.0, size=int(unknown.sum()))
-    current, linear = Image(current), None
+    current, diag = Image(current), None
     for _ in range(cfg.outer_iters):
         current, last = _inpaint_pass(current, img_known, mask, cfg)
-        linear = last if linear is None else _combine_linear(linear, last)
-    return current, linear
+        diag = last if diag is None else last.absorb(diag)
+    return current, diag
 
 
 def oracle_weight_inpaint(img_clear: Image, mask: SampleMask,
                           cfg: InpaintConfig):
     """Single solve with weights built from clear-image patches. Returns
-    (Image, diagnostics of the solve)."""
+    (Image, Diagnostics of the solve)."""
     if img_clear.shape != mask.known.shape:
         raise InvalidParameterError("image and mask dimensions must match")
     return _inpaint_pass(img_clear, img_clear, mask, cfg)

@@ -11,7 +11,8 @@ sparse symmetric linear solve for u, an exact closed-form update for D
 and a multiplier update for q. GL and WNLL are exactly the first u-update
 with constant and label-boosted penalties respectively. il_solve's
 penalty is constant too, so its first u-update is the GL solution, and
-it returns that as ILDiagnostics.first_update. Every u-update solves by
+it returns that as Diagnostics.first_update; solve(method, ...) runs any
+of the three and returns one Diagnostics record. Every u-update solves by
 the path linalg.factor_if_small picks from its matrix: a band Cholesky
 factor where the matrix is dense within its RCM band (1-D kernel
 graphs), a sparse LU factor where it is not, and deflated CG where a
@@ -39,7 +40,7 @@ which supplies their norms ||y_i||.
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -120,21 +121,42 @@ class SolverConfig:
 
 
 @dataclass
-class ILDiagnostics:
-    c_star: float
-    iterations: int
+class Diagnostics:
+    """What one solve did, one record for GL, WNLL and IL. A GL or WNLL
+    solve is one value update: one iteration, converged if it met lin_tol.
+    The linear_* fields cover every value update: how many missed lin_tol,
+    the worst relative residual and the CG iterations summed. IL adds its
+    penalty c*, the final max|D - G u| and its first value update, bitwise
+    what gl_solve returns for the same graph, labels and lin_tol."""
+
     converged: bool
+    iterations: int
     objective: float
     history: np.ndarray
-    primal_residual: float
-    final_linear_report: Optional[SolveReport] = None
-    # value updates in the run that missed lin_tol, and the worst relative
-    # residual over them all
-    linear_unconverged: int = 0
-    linear_residual_max: float = 0.0
-    # the first value update, bitwise what gl_solve returns for the same
-    # graph, labels and lin_tol
+    linear_unconverged: int
+    linear_residual_max: float
+    linear_iterations: int
+    c_star: Optional[float] = None
+    primal_residual: Optional[float] = None
     first_update: Optional[np.ndarray] = None
+
+    def absorb(self, other: "Diagnostics") -> "Diagnostics":
+        """This record with the solves of other folded in: converged only
+        if both were, the linear counts add and the worst residual stays.
+        Every other field is this record's."""
+        a, b = self, other
+        return replace(
+            a, converged=a.converged and b.converged,
+            linear_unconverged=a.linear_unconverged + b.linear_unconverged,
+            linear_residual_max=max(a.linear_residual_max, b.linear_residual_max),
+            linear_iterations=a.linear_iterations + b.linear_iterations)
+
+
+def _linear_fields(reports):
+    """The linear_* fields of a Diagnostics over these SolveReports."""
+    return dict(linear_unconverged=sum(not r.converged for r in reports),
+                linear_residual_max=max(r.relative_residual for r in reports),
+                linear_iterations=sum(r.iterations for r in reports))
 
 
 def _model_value(g, alpha: float, row_subset=None) -> float:
@@ -305,33 +327,51 @@ def choose_c(graph: WeightGraph, labels: LabelAssignment, alpha: float,
     return _choose_c_from_g1(R @ (G @ u1) ** 2, u1, alpha, eps)
 
 
+def _baseline(method, graph, labels, cfg):
+    """GL's or WNLL's value update, as (u, SolveReport)."""
+    n = graph.n_nodes
+    nu = np.full(n, n / labels.count if method == "wnll" else 1.0)
+    nu[labels.unlabeled(n)] = 1.0
+    return _value_solver(nu, graph, labels, (cfg or SolverConfig()).lin_tol)[0]
+
+
 def gl_solve(graph: WeightGraph, labels: LabelAssignment,
-             cfg: Optional[SolverConfig] = None, full_output: bool = False):
+             cfg: Optional[SolverConfig] = None):
     """Graph-Laplacian baseline: minimizer of the quadratic energy, equal
     to the first value update with unit penalties."""
-    cfg = cfg or SolverConfig()
-    (u, report), _ = _value_solver(np.ones(graph.n_nodes), graph, labels,
-                                   cfg.lin_tol)
-    return (u, report) if full_output else u
+    return _baseline("gl", graph, labels, cfg)[0]
 
 
 def wnll_solve(graph: WeightGraph, labels: LabelAssignment,
-               cfg: Optional[SolverConfig] = None, full_output: bool = False):
+               cfg: Optional[SolverConfig] = None):
     """Weighted non-local Laplacian baseline: labeled rows up-weighted by
     (number of points) / (number of labels)."""
+    return _baseline("wnll", graph, labels, cfg)[0]
+
+
+def solve(method: str, graph: WeightGraph, labels: LabelAssignment,
+          cfg: Optional[SolverConfig] = None):
+    """Solve by method "gl", "wnll" or "il"; returns (u, Diagnostics).
+
+    IL's record is il_solve's. GL's and WNLL's is that of their one value
+    update, with the objective of u as il_solve measures it under cfg."""
+    if method not in ("gl", "wnll", "il"):
+        raise InvalidParameterError(f"unknown method {method!r}")
     cfg = cfg or SolverConfig()
-    n = graph.n_nodes
-    nu = np.full(n, n / labels.count)
-    nu[labels.unlabeled(n)] = 1.0
-    (u, report), _ = _value_solver(nu, graph, labels, cfg.lin_tol)
-    return (u, report) if full_output else u
+    if method == "il":
+        return il_solve(graph, labels, cfg)
+    u, report = _baseline(method, graph, labels, cfg)
+    rows = labels.unlabeled(graph.n_nodes) if cfg.max_over_unlabeled_only else None
+    f = objective(u, graph, cfg.alpha, rows)
+    return u, Diagnostics(converged=report.converged, iterations=1, objective=f,
+                          history=np.array([f]), **_linear_fields([report]))
 
 
 def il_solve(graph: WeightGraph, labels: LabelAssignment,
              cfg: Optional[SolverConfig] = None):
     """Split Bregman solve of the infinity-Laplacian model.
 
-    Returns (u, ILDiagnostics); u is the best iterate by objective value,
+    Returns (u, Diagnostics); u is the best iterate by objective value,
     clipped to the range of the label values, with labeled entries pinned
     exactly. The diagnostics' objective is that of the returned u. Their
     first_update is the first value update, the GL solution: the same
@@ -407,16 +447,8 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     # clipping to the label range, which holds a minimizer, is 1-Lipschitz:
     # no row energy rises
     best_u = np.clip(best_u, labels.values.min(), labels.values.max())
-    diag = ILDiagnostics(
-        c_star=c_star,
-        iterations=len(history),
-        converged=converged,
+    return best_u, Diagnostics(
+        converged=converged, iterations=len(history),
         objective=_model_value(R @ (G @ best_u) ** 2, cfg.alpha, row_subset),
-        history=np.asarray(history),
-        primal_residual=primal(),
-        final_linear_report=report,
-        linear_unconverged=sum(not r.converged for r in reports),
-        linear_residual_max=max(r.relative_residual for r in reports),
-        first_update=first_update,
-    )
-    return best_u, diag
+        history=np.asarray(history), **_linear_fields(reports),
+        c_star=c_star, primal_residual=primal(), first_update=first_update)

@@ -8,8 +8,7 @@ import numpy as np
 
 from .graph import (InvalidParameterError, KernelSpec, PointCloud, WeightGraph,
                     knn_graph)
-from .solver import (LabelAssignment, SolverConfig, gl_solve, il_solve,
-                     nonlocal_inf_metric, wnll_solve)
+from .solver import LabelAssignment, SolverConfig, nonlocal_inf_metric, solve
 
 LABEL_POINTS = np.array([
     [math.sqrt(2) / 2, 1 - math.sqrt(3) / 10],
@@ -49,28 +48,28 @@ def run_toy2d(problem: ToyProblem, methods=("gl", "wnll", "il"),
               cfg: SolverConfig = None):
     """Solve with the requested methods. Returns the metric of the
     generating function and of each method, each method's solution, both
-    in the order of ``methods``, and IL diagnostics (None without IL).
+    in the order of ``methods``, and one Diagnostics over every solve: the
+    first solve's record, the others folded in by Diagnostics.absorb.
 
     IL runs first. Its first value update is the GL solution, so with both
-    requested GL is read off its diagnostics: one factor of the GL system
-    serves both, and it is freed when il_solve returns, before WNLL builds
-    its own."""
+    requested GL is read off its diagnostics, no further solve: one factor
+    of the GL system serves both, and it is freed when IL returns, before
+    WNLL builds its own."""
     cfg = cfg or SolverConfig(alpha=0.0)
     unknown = [m for m in methods if m not in ("gl", "wnll", "il")]
     if unknown:
-        raise ValueError(f"unknown method {unknown[0]!r}")
-    solutions = {}
-    diagnostics = None
-    if "il" in methods:
-        solutions["il"], diagnostics = il_solve(problem.graph, problem.labels, cfg)
-        if "gl" in methods:
-            solutions["gl"] = diagnostics.first_update
-    for method, solve in (("gl", gl_solve), ("wnll", wnll_solve)):
-        if method in methods and method not in solutions:
-            solutions[method] = solve(problem.graph, problem.labels, cfg)
+        raise InvalidParameterError(f"unknown method {unknown[0]!r}")
+    solutions, diag = {}, None
+    for method in [m for m in ("il", "gl", "wnll") if m in methods]:
+        if method == "gl" and "il" in solutions:
+            solutions["gl"] = diag.first_update
+        else:
+            solutions[method], found = solve(method, problem.graph,
+                                             problem.labels, cfg)
+            diag = found if diag is None else diag.absorb(found)
     solutions = {method: solutions[method] for method in methods}
     metrics = {"generating": nonlocal_inf_metric(
         generating_function(problem.points), problem.graph)}
     metrics.update((method, nonlocal_inf_metric(u, problem.graph))
                    for method, u in solutions.items())
-    return metrics, solutions, diagnostics
+    return metrics, solutions, diag

@@ -13,7 +13,7 @@ import ilgraph.gamma
 import ilgraph.linalg
 import ilgraph.solver
 from ilgraph.cli import build_parser, main, write_report
-from ilgraph.inpaint import Image, write_pgm
+from ilgraph.inpaint import Image, psnr, read_pgm, write_pgm
 from ilgraph.solver import ConvergenceError, SolverConfig
 
 # every field of the solver configuration a run solves with
@@ -49,7 +49,8 @@ def _small_image(tmp_path):
 
 class TestExitRule:
     @pytest.mark.parametrize("command", ["solve", "toy2d", "inpaint",
-                                         "inpaint-gl"])
+                                         "inpaint-gl", "toy2d-gl",
+                                         "toy2d-wnll"])
     def test_unconverged_linear_solve_exit_2(self, problem_files, tmp_path,
                                              monkeypatch, command):
         # every linear solve reports a miss; the run still finishes
@@ -66,9 +67,10 @@ class TestExitRule:
         graph, labels = problem_files
         src = _small_image(tmp_path)
         patch = ["--patch", "3", "--k", "8", "--k-sigma", "4"]
+        toy = ["toy2d", "--grid", "8", "--sigma", "0.2", "--k", "6", "--method"]
         argv = {"solve": ["solve", str(graph), str(labels)],
-                "toy2d": ["toy2d", "--grid", "8", "--sigma", "0.2", "--k", "6",
-                          "--method", "il"],
+                "toy2d": [*toy, "il"], "toy2d-gl": [*toy, "gl"],
+                "toy2d-wnll": [*toy, "wnll"],
                 "inpaint": ["inpaint", str(src), "--mask-density", "0.3",
                             "--method", "il", "--outer-iters", "2", *patch],
                 "inpaint-gl": ["inpaint", str(src), "--mask-density", "0.3",
@@ -76,22 +78,50 @@ class TestExitRule:
                                *patch]}[command]
         assert main(["--out", str(out), *argv]) == 2
         report = json.loads((out / "report.json").read_text())
-        if command == "inpaint-gl":
+        if command in ("inpaint-gl", "toy2d-gl", "toy2d-wnll"):
+            # one value update: the record of a single solve
             assert report["converged"] is False
-            assert report["relative_residual"] <= 1e-10
+            assert (report["iterations"] == report["linear_unconverged"]
+                    == len(calls) == 1)
         else:
             assert report["linear_unconverged"] == len(calls) > 1
-            assert report["linear_residual_max"] <= 1e-10
+        assert report["linear_residual_max"] <= 1e-10
+
+    def test_unconverged_wnll_solve_in_toy2d_exit_2(self, tmp_path,
+                                                    monkeypatch):
+        # IL's solves meet lin_tol; the WNLL solve that follows does not
+        il, solve = ilgraph.solver.il_solve, ilgraph.solver.solve_symmetric
+        il_done = []
+
+        def il_then_flag(*args, **kwargs):
+            result = il(*args, **kwargs)
+            il_done.append(1)
+            return result
+
+        def flagged_after_il(*args, **kwargs):
+            x, report = solve(*args, **kwargs)
+            return x, dataclasses.replace(
+                report, converged=report.converged and not il_done)
+
+        monkeypatch.setattr(ilgraph.solver, "il_solve", il_then_flag)
+        monkeypatch.setattr(ilgraph.solver, "solve_symmetric", flagged_after_il)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "toy2d", "--grid", "8", "--sigma",
+                     "0.2", "--k", "6"]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert il_done and report["linear_unconverged"] == 1
+        assert report["converged"] is False
+        assert report["c_star"] > 0 and report["iterations"] > 1  # IL's
 
     def test_unconverged_il_inpaint_exit_2(self, tmp_path, monkeypatch):
         # every linear solve meets lin_tol, the IL iteration does not
-        il = ilgraph.inpaint.il_solve
+        il = ilgraph.solver.il_solve
 
         def unconverged(*args, **kwargs):
             u, diag = il(*args, **kwargs)
             return u, dataclasses.replace(diag, converged=False)
 
-        monkeypatch.setattr(ilgraph.inpaint, "il_solve", unconverged)
+        monkeypatch.setattr(ilgraph.solver, "il_solve", unconverged)
         out = tmp_path / "o"
         src = _small_image(tmp_path)
         assert main(["--out", str(out), "inpaint", str(src),
@@ -236,13 +266,17 @@ class TestSolve:
         assert (out / "config.json").exists()
 
     def test_gl_method(self, problem_files, tmp_path):
+        # GL writes the report schema of every method
         graph, labels = problem_files
-        out = tmp_path / "out"
-        code = main(["--out", str(out), "solve", "--method", "gl",
-                     str(graph), str(labels)])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        assert "linear_iterations" in report
+        keys = {}
+        for method in ("gl", "wnll", "il"):
+            out = tmp_path / method
+            code = main(["--out", str(out), "solve", "--method", method,
+                         str(graph), str(labels)])
+            assert code == 0
+            keys[method] = json.loads((out / "report.json").read_text()).keys()
+        assert "linear_iterations" in keys["gl"]
+        assert keys["gl"] == keys["wnll"] == keys["il"]
 
     def test_missing_file_exit_1(self, tmp_path, capsys):
         code = main(["--out", str(tmp_path), "solve", "nope.csv", "nada.csv"])
@@ -386,12 +420,27 @@ class TestInpaint:
         report = json.loads((out / "report.json").read_text())
         assert report["psnr_db"] > 10
         assert report["converged"] is True
-        assert 0 <= report["relative_residual"] <= 1e-10
+        assert 0 <= report["linear_residual_max"] <= 1e-10
         config = json.loads((out / "config.json").read_text())
         assert SOLVER_KEYS <= config.keys()
         assert config["alpha"] == 0.25
         assert (out / "out.pgm").exists()
         assert (out / "mask.csv").exists()
+
+    def test_psnr_against_ground_truth_with_oracle(self, tmp_path):
+        src = _small_image(tmp_path)
+        truth = tmp_path / "truth.pgm"
+        write_pgm(Image(np.full((16, 16), 100.0)), truth)
+        out = tmp_path / "o"
+        assert main(["--out", str(out), "inpaint", str(src), "--method", "gl",
+                     "--patch", "3", "--k", "8", "--k-sigma", "4",
+                     "--mask-density", "0.3", "--oracle-weights", str(src),
+                     "--ground-truth", str(truth)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        # out.pgm holds the result rounded to integers
+        expected = psnr(read_pgm(out / "out.pgm"), read_pgm(truth))
+        assert report["psnr_db"] == pytest.approx(expected, abs=0.05)
+        assert report["psnr_db"] < 15  # the oracle image would give more
 
     def test_blind_unsettled_penalty_exit_2(self, tmp_path, capsys, monkeypatch):
         def unsettled(*args, **kwargs):
@@ -464,14 +513,16 @@ class TestInpaint:
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path}: ")
 
-    @pytest.mark.parametrize("truth", ["missing", "mis-sized"])
+    @pytest.mark.parametrize("truth", ["missing", "mis-sized",
+                                       "missing-with-oracle"])
     def test_bad_ground_truth_exit_1_before_solving(self, tmp_path, capsys,
                                                     truth):
         src = _small_image(tmp_path)
         path = tmp_path / "truth.pgm"
         if truth == "mis-sized":
             write_pgm(Image(np.full((6, 6), 100.0)), path)
-        assert self._inpaint(tmp_path, src, "--mask-density", "0.3",
+        oracle = ["--oracle-weights", str(src)] if "oracle" in truth else []
+        assert self._inpaint(tmp_path, src, "--mask-density", "0.3", *oracle,
                              "--ground-truth", str(path)) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not (tmp_path / "o" / "out.pgm").exists()

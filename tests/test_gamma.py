@@ -10,16 +10,17 @@ from ilgraph.gamma import (BandwidthSchedule, ContinuumProblem,
                            convergence_study, discrete_energy,
                            interval_benchmark, rows_to_csv, sigma_eta)
 from ilgraph.graph import InvalidParameterError, KernelSpec
-from ilgraph.solver import ConvergenceError, ILDiagnostics, SolverConfig
+from ilgraph.solver import ConvergenceError, Diagnostics, SolverConfig
 
 
 def pinned_stub(graph, labels, cfg=None):
     """Stands in for il_solve: zeros with the labels pinned, converged."""
     u = np.zeros(graph.n_nodes)
     u[labels.indices] = labels.values
-    return u, ILDiagnostics(c_star=1.0, iterations=1, converged=True,
-                            objective=0.0, history=np.zeros(1),
-                            primal_residual=0.0)
+    return u, Diagnostics(converged=True, iterations=1, objective=0.0,
+                          history=np.zeros(1), linear_unconverged=0,
+                          linear_residual_max=0.0, linear_iterations=0,
+                          c_star=1.0, primal_residual=0.0)
 
 
 class TestSigmaEta:

@@ -12,7 +12,7 @@ from ilgraph.graph import InvalidParameterError, WeightGraph
 from ilgraph.linalg import DisconnectedGraphError
 from ilgraph.solver import (LabelAssignment, SolverConfig, _choose_c_from_g1,
                             _value_solver, choose_c, gl_solve, il_solve,
-                            nonlocal_inf_metric, objective, wnll_solve)
+                            nonlocal_inf_metric, objective, solve, wnll_solve)
 
 
 def record_reports(monkeypatch):
@@ -193,6 +193,69 @@ class TestBaselines:
             gl_solve(graph, LabelAssignment([0], [1.0]))
 
 
+class TestSolve:
+    @pytest.mark.parametrize("method", ["gl", "wnll", "il"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_method_function(self, method, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_connected_graph(30, rng)
+        labels = random_labels(30, rng)
+        cfg = SolverConfig(alpha=1e-3 * seed)
+        u = {"gl": gl_solve, "wnll": wnll_solve,
+             "il": lambda *args: il_solve(*args)[0]}[method](graph, labels, cfg)
+        assert np.array_equal(solve(method, graph, labels, cfg)[0], u)
+
+    @pytest.mark.parametrize("factored", [True, False])
+    @pytest.mark.parametrize("method", ["gl", "wnll", "il"])
+    def test_linear_fields_match_solve_reports(self, request, monkeypatch,
+                                               factored, method):
+        if not factored:
+            request.getfixturevalue("over_cap")
+        reports = record_reports(monkeypatch)
+        rng = np.random.default_rng(10)
+        graph = random_connected_graph(20, rng)
+        u, diag = solve(method, graph, random_labels(20, rng), SolverConfig())
+        # GL and WNLL: one value update; IL: the first pass plus one value
+        # update per further iteration
+        assert len(reports) == diag.iterations
+        assert (diag.iterations == 1) == (method != "il")
+        assert diag.linear_unconverged == sum(not r.converged for r in reports)
+        assert diag.linear_residual_max == max(r.relative_residual
+                                               for r in reports)
+        assert diag.linear_iterations == sum(r.iterations for r in reports)
+        assert (diag.linear_iterations > 0) == (not factored)
+        if method != "il":
+            assert diag.converged == reports[0].converged
+            assert diag.objective == objective(u, graph, 0.0)
+            assert diag.history.tolist() == [diag.objective]
+            assert diag.c_star is diag.first_update is None
+
+    def test_unknown_method_raises_before_solving(self, monkeypatch):
+        reports = record_reports(monkeypatch)
+        rng = np.random.default_rng(11)
+        graph = random_connected_graph(20, rng)
+        with pytest.raises(InvalidParameterError, match="unknown method 'tv'"):
+            solve("tv", graph, random_labels(20, rng))
+        assert not reports
+
+    def test_absorb_folds_in_linear_counts(self):
+        rng = np.random.default_rng(12)
+        graph = random_connected_graph(20, rng)
+        labels = random_labels(20, rng)
+        _, il = solve("il", graph, labels)
+        _, wnll = solve("wnll", graph, labels)
+        wnll.converged, wnll.linear_unconverged = False, 1
+        wnll.linear_residual_max, wnll.linear_iterations = 1.0, 7
+        both = il.absorb(wnll)
+        assert (both.converged, both.linear_unconverged,
+                both.linear_residual_max, both.linear_iterations) == (
+            False, il.linear_unconverged + 1, 1.0, il.linear_iterations + 7)
+        # every other field is the receiver's
+        assert (both.iterations, both.objective, both.c_star) == (
+            il.iterations, il.objective, il.c_star)
+        assert both.first_update is il.first_update
+
+
 class TestValueUpdate:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(4, 40), n_labels=st.integers(1, 3),
@@ -349,7 +412,7 @@ class TestValueUpdate:
         rng = np.random.default_rng(13)
         graph = random_connected_graph(30, rng)
         _, diag = il_solve(graph, random_labels(30, rng), SolverConfig())
-        assert diag.final_linear_report.iterations > 0
+        assert diag.linear_iterations == sum(r.iterations for r in reports) > 0
         assert len(reports) == diag.iterations > 1
         assert all(r.converged for r in reports)
         assert diag.linear_unconverged == 0
@@ -528,15 +591,6 @@ class TestILSolve:
         assert diag.objective == objective(u, graph, alpha)
         assert diag.objective <= diag.history.min()
 
-    def test_final_linear_report_is_last_solve(self, monkeypatch):
-        reports = record_reports(monkeypatch)
-        rng = np.random.default_rng(10)
-        graph = random_connected_graph(20, rng)
-        _, diag = il_solve(graph, random_labels(20, rng), SolverConfig())
-        # the first pass plus one value update per further iteration
-        assert len(reports) == diag.iterations > 1
-        assert diag.final_linear_report is reports[-1]
-
     def test_connectivity_checked_once_per_solve(self, monkeypatch):
         calls = []
         check = ilgraph.solver.check_label_connectivity
@@ -549,9 +603,11 @@ class TestILSolve:
         rng = np.random.default_rng(11)
         graph = random_connected_graph(20, rng)
         labels = random_labels(20, rng)
-        for solve in (gl_solve, wnll_solve, il_solve):
+        by_name = [lambda g, lab, m=m: solve(m, g, lab)
+                   for m in ("gl", "wnll", "il")]
+        for solver in (gl_solve, wnll_solve, il_solve, *by_name):
             calls.clear()
-            solve(graph, labels)
+            solver(graph, labels)
             assert len(calls) == 1
 
     @pytest.mark.parametrize("factored", [True, False])
