@@ -41,13 +41,9 @@ def sigma_eta(kernel: KernelSpec, p: float, dim: int) -> float:
     r = kernel.support_radius / kernel.bandwidth  # support of the profile
     radial, _ = quad(lambda t: kernel.profile(t) * t ** (p + dim - 1), 0.0, r,
                      epsabs=0.0, epsrel=1e-10)
-    if dim == 1:
-        angular = 2.0
-        # the radial power above already includes t^{p+d-1} = t^p for d=1
-    else:
-        # integral of |omega_1|^p over the unit sphere S^{d-1}
-        angular = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.exp(
-            math.lgamma((p + 1) / 2.0) - math.lgamma((p + dim) / 2.0))
+    # integral of |omega_1|^p over the unit sphere S^{d-1}: exactly 2 at d = 1
+    angular = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.exp(
+        math.lgamma((p + 1) / 2.0) - math.lgamma((p + dim) / 2.0))
     return float((radial * angular) ** (1.0 / p))
 
 
@@ -55,11 +51,15 @@ def discrete_energy(u, points, kernel: KernelSpec, s: float, p: float,
                     label_indices=None, label_values=None,
                     dim: Optional[int] = None) -> float:
     """Exact evaluation of the scaled discrete energy over all pairs within
-    the support radius. Returns +inf if the label constraint is violated."""
+    the support radius, one row of points per value of u (1-D points may
+    come as a flat array). Returns +inf if the label constraint is violated."""
     u = np.asarray(u, dtype=float)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] != u.shape[0]:
-        points = points.T
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.ndim != 2 or points.shape[0] != u.shape[0]:
+        raise InvalidParameterError(f"points of shape {points.shape} do not "
+                                    "give one point per value of u")
     if label_indices is not None:
         if not np.array_equal(u[np.asarray(label_indices)],
                               np.asarray(label_values, dtype=float)):
@@ -84,11 +84,11 @@ class ContinuumProblem:
     domain: 'interval' ([0,1]) or 'circle' (unit circle in R^2,
     parameterized by arc length). label_param holds the label locations in
     the domain parameterization; minimizer maps parameters to the optimal
-    labeling values; min_energy is its Lipschitz constant.
+    labeling values, so the labels are its values at label_param;
+    min_energy is its Lipschitz constant.
     """
 
     domain: str
-    g: Callable[[np.ndarray], np.ndarray]
     label_param: np.ndarray
     minimizer: Callable[[np.ndarray], np.ndarray]
     min_energy: float
@@ -119,7 +119,7 @@ def interval_benchmark(g0: float = 0.0, g1: float = 1.0) -> ContinuumProblem:
     def g(t):
         return g0 + (g1 - g0) * np.asarray(t, dtype=float)
 
-    return ContinuumProblem("interval", g, np.array([0.0, 1.0]), g, lip, 1.0, 1)
+    return ContinuumProblem("interval", np.array([0.0, 1.0]), g, lip, 1.0, 1)
 
 
 def circle_benchmark(v0: float = 0.0, v1: float = 1.0) -> ContinuumProblem:
@@ -132,8 +132,8 @@ def circle_benchmark(v0: float = 0.0, v1: float = 1.0) -> ContinuumProblem:
         frac = np.minimum(theta, 2.0 * math.pi - theta) / math.pi
         return v0 + (v1 - v0) * frac
 
-    return ContinuumProblem("circle", minimizer, np.array([0.0, math.pi]),
-                            minimizer, lip, 2.0 * math.pi, 1)
+    return ContinuumProblem("circle", np.array([0.0, math.pi]), minimizer,
+                            lip, 2.0 * math.pi, 1)
 
 
 @dataclass
@@ -249,7 +249,7 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
             params, pts = problem.sample(n, np.random.default_rng(next(streams)))
             total = params.size
             label_idx = np.arange(total - problem.label_param.size, total)
-            label_val = problem.g(problem.label_param)
+            label_val = problem.minimizer(problem.label_param)
             graph = build_full_kernel_graph(pts, kernel, s, dim=problem.intrinsic_dim)
             labels = LabelAssignment(label_idx, label_val)
             try:

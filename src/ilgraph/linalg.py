@@ -247,11 +247,12 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
     """Solve A x = b for symmetric positive definite A. Returns
     (x, SolveReport).
 
-    With a sparse LU factor of A from factor_if_small, one direct solve
-    (0 iterations); otherwise CG, capped at 10 n iterations, deflated on
-    the basis of a Deflation of A when given one (the first solve fills
-    an empty one). The Galerkin start on that basis counts as no
-    iteration. Either way the report holds the true relative residual.
+    With a factor of A from factor_if_small, band Cholesky or sparse LU,
+    one direct solve (0 iterations); otherwise CG, capped at 10 n
+    iterations, deflated on the basis of a Deflation of A when given one
+    (the first solve fills an empty one). The Galerkin start on that basis
+    counts as no iteration. Either way the report holds the true relative
+    residual.
     Non-convergence is reported, not raised; the caller decides.
     """
     if not tol > 0:

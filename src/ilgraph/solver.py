@@ -33,10 +33,15 @@ every row with rho_i = 1. il_solve keeps q only on the rows with
 rho_i != 1 and steps with delta on the edges of the rows where rho_i != 1
 now or q is carried from the last step. At alpha = 0, rho_i is exactly 1
 on every row the threshold leaves alone, so those are the clipped rows;
-at alpha > 0 they are all rows. Each iteration makes two full edge
-passes, t = G u and g = R t^2, and one edge selection; the rest touches
-the selected edges. The rows carrying q lie in the last selection,
-which supplies their norms ||y_i||.
+at alpha > 0 they are all rows. The rows carrying q lie in the last
+selection, which supplies their norms ||y_i||.
+
+il_solve's loop reads in algorithm order: the D update (row norms of y,
+the row scales rho, the edge selection, D = rho y); the multiplier
+update q' = D - y, skipped on the first pass; the objective, the best
+iterate and the stop test; then the value update towards s = D + q' and
+the two full edge passes t = G u and g = R t^2. Everything else touches
+the selected edges only.
 """
 
 import warnings
@@ -47,8 +52,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import InvalidParameterError, WeightGraph
-from .linalg import (Deflation, SolveReport, check_label_connectivity,
-                     factor_if_small, solve_symmetric)
+from .linalg import (Deflation, check_label_connectivity, factor_if_small,
+                     solve_symmetric)
 
 # entries of threshold_subproblem's input sorted first: on the 101x101
 # grid about 60 of 10204 rows are clipped
@@ -265,8 +270,6 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     def advance(u, r):
         """u + du with A du = r_unl."""
         u = u.copy()
-        if unl.size == 0:
-            return u, SolveReport(0, 0.0, True)
         du, report = solve_symmetric(A, r[unl], tol=lin_tol, factor=factor)
         u[unl] += du
         return u, report
@@ -398,14 +401,10 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     q = np.zeros(graph.weights.nnz)
     carried = np.zeros(n, dtype=bool)
     e = tails = np.zeros(0, dtype=np.intp)  # the last selection
-
-    def d_update(update_q):
-        """D = rho y on the selected rows, y = t - q; then q' = D - y when
-        asked (the first update keeps q = 0). Selects the edges e and
-        returns the change delta = D + q' - t on them, and D."""
-        nonlocal e, tails
-        # ||y_i|| from g where q = 0, from y on the rows carrying q: whole
-        # rows of the last selection, which holds every one of them
+    history = []
+    while True:
+        # D = rho y, y = t - q, with ||y_i|| from g where q = 0 and from y
+        # on the rows carrying q: whole rows of the last selection
         y = t[e] - q[e]
         norm = np.sqrt(np.where(
             carried, np.bincount(tails, y ** 2, minlength=n), g))
@@ -413,36 +412,26 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         e, tails = graph.out_edges((rho != 1.0) | carried)
         y = t[e] - q[e]
         D = rho[tails] * y
-        if not update_q:
-            return D - t[e], D
-        q_new = D - y  # (rho - 1) y: exactly 0 where rho = 1
-        q[e] = q_new
-        carried[:] = rho != 1.0
-        return D + q_new - t[e], D
-
-    def primal():  # max|D - t|: D = t off the selected edges
-        return float(np.max(np.abs(D - t[e]), initial=0.0))
-
-    delta, D = d_update(update_q=False)
-    history = [_model_value(g, cfg.alpha, row_subset)]
-    best_u, best_f = u, history[0]
-    converged = False
-    while len(history) < cfg.max_outer_iter:
-        u, report = step(u, delta, e)
+        if history:  # q' = D - y = (rho - 1) y; the first pass keeps q = 0
+            q[e] = D - y
+            carried = rho != 1.0
+        fval = _model_value(g, cfg.alpha, row_subset)
+        if not history or fval < best_f:
+            best_u, best_f = u, fval
+        history.append(fval)
+        # nan fails the test below: the first pass makes no stop test
+        prev = history[-2] if len(history) > 1 else np.nan
+        # max|D - t| is the primal residual: D = t off the selected edges
+        converged = bool(
+            (prev == 0.0 or abs(fval - prev) / prev <= cfg.rel_obj_tol)
+            and (cfg.primal_tol is None
+                 or np.max(np.abs(D - t[e]), initial=0.0) <= cfg.primal_tol))
+        if converged or len(history) == cfg.max_outer_iter:
+            break
+        u, report = step(u, D + q[e] - t[e], e)
         reports.append(report)
         t = G @ u
         g = R @ t ** 2
-        delta, D = d_update(update_q=True)
-        fval = _model_value(g, cfg.alpha, row_subset)
-        history.append(fval)
-        if fval < best_f:
-            best_u, best_f = u, fval
-        prev = history[-2]
-        if prev == 0.0 or abs(fval - prev) / prev <= cfg.rel_obj_tol:
-            if cfg.primal_tol is not None and primal() > cfg.primal_tol:
-                continue
-            converged = True
-            break
 
     # clipping to the label range, which holds a minimizer, is 1-Lipschitz:
     # no row energy rises
@@ -450,5 +439,6 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     return best_u, Diagnostics(
         converged=converged, iterations=len(history),
         objective=_model_value(R @ (G @ best_u) ** 2, cfg.alpha, row_subset),
-        history=np.asarray(history), **_linear_fields(reports),
-        c_star=c_star, primal_residual=primal(), first_update=first_update)
+        history=np.asarray(history), **_linear_fields(reports), c_star=c_star,
+        primal_residual=float(np.max(np.abs(D - t[e]), initial=0.0)),
+        first_update=first_update)

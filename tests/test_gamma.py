@@ -79,6 +79,22 @@ class TestDiscreteEnergy:
         e2 = discrete_energy(2 * u, pts, ker, 0.5, 2.0)
         assert np.isclose(e2, 2 * e1)
 
+    def test_points_as_one_column_equal_flat_points(self):
+        pts = np.array([0.0, 0.4, 1.2])
+        u = np.array([0.0, 1.0, 3.0])
+        ker = KernelSpec.tent()
+        assert (discrete_energy(u, pts[:, None], ker, 1.0, 2.0)
+                == discrete_energy(u, pts, ker, 1.0, 2.0))
+
+    @pytest.mark.parametrize("points, u", [
+        (np.zeros((3, 2)), np.zeros(2)),   # 3 points in 2-D, 2 values
+        (np.arange(4.0), np.zeros(3)),     # 4 points on a line, 3 values
+    ])
+    def test_rejects_point_count_mismatch(self, points, u):
+        # a mismatch is not read as the transposed point set
+        with pytest.raises(InvalidParameterError, match="one point per value"):
+            discrete_energy(u, points, KernelSpec.tent(), 1.0, 2.0)
+
 
 class TestBenchmarks:
     def test_interval_minimizer_is_identity(self):

@@ -238,6 +238,20 @@ class TestSolve:
             solve("tv", graph, random_labels(20, rng))
         assert not reports
 
+    @pytest.mark.parametrize("factored", [True, False])
+    @pytest.mark.parametrize("method", ["gl", "wnll", "il"])
+    def test_fully_labeled_graph_returns_labels(self, request, factored,
+                                                method):
+        # no unknowns: every value update solves a 0x0 system
+        if not factored:
+            request.getfixturevalue("over_cap")
+        rng = np.random.default_rng(13)
+        graph = random_connected_graph(10, rng)
+        labels = LabelAssignment(np.arange(10), rng.uniform(-1.0, 1.0, 10))
+        u, diag = solve(method, graph, labels)
+        assert np.array_equal(u, labels.values)
+        assert diag.converged and diag.linear_unconverged == 0
+
     def test_absorb_folds_in_linear_counts(self):
         rng = np.random.default_rng(12)
         graph = random_connected_graph(20, rng)
@@ -629,15 +643,18 @@ class TestILSolve:
     @given(n=st.integers(5, 30), seed=st.integers(0, 2 ** 32 - 1),
            directed=st.booleans(), alpha=st.sampled_from([0.0, 1e-3, 0.5]),
            unlabeled_only=st.booleans(),
-           primal_tol=st.sampled_from([None, 1e-4]))
+           primal_tol=st.sampled_from([None, 1e-4]),
+           max_outer_iter=st.sampled_from([1, 2, 300]))
     def test_matches_full_edge_reference(self, n, seed, directed, alpha,
-                                         unlabeled_only, primal_tol):
+                                         unlabeled_only, primal_tol,
+                                         max_outer_iter):
+        # 1 and 2 iterations end after the first pass and after one step
         rng = np.random.default_rng(seed)
         graph = (random_directed_graph if directed
                  else random_connected_graph)(n, rng)
         labels = random_labels(n, rng)
         cfg = SolverConfig(alpha=alpha, max_over_unlabeled_only=unlabeled_only,
-                           primal_tol=primal_tol, max_outer_iter=300)
+                           primal_tol=primal_tol, max_outer_iter=max_outer_iter)
         u, diag = il_solve(graph, labels, cfg)
         ref_iterates, ref_c, ref_history, ref_primal = reference_il_solve(
             graph, labels, cfg)
