@@ -6,11 +6,12 @@ fully resolved configuration next to the outputs. Exit codes: 0 success,
 1 input error, 2 solver non-convergence (partial results still written).
 solve, toy2d and inpaint write the fields of solver.Diagnostics, over
 every solve of the run, into report.json, and return 2 when it says the
-iteration did not converge or a linear solve missed lin_tol. inpaint
+iteration did not converge or a linear solve missed its own tolerance
+(lin_tol; an il_solve step's is looser, see solver.STEP_TOL_MAX). inpaint
 takes PSNR against --ground-truth, else against the --oracle-weights
 image. gamma returns 2 when any row of study.csv is flagged, did not
-converge or missed lin_tol, as its converged, linear_unconverged and
-flagged columns show.
+converge or had a solve miss its tolerance, as its converged,
+linear_unconverged and flagged columns show.
 """
 
 import argparse
@@ -104,7 +105,8 @@ def _diagnostics(diag) -> dict:
 
 def _exit_code(report) -> int:
     """One rule for every solving command: 2 when its report says the
-    iteration did not converge or a linear solve missed lin_tol, else 0."""
+    iteration did not converge or a linear solve missed its own
+    tolerance, else 0."""
     failed = not report["converged"] or report["linear_unconverged"] > 0
     return 2 if failed else 0
 

@@ -198,10 +198,13 @@ class StudyRow:
 
 def build_full_kernel_graph(points, kernel: KernelSpec, s: float,
                             dim: Optional[int] = None) -> WeightGraph:
-    """All pairs within the scaled support radius, w_ij = eta_s(|x_i-x_j|)."""
+    """All pairs within the scaled support radius, w_ij = eta_s(|x_i-x_j|),
+    one row of points per node (1-D points may come as a flat array)."""
     # imported here: only graph builds from coordinates need scipy.spatial
     from scipy.spatial import cKDTree
-    points = np.atleast_2d(points)
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[:, None]
     n, d = points.shape
     if dim is not None:
         d = dim
@@ -230,8 +233,8 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
     minimizer against the predicted limit, at p = 2, the exponent the
     discrete solver covers. One row per (n, trial), each sampled by its own
     generator spawned from seed. A row records whether its solve converged
-    and how many value updates missed lin_tol; a row whose solve fails is
-    flagged with the error as its reason."""
+    and how many value updates missed their own tolerance; a row whose
+    solve fails is flagged with the error as its reason."""
     if trials < 1:
         raise InvalidParameterError("trials must be a positive integer")
     p = 2.0

@@ -45,6 +45,12 @@ A-orthogonal to them (Saad, Yeung, Erhel and Guyomarc'h 2000, "A
 deflated version of the conjugate gradient algorithm"), so the few
 isolated small eigenvalues of a patch-graph Laplacian no longer set its
 iteration count.
+
+Each solve's SolveReport states the tolerance it was judged against.
+The first value update of a system (GL, WNLL, choose_c, il_solve's
+first pass) solves to lin_tol, and its Deflation learns from that
+solve; il_solve's later steps pass their own, looser tolerance
+(solver.STEP_TOL_MAX). A factored solve ignores the tolerance.
 """
 
 from dataclasses import dataclass
@@ -74,14 +80,17 @@ class DisconnectedGraphError(RuntimeError):
 class SolveReport:
     """One linear solve: CG iterations taken (0 for a factored solve; the
     Galerkin start of a deflated solve counts as none), the true relative
-    residual ||A x - b|| / ||b||, and whether it met the tolerance. An
-    il_solve iteration solves for the change in u, so its residual is
-    relative to the increment's right-hand side, not to that of the full
-    value update."""
+    residual ||A x - b|| / ||b||, the tolerance tol it was judged against,
+    and whether it met that tol. An il_solve iteration solves for the
+    change in u, so its residual is relative to the increment's
+    right-hand side, not to that of the full value update, and its tol is
+    the step's own (see solver.STEP_TOL_MAX); a factored solve ignores
+    tol and is exact to round-off."""
 
     iterations: int
     relative_residual: float
     converged: bool
+    tol: float
 
 
 def factor_if_small(A):
@@ -261,7 +270,7 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
     n = b.shape[0]
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True)
+        return np.zeros(n), SolveReport(0, 0.0, True, tol)
     if isinstance(factor, Deflation):
         x, iterations, res = factor.solve(A, b, tol)
     elif factor is not None:
@@ -269,7 +278,7 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
         res = float(np.linalg.norm(A @ x - b) / b_norm)
     else:
         x, iterations, res = _cg(A, b, tol, Deflation(n))
-    return x, SolveReport(iterations, res, bool(res <= tol))
+    return x, SolveReport(iterations, res, bool(res <= tol), tol)
 
 
 def check_label_connectivity(support: sp.csr_matrix, labeled_idx: np.ndarray):

@@ -42,6 +42,15 @@ update q' = D - y, skipped on the first pass; the objective, the best
 iterate and the stop test; then the value update towards s = D + q' and
 the two full edge passes t = G u and g = R t^2. Everything else touches
 the selected edges only.
+
+The first value update solves to lin_tol. Each later step solves only as
+accurately as the iteration needs: to the last relative objective change
+clipped to [lin_tol, STEP_TOL_MAX], the first step to STEP_TOL_MAX. The
+error of a step is lost again at the next threshold; inexact steps with
+summable errors keep the splitting convergent (Eckstein and Bertsekas
+1992). A SolveReport is judged against its step's own tolerance, so a
+step that misses it is still counted. Factored solves are exact either
+way, so on factored systems the result does not depend on the rule.
 """
 
 import warnings
@@ -58,6 +67,8 @@ from .linalg import (Deflation, check_label_connectivity, factor_if_small,
 # entries of threshold_subproblem's input sorted first: on the 101x101
 # grid about 60 of 10204 rows are clipped
 THRESHOLD_TOP = 64
+# loosest relative residual an il_solve step solves to (module docstring)
+STEP_TOL_MAX = 1e-4
 
 
 class ConvergenceError(RuntimeError):
@@ -129,10 +140,11 @@ class SolverConfig:
 class Diagnostics:
     """What one solve did, one record for GL, WNLL and IL. A GL or WNLL
     solve is one value update: one iteration, converged if it met lin_tol.
-    The linear_* fields cover every value update: how many missed lin_tol,
-    the worst relative residual and the CG iterations summed. IL adds its
-    penalty c*, the final max|D - G u| and its first value update, bitwise
-    what gl_solve returns for the same graph, labels and lin_tol."""
+    The linear_* fields cover every value update: how many missed its own
+    tolerance (lin_tol, or an il_solve step's), the worst relative residual
+    and the CG iterations summed. IL adds its penalty c*, the final
+    max|D - G u| and its first value update, bitwise what gl_solve returns
+    for the same graph, labels and lin_tol."""
 
     converged: bool
     iterations: int
@@ -186,7 +198,8 @@ def nonlocal_inf_metric(u, graph: WeightGraph) -> float:
 
 
 def threshold_subproblem(a, c):
-    """Exact minimizer of  max_i x_i^2 + sum_i a_i (x_i - c_i)^2.
+    """Exact minimizer of  max_i x_i^2 + sum_i a_i (x_i - c_i)^2; a is one
+    weight per entry of c, or one scalar weight for every entry.
 
     The minimizer is x = min(c, m), m the root of the increasing function
     m - sum_i a_i (c_i - m)_+: with c sorted descending, m is the mean
@@ -200,16 +213,18 @@ def threshold_subproblem(a, c):
     entries above it, which hold the prefix, are sorted instead. For a
     constant a the result is bitwise that of a full sort.
     """
-    a = np.asarray(a, dtype=float).ravel()
+    a = np.asarray(a, dtype=float)
     c = np.asarray(c, dtype=float).ravel()
-    if a.shape != c.shape:
+    if a.ndim and a.size != c.size:
         raise InvalidParameterError("a and c must have equal length")
-    if a.size == 0:
+    if c.size == 0:
         return np.zeros(0)
-    if np.any(a <= 0):
+    if np.any(a <= 0):  # one test for a scalar a
         raise InvalidParameterError("all a_i must be positive")
     if np.any(c < 0):
         raise InvalidParameterError("all c_i must be nonnegative")
+    # a scalar a is read through a broadcast view: no copy per entry
+    a = np.broadcast_to(a, c.shape) if a.ndim == 0 else a.ravel()
 
     def prefix_means(idx):
         """The prefix means of the entries idx, sorted descending, and the
@@ -267,22 +282,23 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     if factor is None:  # CG, deflated by what its first solve learns
         factor = Deflation(unl.size)
 
-    def advance(u, r):
-        """u + du with A du = r_unl."""
+    def advance(u, r, tol):
+        """u + du with A du = r_unl, solved to the relative residual tol."""
         u = u.copy()
-        du, report = solve_symmetric(A, r[unl], tol=lin_tol, factor=factor)
+        du, report = solve_symmetric(A, r[unl], tol=tol, factor=factor)
         u[unl] += du
         return u, report
 
-    def step(u, delta, edges):
-        return advance(u, graph.gradient_adjoint(nu_e[edges] * delta, edges))
+    def step(u, delta, edges, tol=lin_tol):
+        return advance(u, graph.gradient_adjoint(nu_e[edges] * delta, edges),
+                       tol)
 
     # the step from u0 towards s = 0: delta = -G u0 on every edge
     u0 = np.zeros(n)
     u0[labels.indices] = labels.values
     v = G @ u0
     v *= nu_e
-    return advance(u0, -(G.T @ v)), step
+    return advance(u0, -(G.T @ v), lin_tol), step
 
 
 def _row_scale(norm, c: float, alpha: float, row_subset=None):
@@ -295,7 +311,7 @@ def _row_scale(norm, c: float, alpha: float, row_subset=None):
     scope = slice(None) if row_subset is None else row_subset
     # rows outside the max scope separate: their block is minimized at C_i
     x, scoped = C.copy(), C[scope]
-    x[scope] = threshold_subproblem(np.full(scoped.size, alpha + c), scoped)
+    x[scope] = threshold_subproblem(alpha + c, scoped)
     return kappa * np.divide(x, C, out=np.ones_like(x), where=C > 0)
 
 
@@ -419,16 +435,21 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         if not history or fval < best_f:
             best_u, best_f = u, fval
         history.append(fval)
-        # nan fails the test below: the first pass makes no stop test
+        # the relative objective change; nan on the first pass, which then
+        # fails the stop test
         prev = history[-2] if len(history) > 1 else np.nan
+        change = abs(fval - prev) / prev if prev else 0.0
         # max|D - t| is the primal residual: D = t off the selected edges
         converged = bool(
-            (prev == 0.0 or abs(fval - prev) / prev <= cfg.rel_obj_tol)
+            change <= cfg.rel_obj_tol
             and (cfg.primal_tol is None
                  or np.max(np.abs(D - t[e]), initial=0.0) <= cfg.primal_tol))
         if converged or len(history) == cfg.max_outer_iter:
             break
-        u, report = step(u, D + q[e] - t[e], e)
+        # the step solves only as accurately as the objective still moves,
+        # never looser than STEP_TOL_MAX (fmin: the first step's nan too)
+        u, report = step(u, D + q[e] - t[e], e,
+                         max(cfg.lin_tol, float(np.fmin(change, STEP_TOL_MAX))))
         reports.append(report)
         t = G @ u
         g = R @ t ** 2

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 import ilgraph.linalg
 from ilgraph.graph import WeightGraph
+from ilgraph.inpaint import Image
 from ilgraph.solver import LabelAssignment, threshold_subproblem
 
 
@@ -39,6 +40,18 @@ def random_directed_graph(n, rng, density=0.3):
 def random_labels(n, rng, n_labels=3):
     idx = rng.choice(n, size=n_labels, replace=False)
     return LabelAssignment(idx, rng.uniform(-1.0, 1.0, size=n_labels))
+
+
+def desk_image(n):
+    """Synthetic stand-in for AC7's desk texture, n x n: oriented
+    oscillation with a slow amplitude envelope plus a ramp (no two patches
+    identical)."""
+    yy, xx = np.mgrid[0:n, 0:n]
+    arr = (127.5
+           + 90.0 * np.sin(2 * np.pi * (xx + 2 * yy) / 16.0)
+           * np.cos(2 * np.pi * (xx - yy) / 48.0)
+           + 30.0 * np.sin(2 * np.pi * xx / 64.0))
+    return Image(np.clip(arr, 0, 255))
 
 
 def edge_space_d_update(t, q, c, R, alpha, scope):

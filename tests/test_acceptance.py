@@ -14,7 +14,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.stats import spearmanr
 
-from conftest import edge_space_d_update, random_connected_graph, random_labels
+from conftest import (desk_image, edge_space_d_update, random_connected_graph,
+                      random_labels)
 from ilgraph.gamma import BandwidthSchedule, convergence_study, interval_benchmark
 from ilgraph.graph import WeightGraph
 from ilgraph.inpaint import (Image, InpaintConfig, SampleMask,
@@ -236,19 +237,8 @@ def test_criterion_6_gamma_benchmark():
 
 # --- criterion 7: desk-scale inpainting ------------------------------------
 
-def _desk_image(n=128):
-    """Synthetic stand-in texture: oriented oscillation with a slow
-    amplitude envelope plus a ramp (no two patches identical)."""
-    yy, xx = np.mgrid[0:n, 0:n]
-    arr = (127.5
-           + 90.0 * np.sin(2 * np.pi * (xx + 2 * yy) / 16.0)
-           * np.cos(2 * np.pi * (xx - yy) / 48.0)
-           + 30.0 * np.sin(2 * np.pi * xx / 64.0))
-    return Image(np.clip(arr, 0, 255))
-
-
 def test_criterion_7_inpainting_desk_scale():
-    img = _desk_image()
+    img = desk_image(128)
     mask = SampleMask.random(img.shape, 0.01, seed=0)
     scfg = SolverConfig(alpha=0.0, max_outer_iter=300)
     vals = {}

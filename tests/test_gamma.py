@@ -218,6 +218,13 @@ class TestStudy:
         w = g.weights
         assert (abs(w - w.T) > 1e-12).nnz == 0
 
+    def test_full_kernel_graph_reads_flat_points_as_a_column(self):
+        flat = np.array([0.0, 0.4, 1.2])
+        g = build_full_kernel_graph(flat, KernelSpec.tent(), 1.0)
+        column = build_full_kernel_graph(flat[:, None], KernelSpec.tent(), 1.0)
+        assert (g.n_nodes, g.weights.nnz) == (3, 4)
+        assert (g.weights != column.weights).nnz == 0
+
     @pytest.mark.parametrize("dim, n, s", [(1, 300, 0.05), (1, 60, 0.5),
                                            (2, 200, 0.2), (2, 50, 0.6)])
     @pytest.mark.parametrize("seed", range(3))

@@ -9,6 +9,7 @@ from ilgraph.graph import InvalidParameterError
 from ilgraph.inpaint import (Image, InpaintConfig, SampleMask,
                              extract_patches, inpaint, oracle_weight_inpaint,
                              psnr, read_pgm, write_pgm)
+from conftest import desk_image
 from ilgraph.solver import SolverConfig
 
 
@@ -208,8 +209,32 @@ class TestPipelines:
         assert diag.converged == all(d.converged for d in diags)
         assert diag.objective == diags[-1].objective
         assert diag.linear_unconverged == 0
-        assert diag.linear_residual_max == worst <= 1e-10
+        assert diag.linear_residual_max == worst
+        # every solve met its own tolerance; each solve's first value
+        # update, the GL system's, met lin_tol
+        assert all(r.relative_residual <= r.tol for r in reports)
+        lin_tol = tiny_config(method).solver.lin_tol
+        firsts = [reports[0], reports[diags[0].iterations]]
+        assert all(r.tol == lin_tol and r.relative_residual <= 1e-10
+                   for r in firsts)
         assert diag.linear_iterations == sum(r.iterations for r in reports)
+
+    def test_loose_steps_cut_cg_work_on_desk_texture(self, monkeypatch,
+                                                      over_cap):
+        # steps solved to the objective's relative change, against every
+        # step at lin_tol: the same result for far fewer CG iterations
+        img = desk_image(32)
+        mask = SampleMask.random(img.shape, 0.01, seed=0)
+        cfg = InpaintConfig(method="il",
+                            solver=SolverConfig(alpha=0.0, max_outer_iter=40))
+        out, diag = oracle_weight_inpaint(img, mask, cfg)
+        monkeypatch.setattr(ilgraph.solver, "STEP_TOL_MAX", cfg.solver.lin_tol)
+        out_pinned, pinned = oracle_weight_inpaint(img, mask, cfg)
+        assert diag.linear_unconverged == pinned.linear_unconverged == 0
+        assert diag.linear_iterations <= 0.7 * pinned.linear_iterations
+        assert (abs(diag.objective - pinned.objective)
+                <= 1e-5 * pinned.objective)
+        assert abs(psnr(out, img) - psnr(out_pinned, img)) <= 0.01
 
     def test_caller_solver_config_unchanged(self, monkeypatch):
         received = []

@@ -371,7 +371,9 @@ class TestValueUpdate:
         reports = record_reports(monkeypatch)
         rng = np.random.default_rng(18)
         graph = random_connected_graph(25, rng)
-        # a tolerance below round-off: no iterative solve can meet it
+        # a tolerance below round-off, for the steps too: no iterative
+        # solve can meet it
+        monkeypatch.setattr(ilgraph.solver, "STEP_TOL_MAX", 1e-30)
         _, diag = il_solve(graph, random_labels(25, rng),
                            SolverConfig(lin_tol=1e-30, max_outer_iter=6,
                                         rel_obj_tol=1e-15))
@@ -430,7 +432,10 @@ class TestValueUpdate:
         assert len(reports) == diag.iterations > 1
         assert all(r.converged for r in reports)
         assert diag.linear_unconverged == 0
-        assert diag.linear_residual_max <= 1e-10
+        # every step met its own tolerance, the first update lin_tol
+        assert all(r.relative_residual <= r.tol for r in reports)
+        assert reports[0].tol == SolverConfig().lin_tol
+        assert reports[0].relative_residual <= 1e-10
 
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -472,6 +477,55 @@ class TestValueUpdate:
         rank = min(ilgraph.linalg.RITZ_VECTORS, first.iterations - 1,
                    unl.size - 1)
         assert ranks == [None] + [rank] * 4
+
+
+class TestStepTolerance:
+    """The first value update solves to lin_tol; every later il_solve step
+    to the last relative objective change, clipped to [lin_tol,
+    STEP_TOL_MAX], and the first step, with no change yet, to
+    STEP_TOL_MAX."""
+
+    @staticmethod
+    def expected_tols(history, lin_tol):
+        h = np.asarray(history)
+        change = np.abs(np.diff(h)) / h[:-1]
+        steps = [ilgraph.solver.STEP_TOL_MAX] + list(np.clip(
+            change[:-1], lin_tol, ilgraph.solver.STEP_TOL_MAX))
+        return [lin_tol] + steps[:h.size - 1]
+
+    def test_over_cap_steps_carry_the_rule(self, monkeypatch, over_cap):
+        reports = record_reports(monkeypatch)
+        rng = np.random.default_rng(20)
+        graph = random_connected_graph(30, rng)
+        labels = random_labels(30, rng)
+        cfg = SolverConfig()
+        _, diag = il_solve(graph, labels, cfg)
+        tols = [r.tol for r in reports]
+        assert tols == self.expected_tols(diag.history, cfg.lin_tol)
+        # the rule loosened steps past lin_tol, and every step met its own
+        assert len(tols) > 2 and max(tols[2:]) > cfg.lin_tol
+        assert all(r.converged and r.relative_residual <= r.tol
+                   for r in reports)
+        assert np.array_equal(diag.first_update, gl_solve(graph, labels, cfg))
+
+    @pytest.mark.parametrize("alpha", [0.0, 1e-2])
+    def test_under_cap_bitwise_equal_to_steps_at_lin_tol(self, monkeypatch,
+                                                         alpha):
+        reports = record_reports(monkeypatch)
+        rng = np.random.default_rng(21)
+        graph = random_connected_graph(40, rng)
+        labels = random_labels(40, rng)
+        cfg = SolverConfig(alpha=alpha)
+        u, diag = il_solve(graph, labels, cfg)
+        loose = max(r.tol for r in reports)
+        monkeypatch.setattr(ilgraph.solver, "STEP_TOL_MAX", cfg.lin_tol)
+        u_pinned, pinned = il_solve(graph, labels, cfg)
+        # factored solves are exact whatever the step asks for
+        assert loose > cfg.lin_tol
+        assert np.array_equal(u, u_pinned)
+        assert np.array_equal(diag.history, pinned.history)
+        assert diag.c_star == pinned.c_star
+        assert diag.iterations == pinned.iterations
 
 
 class TestChooseC:

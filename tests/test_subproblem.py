@@ -176,3 +176,29 @@ class TestPartialSort:
         x = threshold_subproblem(a, c)
         assert np.count_nonzero(x < c) == clipped
         assert np.array_equal(x, full_sort_reference(a, c))
+
+
+class TestScalarWeight:
+    """A scalar a weighs every entry alike: bitwise the result for the
+    array of that a, validated once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 3 * THRESHOLD_TOP),
+           a=st.sampled_from([1e-3, 0.05, 0.3, 1.0, 4.0, 50.0]),
+           seed=st.integers(0, 2 ** 32 - 1), ties=st.booleans(),
+           zeros=st.booleans())
+    def test_bitwise_equal_to_array(self, n, a, seed, ties, zeros):
+        rng = np.random.default_rng(seed)
+        c = (rng.choice(rng.uniform(0.0, 3.0, size=3), size=n) if ties
+             else rng.exponential(size=n))
+        if zeros:
+            c[rng.random(n) < 0.3] = 0.0
+        assert np.array_equal(threshold_subproblem(a, c),
+                              threshold_subproblem(np.full(n, a), c))
+
+    def test_rejects_nonpositive(self):
+        with pytest.raises(InvalidParameterError):
+            threshold_subproblem(0.0, [1.0, 2.0])
+
+    def test_empty(self):
+        assert threshold_subproblem(1.0, []).size == 0
