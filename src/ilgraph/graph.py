@@ -225,38 +225,51 @@ def exact_knn(points: np.ndarray, k: int):
 
     Ties on distance are broken by the smaller point index. Returns
     (dist, idx), both of shape (n, k), each row sorted by (distance, index).
-    Each block of rows gathers its candidates, every point within the row's
-    k-th neighbor distance, and ranks them in one sort.
+    Rows are searched in blocks of KNN_BLOCK.
+
+    Up to dimension KDTREE_MAX_DIM, a row's candidates are every point in
+    a kd-tree ball of its k-th neighbor distance, ranked in one sort per
+    block. Above it, each block's squared distances |x|^2 + |y|^2 - 2 x.y
+    go into two KNN_BLOCK x n buffers, reused by every block, which bound
+    the search's memory. One argpartition takes each row's k + 1 smallest,
+    and only those are square-rooted (negative round-off read as 0). Where
+    the (k+1)-th distance exceeds the k-th, the row's first k are its
+    neighbors, sorted by (distance, index). Where it ties the k-th, a
+    neighbor outside them may win on index, and the row falls back to
+    ranking every point within its k-th distance. Either way a row's
+    result is bitwise that of the full scan.
     """
     points = np.asarray(points, dtype=float)
     n, d = points.shape
     if not 1 <= k < n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k} for n={n} points")
-    gather = (_kdtree_candidates if d <= KDTREE_MAX_DIM else _gram_candidates)(points, k)
+    search = (_kdtree_search if d <= KDTREE_MAX_DIM else _gram_search)(points, k)
     out_d = np.empty((n, k))
     out_i = np.empty((n, k), dtype=np.int64)
     for start in range(0, n, KNN_BLOCK):
         stop = min(start + KNN_BLOCK, n)
-        rows, cols, dist = gather(start, stop)
-        # the one ranking step: by row, then distance, then index; every
-        # row has at least k candidates and keeps its first k
-        order = np.lexsort((cols, dist, rows))
-        counts = np.bincount(rows - start, minlength=stop - start)
-        first = np.cumsum(counts) - counts
-        take = order[(first[:, None] + np.arange(k)).ravel()]
-        out_i[start:stop] = cols[take].reshape(stop - start, k)
-        out_d[start:stop] = dist[take].reshape(stop - start, k)
+        out_d[start:stop], out_i[start:stop] = search(start, stop)
     return out_d, out_i
 
 
-def _kdtree_candidates(points, k):
-    """gather(start, stop) -> (rows, cols, distances) of every point in a
-    kd-tree ball of each row's k-th neighbor distance."""
+def _first_k(rows, cols, dist, k, m):
+    """(dist, idx), each m x k: the first k candidates of each of the rows
+    0..m-1 by (distance, index). Every row has at least k candidates."""
+    order = np.lexsort((cols, dist, rows))
+    counts = np.bincount(rows, minlength=m)
+    first = np.cumsum(counts) - counts
+    take = order[(first[:, None] + np.arange(k)).ravel()]
+    return dist[take].reshape(m, k), cols[take].reshape(m, k)
+
+
+def _kdtree_search(points, k):
+    """search(start, stop) -> (dist, idx) of the rows start..stop-1, from
+    every point in a kd-tree ball of each row's k-th neighbor distance."""
     # imported here: only low-dimensional kNN needs scipy.spatial
     from scipy.spatial import cKDTree
     tree = cKDTree(points)
 
-    def gather(start, stop):
+    def search(start, stop):
         block = points[start:stop]
         # counting self, at distance 0, the (k+1)-th distance is the k-th
         r = tree.query(block, k=[k + 1])[0][:, 0]
@@ -264,33 +277,53 @@ def _kdtree_candidates(points, k):
         # exclude boundary points at exactly r
         balls = tree.query_ball_point(block, r * (1.0 + 1e-9) + 1e-300)
         counts = np.fromiter(map(len, balls), np.int64, count=len(balls))
-        rows = np.repeat(np.arange(start, stop), counts)
+        rows = np.repeat(np.arange(stop - start), counts)
         cols = np.fromiter(chain.from_iterable(balls), np.int64, count=rows.size)
-        keep = cols != rows
+        keep = cols != rows + start
         rows, cols = rows[keep], cols[keep]
-        return rows, cols, np.linalg.norm(points[cols] - points[rows], axis=1)
+        dist = np.linalg.norm(points[cols] - points[rows + start], axis=1)
+        return _first_k(rows, cols, dist, k, stop - start)
 
-    return gather
+    return search
 
 
-def _gram_candidates(points, k):
-    """gather(start, stop) -> (rows, cols, distances) of every point
-    within each row's k-th neighbor distance, from a Gram block."""
+def _gram_search(points, k):
+    """search(start, stop) -> (dist, idx) of the rows start..stop-1, from
+    a block of squared distances (exact_knn)."""
+    n = points.shape[0]
     sq = np.einsum("ij,ij->i", points, points)
+    # two arrays, not one of twice the size: freeing an array raises
+    # glibc's mmap threshold to its size, and one 16 MB array left the
+    # solves after the search 4-9 MB more peak RSS (64x64 desk texture)
+    shape = (min(KNN_BLOCK, n), n)
+    gram_buf, d2_buf = np.empty(shape), np.empty(shape)
 
-    def gather(start, stop):
-        gram = points[start:stop] @ points.T
+    def search(start, stop):
+        m = stop - start
+        gram, d2 = gram_buf[:m], d2_buf[:m]
+        np.matmul(points[start:stop], points.T, out=gram)
         gram *= 2.0
-        d2 = sq[start:stop, None] + sq[None, :]
+        np.add(sq[start:stop, None], sq[None, :], out=d2)
         d2 -= gram
-        np.maximum(d2, 0.0, out=d2)
-        dist = np.sqrt(d2, out=d2)
-        dist[np.arange(stop - start), np.arange(start, stop)] = np.inf
-        kth = np.partition(dist, k - 1, axis=1)[:, k - 1]
-        rows, cols = np.nonzero(dist <= kth[:, None])
-        return rows + start, cols, dist[rows, cols]
+        d2[np.arange(m), np.arange(start, stop)] = np.inf
+        # the k + 1 smallest, the (k+1)-th in column k; sqrt(max(., 0))
+        # keeps their order but may tie distinct squared distances
+        near = np.argpartition(d2, k, axis=1)[:, :k + 1]
+        dist = np.sqrt(np.maximum(np.take_along_axis(d2, near, axis=1), 0.0))
+        kth = dist[:, :k].max(axis=1)
+        tied = np.flatnonzero(dist[:, k] == kth)
+        near, dist = near[:, :k], dist[:, :k]
+        order = np.lexsort((near, dist), axis=1)
+        out_d = np.take_along_axis(dist, order, axis=1)
+        out_i = np.take_along_axis(near, order, axis=1)
+        if tied.size:
+            full = np.sqrt(np.maximum(d2[tied], 0.0))
+            rows, cols = np.nonzero(full <= kth[tied, None])
+            out_d[tied], out_i[tied] = _first_k(rows, cols, full[rows, cols],
+                                                k, tied.size)
+        return out_d, out_i
 
-    return gather
+    return search
 
 
 def knn_graph(cloud: PointCloud, k: int, kernel: KernelSpec) -> WeightGraph:

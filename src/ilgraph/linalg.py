@@ -38,13 +38,21 @@ tolerance. scipy's MINRES, used here before, stops on its own
 backward-error estimate instead, and on the desk-texture graph ended
 every solve near 8e-7 against a tolerance of 1e-10. All solves of one
 value-update system share its matrix, so the first one keeps its
-Lanczos tridiagonal and leaves the Ritz vectors of the ``RITZ_VECTORS``
-smallest Ritz values in a ``Deflation``. Every later solve starts from
-the Galerkin solution on them and keeps its search directions
-A-orthogonal to them (Saad, Yeung, Erhel and Guyomarc'h 2000, "A
+Lanczos tridiagonal in a ``Deflation``, and the second builds from it
+the Ritz vectors W of the ``RITZ_VECTORS`` smallest Ritz values; a
+matrix solved once builds none. Every later solve keeps its search
+directions A-orthogonal to W (Saad, Yeung, Erhel and Guyomarc'h 2000, "A
 deflated version of the conjugate gradient algorithm"), so the few
 isolated small eigenvalues of a patch-graph Laplacian no longer set its
-iteration count.
+iteration count. It starts from the Galerkin solution on W and on the
+last ``RECYCLED_SOLUTIONS`` solutions of the matrix (Fischer 1998,
+"Projection techniques for iterative solution of Ax = b with successive
+right-hand sides"): il_solve's steps solve one matrix for a run of
+right-hand sides that change little from step to step. Their images
+cost no product by A, A x = b - r with r the true residual the solve
+stopped on. The start is built inside the ``Deflation``, so the report
+of a solve still states its residual relative to its own right-hand
+side.
 
 Each solve's SolveReport states the tolerance it was judged against.
 The first value update of a system (GL, WNLL, choose_c, il_solve's
@@ -70,6 +78,9 @@ RITZ_VECTORS = 8
 # CG iterations of that first solve whose residuals it keeps: bounds its
 # memory at LANCZOS_STEPS x n where a solve may run 10 n iterations
 LANCZOS_STEPS = 200
+# latest solutions of the matrix on which, with the Ritz vectors, each
+# later solve of a Deflation starts
+RECYCLED_SOLUTIONS = 2
 
 
 class DisconnectedGraphError(RuntimeError):
@@ -153,67 +164,126 @@ class BandCholesky:
 
 class Deflation:
     """Deflation space of one symmetric positive definite matrix A of
-    size n for CG: an orthonormal basis W, A W and (W^T A W)^-1. Empty
-    until its first solve, which fills it with Ritz vectors."""
+    size n for CG, and the last RECYCLED_SOLUTIONS solutions of A with
+    their images. The basis W, orthonormal, comes with A W and
+    (W^T A W)^-1. It is empty until the first solve, which records its
+    Lanczos tridiagonal; a later solve, or a read of W or AW, builds the
+    basis from it, so a matrix solved once never builds one."""
 
     def __init__(self, n: int):
-        self.W = self.AW = np.zeros((n, 0))
-        self.E_inv = np.zeros((0, 0))
+        self._basis = (np.zeros((n, 0)), np.zeros((n, 0)), np.zeros((0, 0)))
+        self._lanczos = None  # (A, V, alphas, r.r's) until the basis is built
+        # the recent solutions, newest first, and A times each
+        self.X = self.AX = np.zeros((n, 0))
         self.learnt = False
+
+    @property
+    def W(self):
+        return self.basis()[0]
+
+    @property
+    def AW(self):
+        return self.basis()[1]
 
     def set_basis(self, A, W):
         """Deflate on the span of the columns of W, of full column rank."""
-        self.W = np.linalg.qr(W)[0]
-        self.AW = A @ self.W
-        self.E_inv = np.linalg.inv(self.W.T @ self.AW)
+        W = np.linalg.qr(W)[0]
+        AW = A @ W
+        self._basis = (W, AW, np.linalg.inv(W.T @ AW))
         self.learnt = True
+
+    def basis(self):
+        """(W, A W, (W^T A W)^-1): the Ritz vectors of the RITZ_VECTORS
+        smallest Ritz values of the first solve, built at the first call
+        after it."""
+        if self._lanczos is not None:
+            A, V, a, rr = self._lanczos
+            self._lanczos = None
+            # fewer vectors than iterations and unknowns: every later
+            # solve still iterates
+            k = min(RITZ_VECTORS, a.size - 1, V.shape[1] - 1)
+            if k > 0:
+                # CG's coefficients give the tridiagonal of A in the basis
+                # of the normalized residuals
+                beta = rr[1:] / rr[:-1]
+                diag = 1.0 / a
+                diag[1:] += beta / a[:-1]
+                _, Y = eigh_tridiagonal(diag, -np.sqrt(beta) / a[:-1],
+                                        select="i", select_range=(0, k - 1))
+                self.set_basis(A, V.T @ Y)
+        return self._basis
+
+    def start(self, b):
+        """(x0, b - A x0), x0 the Galerkin solution of A x = b on the
+        recent solutions made A-orthogonal to W, with no product by A.
+        The projections on W and on them are then independent, and _cg
+        adds the one on W (Fischer 1998)."""
+        n = b.shape[0]
+        x, r = np.zeros(n), b.copy()
+        W, AW, E_inv = self.basis()
+        # fewer start vectors than unknowns, like the basis: every solve
+        # still iterates
+        m = max(0, n - 1 - W.shape[1])
+        X, AX = self.X[:, :m], self.AX[:, :m]
+        if X.shape[1]:
+            C = E_inv @ (AW.T @ X)
+            P, AP = X - W @ C, AX - AW @ C
+            # P^T A P scaled by the solutions' A-norms to a unit diagonal
+            # before projection; a direction that keeps less than 1e-8 of
+            # its squared A-norm, nearly in span W or in the span of the
+            # other solutions, would be round-off and is dropped
+            s = 1.0 / np.sqrt(np.einsum("ij,ij->j", X, AX))
+            lam, Q = np.linalg.eigh(s[:, None] * (P.T @ AP) * s)
+            keep = lam > 1e-8
+            Q, lam = Q[:, keep], lam[keep]
+            c = s * (Q @ ((Q.T @ (s * (P.T @ b))) / lam))
+            x = P @ c
+            r -= AP @ c
+        return x, r
 
     def solve(self, A, b, tol: float):
-        """Deflated CG on A x = b; the first call learns the basis from
-        its own Lanczos tridiagonal. Returns (x, iterations, true
-        relative residual)."""
-        if self.learnt:
-            return _cg(A, b, tol, self)
-        n = b.shape[0]
-        # normalized residuals of the first LANCZOS_STEPS iterations, one
-        # per row of a single block (one small array per iteration
-        # fragments the heap: 7 MB more peak RSS on the 64x64 desk
-        # texture); the leading block of the tridiagonal is still a
-        # Lanczos projection of A, so its Ritz vectors stay valid
-        V, alphas, rrs = np.empty((min(LANCZOS_STEPS, 10 * n), n)), [], []
+        """Deflated CG on A x = b from the Galerkin start on W and the
+        recent solutions. The first call records its Lanczos data. Returns
+        (x, iterations, true relative residual)."""
+        record = None
+        if not self.learnt:
+            n = b.shape[0]
+            # normalized residuals of the first LANCZOS_STEPS iterations,
+            # one per row of a single block (one small array per
+            # iteration fragments the heap: 7 MB more peak RSS on the
+            # 64x64 desk texture); the leading block of the tridiagonal is
+            # still a Lanczos projection of A, so its Ritz vectors stay
+            # valid
+            V, alphas, rrs = np.empty((min(LANCZOS_STEPS, 10 * n), n)), [], []
 
-        def record(r, rr, alpha):
-            if len(alphas) < V.shape[0]:
-                np.multiply(r, 1.0 / np.sqrt(rr), out=V[len(alphas)])
-                alphas.append(alpha)
-                rrs.append(rr)
+            def record(r, rr, alpha):
+                if len(alphas) < V.shape[0]:
+                    np.multiply(r, 1.0 / np.sqrt(rr), out=V[len(alphas)])
+                    alphas.append(alpha)
+                    rrs.append(rr)
 
-        x, iterations, res = _cg(A, b, tol, self, record)
-        self.learnt = True
-        # fewer vectors than iterations and unknowns: every later solve
-        # still iterates
-        k = min(RITZ_VECTORS, len(alphas) - 1, n - 1)
-        if k > 0:
-            # CG's coefficients give the tridiagonal of A in the basis of
-            # the normalized residuals
-            a, rr = np.array(alphas), np.array(rrs)
-            beta = rr[1:] / rr[:-1]
-            diag = 1.0 / a
-            diag[1:] += beta / a[:-1]
-            _, Y = eigh_tridiagonal(diag, -np.sqrt(beta) / a[:-1],
-                                    select="i", select_range=(0, k - 1))
-            self.set_basis(A, V[:a.size].T @ Y)
+        x, iterations, res, r = _cg(A, b, tol, self, record)
+        if record is not None:
+            self._lanczos = (A, V[:len(alphas)], np.array(alphas), np.array(rrs))
+            self.learnt = True
+        # A x = b - r, r the true residual _cg stopped on; x^T A x > 0
+        # keeps out a zero x, which spans nothing
+        Ax = b - r
+        if x @ Ax > 0:
+            self.X = np.column_stack([x, self.X])[:, :RECYCLED_SOLUTIONS]
+            self.AX = np.column_stack([Ax, self.AX])[:, :RECYCLED_SOLUTIONS]
         return x, iterations, res
 
 
 def _cg(A, b, tol: float, deflation: Deflation, record=None):
-    """CG on A x = b from the Galerkin solution on the deflation basis W,
-    each search direction made A-orthogonal to W. Stops once the true
-    relative residual is at most tol (checked whenever the recurred one
-    is, and restarted from x when it is not), or after 10 n iterations.
-    Until a restart, calls record(r, r.r, alpha) at every iteration,
-    before r moves. Returns (x, iterations, true relative residual)."""
-    W, AW, E_inv = deflation.W, deflation.AW, deflation.E_inv
+    """CG on A x = b from the deflation's start, moved to the Galerkin
+    solution on its basis W, each search direction made A-orthogonal to W.
+    Stops once the true relative residual is at most tol (checked whenever
+    the recurred one is, and restarted from x when it is not), or after
+    10 n iterations. Until a restart, calls record(r, r.r, alpha) at every
+    iteration, before r moves. Returns (x, iterations, true relative
+    residual, true residual)."""
+    W, AW, E_inv = deflation.basis()
     n, b_norm = b.shape[0], np.linalg.norm(b)
     stop = (tol * b_norm) ** 2
 
@@ -225,7 +295,7 @@ def _cg(A, b, tol: float, deflation: Deflation, record=None):
         r -= AW @ c
         return r - W @ (E_inv @ (AW.T @ r)), r @ r
 
-    x, r = np.zeros(n), b.copy()
+    x, r = deflation.start(b)
     p, rr = restart(x, r)
     iterations = 0
     while iterations < 10 * n:
@@ -248,8 +318,9 @@ def _cg(A, b, tol: float, deflation: Deflation, record=None):
         p += r - W @ (E_inv @ (AW.T @ r))
         iterations += 1
     else:
-        res = np.linalg.norm(b - A @ x) / b_norm
-    return x, iterations, float(res)
+        r = b - A @ x
+        res = np.linalg.norm(r) / b_norm
+    return x, iterations, float(res), r
 
 
 def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
@@ -277,7 +348,7 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
         x, iterations = factor.solve(b), 0
         res = float(np.linalg.norm(A @ x - b) / b_norm)
     else:
-        x, iterations, res = _cg(A, b, tol, Deflation(n))
+        x, iterations, res, _ = _cg(A, b, tol, Deflation(n))
     return x, SolveReport(iterations, res, bool(res <= tol), tol)
 
 

@@ -141,10 +141,11 @@ class Diagnostics:
     """What one solve did, one record for GL, WNLL and IL. A GL or WNLL
     solve is one value update: one iteration, converged if it met lin_tol.
     The linear_* fields cover every value update: how many missed its own
-    tolerance (lin_tol, or an il_solve step's), the worst relative residual
-    and the CG iterations summed. IL adds its penalty c*, the final
-    max|D - G u| and its first value update, bitwise what gl_solve returns
-    for the same graph, labels and lin_tol."""
+    tolerance (lin_tol, or an il_solve step's), the worst relative residual,
+    the worst ratio of a residual to its own tolerance (at most 1 when
+    every solve met its target) and the CG iterations summed. IL adds its
+    penalty c*, the final max|D - G u| and its first value update, bitwise
+    what gl_solve returns for the same graph, labels and lin_tol."""
 
     converged: bool
     iterations: int
@@ -152,6 +153,7 @@ class Diagnostics:
     history: np.ndarray
     linear_unconverged: int
     linear_residual_max: float
+    linear_residual_ratio_max: float
     linear_iterations: int
     c_star: Optional[float] = None
     primal_residual: Optional[float] = None
@@ -159,13 +161,15 @@ class Diagnostics:
 
     def absorb(self, other: "Diagnostics") -> "Diagnostics":
         """This record with the solves of other folded in: converged only
-        if both were, the linear counts add and the worst residual stays.
-        Every other field is this record's."""
+        if both were, the linear counts add and the worst residual and
+        ratio stay. Every other field is this record's."""
         a, b = self, other
         return replace(
             a, converged=a.converged and b.converged,
             linear_unconverged=a.linear_unconverged + b.linear_unconverged,
             linear_residual_max=max(a.linear_residual_max, b.linear_residual_max),
+            linear_residual_ratio_max=max(a.linear_residual_ratio_max,
+                                          b.linear_residual_ratio_max),
             linear_iterations=a.linear_iterations + b.linear_iterations)
 
 
@@ -173,6 +177,8 @@ def _linear_fields(reports):
     """The linear_* fields of a Diagnostics over these SolveReports."""
     return dict(linear_unconverged=sum(not r.converged for r in reports),
                 linear_residual_max=max(r.relative_residual for r in reports),
+                linear_residual_ratio_max=max(r.relative_residual / r.tol
+                                              for r in reports),
                 linear_iterations=sum(r.iterations for r in reports))
 
 
@@ -252,8 +258,9 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     linalg.factor_if_small allows: by band Cholesky when A is dense within
     its band, else by sparse LU. Otherwise its solves are CG, and every
     solve after the first is deflated on the Ritz vectors the first one
-    leaves in a linalg.Deflation. A band factor that breaks down, A not
-    numerically positive definite, raises ConvergenceError.
+    leaves in a linalg.Deflation, and starts on them and on the last
+    solutions. A band factor that breaks down, A not numerically positive
+    definite, raises ConvergenceError.
 
     Returns ((u, SolveReport), step): the first value update, for the
     target s = 0, and step(u, delta, edges), which takes the target

@@ -260,6 +260,7 @@ class TestSolve:
         assert report["c_star"] > 0
         assert report["linear_unconverged"] == 0
         assert 0 <= report["linear_residual_max"] <= 1e-10
+        assert 0 <= report["linear_residual_ratio_max"] <= 1
         sol = np.loadtxt(out / "solution.csv", delimiter=",")
         assert sol.shape == (12, 2)
         assert np.isclose(sol[0, 1], 1.0)

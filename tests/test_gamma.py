@@ -19,7 +19,8 @@ def pinned_stub(graph, labels, cfg=None):
     u[labels.indices] = labels.values
     return u, Diagnostics(converged=True, iterations=1, objective=0.0,
                           history=np.zeros(1), linear_unconverged=0,
-                          linear_residual_max=0.0, linear_iterations=0,
+                          linear_residual_max=0.0,
+                          linear_residual_ratio_max=0.0, linear_iterations=0,
                           c_star=1.0, primal_residual=0.0)
 
 

@@ -234,6 +234,28 @@ class TestExactKnn:
         assert np.array_equal(i1, i2)
         assert np.allclose(d1, d2)
 
+    @pytest.mark.parametrize("k", [8, 10])
+    def test_gram_ties_across_the_partition_match_lexsort_oracle(self, k):
+        g = np.arange(13)
+        pts = np.array([(i, j) for i in g for j in g], dtype=float)
+        # rows whose (k+1)-th distance ties the k-th: at k = 8, (0, 1)
+        # has 3 points at sqrt(5) for 8th to 10th; at k = 10 every
+        # interior point has 4 at distance 2 for 9th to 12th
+        ranked, _ = lexsort_oracle(pts, k + 1)
+        assert np.count_nonzero(ranked[:, k - 1] == ranked[:, k]) > 0
+        dist, idx = knn_by_path(pts, k, "gram")
+        want_dist, want_idx = lexsort_oracle(pts, k)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
+    def test_gram_every_other_point_one_row_a_block(self):
+        # k = n - 1: the argpartition's (k+1)-th entry is the row itself
+        pts = np.random.default_rng(8).integers(0, 3, (12, 20)).astype(float)
+        dist, idx = knn_by_path(pts, 11, "gram", block=1)
+        want_dist, want_idx = lexsort_oracle(pts, 11)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([1, 2, 3, 20]),
            path=st.sampled_from(sorted(PATHS)), block=st.sampled_from([1, 3, 256]))

@@ -229,6 +229,83 @@ class TestDeflation:
                            atol=1e-10)
 
 
+    def test_basis_is_built_for_a_second_solve_only(self, over_cap,
+                                                     monkeypatch):
+        builds = []
+        eigh = ilgraph.linalg.eigh_tridiagonal
+
+        def counting(*args, **kwargs):
+            builds.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(ilgraph.linalg, "eigh_tridiagonal", counting)
+        A = grid_laplacian(20)
+        rng = np.random.default_rng(8)
+        deflation = Deflation(A.shape[0])
+        solve_symmetric(A, rng.standard_normal(A.shape[0]), factor=deflation)
+        assert deflation.learnt and not builds
+        for _ in range(2):
+            solve_symmetric(A, rng.standard_normal(A.shape[0]),
+                            factor=deflation)
+        assert len(builds) == 1
+        assert deflation.W.shape[1] == ilgraph.linalg.RITZ_VECTORS
+
+    def test_start_is_galerkin_on_the_recent_solutions(self, over_cap):
+        # a right-hand side in the span of the last two solves' is solved
+        # by the start alone; one from an older solve is not
+        A = grid_laplacian(20)
+        rng = np.random.default_rng(9)
+        bs = rng.standard_normal((4, A.shape[0]))
+        deflation = Deflation(A.shape[0])
+        for b in bs[:3]:
+            solve_symmetric(A, b, tol=1e-13, factor=deflation)
+        b = 2.0 * bs[1] - 0.5 * bs[2]
+        x, report = solve_symmetric(A, b, tol=1e-8, factor=deflation)
+        assert report.converged and report.iterations == 0
+        assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-8,
+                           atol=1e-10)
+        _, report = solve_symmetric(A, bs[0], tol=1e-8, factor=deflation)
+        assert report.converged and report.iterations > 0
+
+    def test_start_drops_a_solution_in_the_span_of_w(self, over_cap):
+        # a solution in span W keeps only round-off once made A-orthogonal
+        # to W; the start drops it, and the next solve iterates as from W
+        # alone (keeping it took 152 iterations against 84)
+        A = grid_laplacian(20)
+        n = A.shape[0]
+        rng = np.random.default_rng(12)
+        W = rng.standard_normal((n, 5))
+        b = rng.standard_normal(n)
+        reports = []
+        for in_span in (True, False):
+            deflation = Deflation(n)
+            deflation.set_basis(A, W)
+            if in_span:
+                _, first = solve_symmetric(A, A @ (W @ np.ones(5)), tol=1e-10,
+                                           factor=deflation)
+                assert first.iterations == 0
+            x, report = solve_symmetric(A, b, tol=1e-10, factor=deflation)
+            assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-8,
+                               atol=1e-9)
+            reports.append(report)
+        assert reports[0] == reports[1]
+
+    def test_zero_solution_is_not_kept(self, over_cap):
+        # at tol 1 the zero start already meets the tolerance; a zero x
+        # spans nothing and must not reach a later start
+        A = grid_laplacian(10)
+        rng = np.random.default_rng(11)
+        deflation = Deflation(A.shape[0])
+        x, report = solve_symmetric(A, rng.standard_normal(A.shape[0]),
+                                    tol=1.0, factor=deflation)
+        assert report.converged and not x.any()
+        b = rng.standard_normal(A.shape[0])
+        x, report = solve_symmetric(A, b, tol=1e-10, factor=deflation)
+        assert report.converged
+        assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-8,
+                           atol=1e-10)
+
+
 class TestConnectivity:
     def test_connected_passes(self):
         w = sp.csr_matrix(np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=float))

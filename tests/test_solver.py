@@ -6,9 +6,11 @@ from hypothesis import strategies as st
 
 import ilgraph.linalg
 import ilgraph.solver
-from conftest import (edge_space_d_update, random_connected_graph,
+from conftest import (desk_image, edge_space_d_update, random_connected_graph,
                       random_directed_graph, random_labels)
-from ilgraph.graph import InvalidParameterError, WeightGraph
+from ilgraph.graph import (InvalidParameterError, PointCloud, WeightGraph,
+                           self_tuning_weights)
+from ilgraph.inpaint import SampleMask, extract_patches
 from ilgraph.linalg import DisconnectedGraphError
 from ilgraph.solver import (LabelAssignment, SolverConfig, _choose_c_from_g1,
                             _value_solver, choose_c, gl_solve, il_solve,
@@ -222,6 +224,8 @@ class TestSolve:
         assert diag.linear_unconverged == sum(not r.converged for r in reports)
         assert diag.linear_residual_max == max(r.relative_residual
                                                for r in reports)
+        assert diag.linear_residual_ratio_max == max(
+            r.relative_residual / r.tol for r in reports) <= 1.0
         assert diag.linear_iterations == sum(r.iterations for r in reports)
         assert (diag.linear_iterations > 0) == (not factored)
         if method != "il":
@@ -260,10 +264,13 @@ class TestSolve:
         _, wnll = solve("wnll", graph, labels)
         wnll.converged, wnll.linear_unconverged = False, 1
         wnll.linear_residual_max, wnll.linear_iterations = 1.0, 7
+        wnll.linear_residual_ratio_max = 1e10
         both = il.absorb(wnll)
         assert (both.converged, both.linear_unconverged,
-                both.linear_residual_max, both.linear_iterations) == (
-            False, il.linear_unconverged + 1, 1.0, il.linear_iterations + 7)
+                both.linear_residual_max, both.linear_residual_ratio_max,
+                both.linear_iterations) == (
+            False, il.linear_unconverged + 1, 1.0, 1e10,
+            il.linear_iterations + 7)
         # every other field is the receiver's
         assert (both.iterations, both.objective, both.c_star) == (
             il.iterations, il.objective, il.c_star)
@@ -381,6 +388,8 @@ class TestValueUpdate:
         assert diag.linear_unconverged == len(reports)
         assert diag.linear_residual_max == max(r.relative_residual
                                                for r in reports) > 1e-30
+        # the ratio says by itself that some solve missed its target
+        assert diag.linear_residual_ratio_max > 1.0
 
     def test_il_solve_under_cap_converges_every_solve(self, monkeypatch):
         reports = record_reports(monkeypatch)
@@ -412,6 +421,8 @@ class TestValueUpdate:
             raise AssertionError("splu called above the cap")
 
         monkeypatch.setattr(ilgraph.linalg.spla, "splu", refuse)
+        # one solve per system: no deflation basis is built
+        monkeypatch.setattr(ilgraph.linalg, "eigh_tridiagonal", refuse)
         reports = record_reports(monkeypatch)
         rng = np.random.default_rng(15)
         graph = random_connected_graph(40, rng)
@@ -507,6 +518,43 @@ class TestStepTolerance:
         assert all(r.converged and r.relative_residual <= r.tol
                    for r in reports)
         assert np.array_equal(diag.first_update, gl_solve(graph, labels, cfg))
+
+    def test_recycled_start_on_desk_texture(self, monkeypatch, over_cap):
+        # each step starts from the Galerkin solution on the Ritz vectors
+        # and the last two solutions: its report still states its own
+        # residual and tolerance, in fewer CG iterations
+        img = desk_image(32)
+        g = self_tuning_weights(
+            PointCloud(extract_patches(img, 11, 11).vectors), k=50, k_sigma=20)
+        known = np.flatnonzero(
+            SampleMask.random(img.shape, 0.01, seed=0).known)
+        labels = LabelAssignment(known, img.pixels.ravel()[known])
+        cfg = SolverConfig(max_outer_iter=40)
+        solves = []
+        solve_symmetric = ilgraph.solver.solve_symmetric
+
+        def recording(A, b, **kwargs):
+            x, report = solve_symmetric(A, b, **kwargs)
+            solves.append((A, b, x, report))
+            return x, report
+
+        monkeypatch.setattr(ilgraph.solver, "solve_symmetric", recording)
+        _, diag = il_solve(g, labels, cfg)
+        reports = [report for *_, report in solves]
+        for A, b, x, report in solves:
+            res = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+            assert np.isclose(report.relative_residual, res, rtol=1e-10,
+                              atol=0.0)
+            assert report.converged
+        assert ([r.tol for r in reports]
+                == self.expected_tols(diag.history, cfg.lin_tol))
+        assert np.array_equal(diag.first_update, gl_solve(g, labels, cfg))
+        assert diag.linear_residual_ratio_max <= 1.0
+        steps = sum(r.iterations for r in reports[1:])
+        monkeypatch.setattr(ilgraph.linalg, "RECYCLED_SOLUTIONS", 0)
+        solves.clear()
+        il_solve(g, labels, cfg)
+        assert steps <= 0.9 * sum(r.iterations for *_, r in solves[1:])
 
     @pytest.mark.parametrize("alpha", [0.0, 1e-2])
     def test_under_cap_bitwise_equal_to_steps_at_lin_tol(self, monkeypatch,
