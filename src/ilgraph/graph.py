@@ -7,6 +7,13 @@ non-local gradient G (one row per directed edge) and the row sum R that
 ``WeightGraph.operators`` builds once per graph, and through
 ``out_edges`` and ``gradient_adjoint``, which work on the edges of a few
 nodes without a pass over all edges.
+
+Every graph builder takes its neighbors from ``exact_knn``: per block of
+rows, a kd-tree query of each row's K nearest points in low dimension,
+with a kd-tree ball only for rows whose ties reach past the K-th and K
+adapting, within a bound, to the ties of recent blocks; a block of
+squared distances in high dimension. Either way the result is bitwise
+that of a full scan, ties broken by the smaller index.
 """
 
 import math
@@ -223,23 +230,39 @@ KDTREE_MAX_DIM = 15
 def exact_knn(points: np.ndarray, k: int):
     """Exact k nearest neighbors of every point, self excluded.
 
-    Ties on distance are broken by the smaller point index. Returns
-    (dist, idx), both of shape (n, k), each row sorted by (distance, index).
-    Rows are searched in blocks of KNN_BLOCK.
+    ``points`` is n x d; a flat array is read as one column. Raises
+    InvalidParameterError on non-finite coordinates. Ties on distance are
+    broken by the smaller point index. Returns (dist, idx), both of shape
+    (n, k), each row sorted by (distance, index), with the distances
+    |x - y| that np.linalg.norm gives. Rows are searched in blocks of
+    KNN_BLOCK.
 
-    Up to dimension KDTREE_MAX_DIM, a row's candidates are every point in
-    a kd-tree ball of its k-th neighbor distance, ranked in one sort per
-    block. Above it, each block's squared distances |x|^2 + |y|^2 - 2 x.y
-    go into two KNN_BLOCK x n buffers, reused by every block, which bound
-    the search's memory. One argpartition takes each row's k + 1 smallest,
-    and only those are square-rooted (negative round-off read as 0). Where
-    the (k+1)-th distance exceeds the k-th, the row's first k are its
-    neighbors, sorted by (distance, index). Where it ties the k-th, a
-    neighbor outside them may win on index, and the row falls back to
-    ranking every point within its k-th distance. Either way a row's
-    result is bitwise that of the full scan.
+    Up to dimension KDTREE_MAX_DIM, one kd-tree query per block takes each
+    row's K nearest points, which are ranked row by row. Where the K-th
+    of them lies beyond the row's k-th neighbor distance, no point outside
+    them can tie the k-th, and the row's first k are its neighbors. Where
+    it does not (a tie group, or duplicates, reaching past the K-th), the
+    row falls back to ranking every point in a kd-tree ball of its k-th
+    distance. K starts at k + 2 (self, k neighbors and one point beyond)
+    and is chosen anew for each block, as the K at which the previous
+    block would have cost least, counting each fallback row as
+    _BALL_QUERY_COST candidates: it follows the tie groups of recent
+    blocks, falls again when they end, and never exceeds
+    k + 2 + _BALL_QUERY_COST, so one large duplicate cluster costs ball
+    queries on its own rows only.
+
+    Above KDTREE_MAX_DIM, each block's squared distances |x|^2 + |y|^2 -
+    2 x.y go into two KNN_BLOCK x n buffers, reused by every block, which
+    bound the search's memory. One argpartition takes each row's k + 1
+    smallest, and only those are square-rooted (negative round-off read as
+    0). Where the (k+1)-th distance exceeds the k-th, the row's first k
+    are its neighbors, sorted by (distance, index). Where it ties the
+    k-th, a neighbor outside them may win on index, and the row falls back
+    to ranking every point within its k-th distance.
+
+    On either path a row's result is bitwise that of its full scan.
     """
-    points = np.asarray(points, dtype=float)
+    points = PointCloud(points).points
     n, d = points.shape
     if not 1 <= k < n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k} for n={n} points")
@@ -254,8 +277,10 @@ def exact_knn(points: np.ndarray, k: int):
 
 def _first_k(rows, cols, dist, k, m):
     """(dist, idx), each m x k: the first k candidates of each of the rows
-    0..m-1 by (distance, index). Every row has at least k candidates."""
-    order = np.lexsort((cols, dist, rows))
+    0..m-1 by (distance, index). Every row has at least k candidates,
+    listed by ascending index."""
+    # lexsort is stable: candidates at one distance keep their index order
+    order = np.lexsort((dist, rows))
     counts = np.bincount(rows, minlength=m)
     first = np.cumsum(counts) - counts
     take = order[(first[:, None] + np.arange(k)).ravel()]
@@ -264,27 +289,67 @@ def _first_k(rows, cols, dist, k, m):
 
 def _kdtree_search(points, k):
     """search(start, stop) -> (dist, idx) of the rows start..stop-1, from
-    every point in a kd-tree ball of each row's k-th neighbor distance."""
+    each row's K nearest points in a kd-tree, or, where those may miss a
+    tie, every point in a kd-tree ball of its k-th neighbor distance
+    (exact_knn). K carries over from block to block."""
     # imported here: only low-dimensional kNN needs scipy.spatial
     from scipy.spatial import cKDTree
     tree = cKDTree(points)
+    n = points.shape[0]
+    K = min(k + 2, n)  # the fewest that can resolve a row: self, k, one beyond
 
     def search(start, stop):
+        nonlocal K
         block = points[start:stop]
-        # counting self, at distance 0, the (k+1)-th distance is the k-th
-        r = tree.query(block, k=[k + 1])[0][:, 0]
+        tree_d, cand = tree.query(block, k=K)
+        dist = np.linalg.norm(points[cand] - block[:, None], axis=2)
+        dist[cand == np.arange(start, stop)[:, None]] = np.inf  # self last
+        order = np.lexsort((cand, dist), axis=1)[:, :k]
+        out_d = np.take_along_axis(dist, order, axis=1)
+        out_i = np.take_along_axis(cand, order, axis=1)
         # tiny inflation: the tree's internal distance arithmetic may
-        # exclude boundary points at exactly r
-        balls = tree.query_ball_point(block, r * (1.0 + 1e-9) + 1e-300)
-        counts = np.fromiter(map(len, balls), np.int64, count=len(balls))
-        rows = np.repeat(np.arange(stop - start), counts)
-        cols = np.fromiter(chain.from_iterable(balls), np.int64, count=rows.size)
-        keep = cols != rows + start
-        rows, cols = rows[keep], cols[keep]
-        dist = np.linalg.norm(points[cols] - points[rows + start], axis=1)
-        return _first_k(rows, cols, dist, k, stop - start)
+        # differ from the norm at exactly the k-th distance
+        reach = out_d[:, -1] * (1.0 + 1e-9) + 1e-300
+        # where the K-th lies within reach, a point outside the K may tie
+        # the k-th; the K are every point when K = n
+        tied = np.flatnonzero((tree_d[:, -1] <= reach) & (K < n))
+        # the K that would have resolved each row: every point within
+        # reach, self included, and one beyond
+        need = np.count_nonzero(tree_d <= reach[:, None], axis=1) + 1
+        if tied.size:
+            # counting self, at distance 0, the (k+1)-th distance is the k-th
+            r = tree_d[tied, k]
+            balls = tree.query_ball_point(block[tied], r * (1.0 + 1e-9) + 1e-300,
+                                          return_sorted=True)
+            counts = np.fromiter(map(len, balls), np.int64, count=len(balls))
+            rows = np.repeat(np.arange(tied.size), counts)
+            cols = np.fromiter(chain.from_iterable(balls), np.int64,
+                               count=rows.size)
+            keep = cols != tied[rows] + start
+            rows, cols = rows[keep], cols[keep]
+            d = np.linalg.norm(points[cols] - block[tied[rows]], axis=1)
+            out_d[tied], out_i[tied] = _first_k(rows, cols, d, k, tied.size)
+            need[tied] = counts + 1
+        K = min(_cheapest_reach(need, k + 2), n)
+        return out_d, out_i
 
     return search
+
+
+# One row's ball query and ranking cost about as much as this many more
+# kd-tree candidates for one row.
+_BALL_QUERY_COST = 24
+
+
+def _cheapest_reach(need, least):
+    """The K, at least ``least``, at which the rows of the last block
+    would have cost least: K tree candidates for each row, and a ball
+    query for each row whose need exceeds K. It is at most least +
+    _BALL_QUERY_COST, so one large tie group cannot inflate K."""
+    need = np.sort(need)
+    K = np.append(least, need[need > least])
+    misses = need.size - np.searchsorted(need, K, side="right")
+    return int(K[np.argmin(K * need.size + _BALL_QUERY_COST * misses)])
 
 
 def _gram_search(points, k):

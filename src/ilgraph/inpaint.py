@@ -13,7 +13,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .graph import InvalidParameterError, PointCloud, self_tuning_weights
+from .graph import (InvalidParameterError, PointCloud, WeightGraph,
+                    self_tuning_weights)
 from .solver import LabelAssignment, SolverConfig, solve
 
 
@@ -134,13 +135,20 @@ def psnr(f: Image, f_star: Image) -> float:
     return 20.0 * math.log10(255.0 / math.sqrt(mse))
 
 
-def _inpaint_pass(weights_from: Image, img_known: Image, mask: SampleMask,
+def patch_graph(img: Image, cfg: InpaintConfig) -> WeightGraph:
+    """The weight graph of img's pixels: quartic self-tuning weights on
+    their cfg.patch_size patches, truncated to cfg.k nearest neighbors,
+    sigma the distance to the cfg.k_sigma-th."""
+    patches = extract_patches(img, *cfg.patch_size)
+    return self_tuning_weights(PointCloud(patches.vectors), cfg.k, cfg.k_sigma)
+
+
+def _inpaint_pass(graph: WeightGraph, img_known: Image, mask: SampleMask,
                   cfg: InpaintConfig):
-    """One solve on the patch graph of weights_from, labeled by img_known
-    on the known pixels. Returns the values clipped to [0, 255] with the
-    known pixels restored, and the solve's Diagnostics."""
-    patches = extract_patches(weights_from, *cfg.patch_size)
-    graph = self_tuning_weights(PointCloud(patches.vectors), cfg.k, cfg.k_sigma)
+    """One cfg.method solve on the patch graph of an image's pixels,
+    labeled by img_known on the known pixels. Returns the values clipped
+    to [0, 255] with the known pixels restored, and the solve's
+    Diagnostics."""
     known = mask.known
     labeled = np.nonzero(known.ravel())[0]
     labels = LabelAssignment(labeled, img_known.pixels.ravel()[labeled])
@@ -163,7 +171,8 @@ def inpaint(img_known: Image, mask: SampleMask, cfg: InpaintConfig):
     current[unknown] = rng.uniform(0.0, 255.0, size=int(unknown.sum()))
     current, diag = Image(current), None
     for _ in range(cfg.outer_iters):
-        current, last = _inpaint_pass(current, img_known, mask, cfg)
+        current, last = _inpaint_pass(patch_graph(current, cfg), img_known,
+                                      mask, cfg)
         diag = last if diag is None else last.absorb(diag)
     return current, diag
 
@@ -174,7 +183,7 @@ def oracle_weight_inpaint(img_clear: Image, mask: SampleMask,
     (Image, Diagnostics of the solve)."""
     if img_clear.shape != mask.known.shape:
         raise InvalidParameterError("image and mask dimensions must match")
-    return _inpaint_pass(img_clear, img_clear, mask, cfg)
+    return _inpaint_pass(patch_graph(img_clear, cfg), img_clear, mask, cfg)
 
 
 # one PNM header token, after any whitespace and # comments

@@ -6,12 +6,37 @@ import ilgraph.linalg
 from ilgraph.graph import WeightGraph
 from ilgraph.inpaint import Image
 from ilgraph.solver import LabelAssignment, threshold_subproblem
+from ilgraph.toy2d import LABEL_POINTS
 
 
 @pytest.fixture
 def over_cap(monkeypatch):
     """No matrix is small enough to factor: every solve iterates."""
     monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
+
+
+@pytest.fixture(scope="session")
+def knn_clouds():
+    """Point clouds that exercise the kd-tree kNN search, by name: the
+    toy2d points, few ties, exact ties on integer grids and lines,
+    duplicate groups, and a 1000-fold duplicate cluster at either end of
+    the row order."""
+    rng = np.random.default_rng(0)
+    axis = np.linspace(0.0, 1.0, 101)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    background = rng.random((19000, 2))
+    cluster = np.repeat(background[:1], 1000, axis=0)
+    return {
+        "toy2d": np.vstack([np.column_stack([gx.ravel(), gy.ravel()]),
+                            LABEL_POINTS]),
+        "uniform2d": rng.random((20000, 2)),
+        "uniform3d": rng.random((20000, 3)),
+        "grid27": np.indices((27, 27, 27)).reshape(3, -1).T.astype(float),
+        "line": np.arange(5000.0)[:, None],
+        "dup20": np.repeat(rng.random((500, 2)), 20, axis=0),
+        "cluster_first": np.vstack([cluster, background]),
+        "cluster_last": np.vstack([background, cluster]),
+    }
 
 
 def random_connected_graph(n, rng, density=0.15):

@@ -18,8 +18,8 @@ from conftest import (desk_image, edge_space_d_update, random_connected_graph,
                       random_labels)
 from ilgraph.gamma import BandwidthSchedule, convergence_study, interval_benchmark
 from ilgraph.graph import WeightGraph
-from ilgraph.inpaint import (Image, InpaintConfig, SampleMask,
-                             oracle_weight_inpaint, psnr, read_pgm, write_pgm)
+from ilgraph.inpaint import (Image, InpaintConfig, SampleMask, _inpaint_pass,
+                             patch_graph, psnr, read_pgm, write_pgm)
 from ilgraph.solver import (LabelAssignment, SolverConfig, gl_solve, il_solve,
                             nonlocal_inf_metric, objective, threshold_subproblem,
                             wnll_solve)
@@ -241,10 +241,12 @@ def test_criterion_7_inpainting_desk_scale():
     img = desk_image(128)
     mask = SampleMask.random(img.shape, 0.01, seed=0)
     scfg = SolverConfig(alpha=0.0, max_outer_iter=300)
+    # oracle_weight_inpaint for each method, on one graph of the clear image
+    graph = patch_graph(img, InpaintConfig())
     vals = {}
     for method in ("gl", "wnll", "il"):
         cfg = InpaintConfig(method=method, solver=scfg)
-        out, _ = oracle_weight_inpaint(img, mask, cfg)
+        out, _ = _inpaint_pass(graph, img, mask, cfg)
         vals[method] = psnr(out, img)
     gap_ok = vals["il"] - vals["gl"] >= 1.0
     order_ok = vals["il"] >= vals["wnll"] >= vals["gl"]

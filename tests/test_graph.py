@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+import scipy.spatial
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ilgraph.graph
@@ -20,6 +21,29 @@ def knn_by_path(pts, k, path, block=None):
         if block is not None:
             mp.setattr(ilgraph.graph, "KNN_BLOCK", block)
         return exact_knn(pts, k)
+
+
+class RecordingTree(scipy.spatial.cKDTree):
+    """A kd-tree that logs each query's K and each ball query's row count,
+    in call order."""
+
+    log = []
+
+    def query(self, x, k=1, **kwargs):
+        self.log.append(("query", k))
+        return super().query(x, k=k, **kwargs)
+
+    def query_ball_point(self, x, r, **kwargs):
+        self.log.append(("ball", len(x)))
+        return super().query_ball_point(x, r, **kwargs)
+
+
+@pytest.fixture
+def recording_tree(monkeypatch):
+    """The kd-tree calls of the kNN searches run while it is active."""
+    RecordingTree.log = []
+    monkeypatch.setattr(scipy.spatial, "cKDTree", RecordingTree)
+    return RecordingTree.log
 
 
 def lexsort_oracle(pts, k):
@@ -255,6 +279,87 @@ class TestExactKnn:
         want_dist, want_idx = lexsort_oracle(pts, 11)
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(dist, want_dist)
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    def test_flat_array_is_one_column(self, path):
+        dist, idx = knn_by_path(np.array([0.0, 1.0, 3.0, 7.0]), 2, path)
+        assert np.array_equal(idx, [[1, 2], [0, 2], [1, 0], [2, 1]])
+        assert np.array_equal(dist, [[1, 3], [1, 2], [2, 3], [4, 6]])
+
+    @pytest.mark.parametrize("path", sorted(PATHS))
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_points(self, path, bad):
+        # on the Gram path a NaN row used to get itself as a neighbor
+        pts = np.random.default_rng(9).standard_normal((6, 20))
+        pts[2, 5] = bad
+        with pytest.raises(InvalidParameterError, match="finite"):
+            knn_by_path(pts, 2, path)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), dim=st.sampled_from([1, 2, 3]),
+           block=st.sampled_from([1, 3, 256]), shuffle=st.booleans())
+    def test_kdtree_duplicate_groups_match_lexsort_oracle(self, data, dim,
+                                                          block, shuffle):
+        # sites on a small integer grid, each repeated up to 16 times: tie
+        # groups and duplicate groups larger than the first block's K =
+        # k + 2, kept together across block boundaries or spread out
+        sites = np.array(data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=dim, max_size=dim),
+            min_size=1, max_size=8), label="sites"), dtype=float)
+        sizes = data.draw(st.lists(st.integers(1, 16), min_size=len(sites),
+                                   max_size=len(sites)), label="sizes")
+        pts = np.repeat(sites, sizes, axis=0)
+        if shuffle:
+            pts = pts[np.random.default_rng(len(pts)).permutation(len(pts))]
+        n = len(pts)
+        assume(n >= 2)
+        k = data.draw(st.one_of(st.just(n - 1), st.integers(1, n - 1)),
+                      label="k")
+        dist, idx = knn_by_path(pts, k, "kdtree", block)
+        want_dist, want_idx = lexsort_oracle(pts, k)
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(dist, want_dist)
+
+    @pytest.mark.parametrize("k", [3, 10, 20, 30])
+    @pytest.mark.parametrize("name", ["toy2d", "uniform2d", "uniform3d",
+                                      "grid27", "line", "dup20",
+                                      "cluster_first", "cluster_last"])
+    def test_kdtree_cloud_set_matches_rows_of_the_full_scan(
+            self, knn_clouds, name, k):
+        pts = knn_clouds[name]
+        dist, idx = exact_knn(pts, k)
+        n = len(pts)
+        # both ends, the 1000-fold clusters and rows spread over the rest
+        rows = np.unique(np.r_[0, 999, 1000, n - 1001, n - 1000, n - 1,
+                               np.random.default_rng(k).integers(0, n, 40)])
+        for i in rows:
+            row = np.linalg.norm(pts - pts[i], axis=1)
+            row[i] = np.inf
+            nearest = np.lexsort((np.arange(n), row))[:k]
+            assert np.array_equal(idx[i], nearest)
+            assert np.array_equal(dist[i], row[nearest])
+
+    def test_kdtree_duplicate_cluster_does_not_raise_K(self, knn_clouds,
+                                                       recording_tree):
+        # rows 0..999 are one point: each needs K > 1000, which the search
+        # must leave to ball queries on those rows alone
+        k = 10
+        exact_knn(knn_clouds["cluster_first"], k)
+        queried = [K for call, K in recording_tree if call == "query"]
+        assert len(queried) == len(range(0, 20000, 256))
+        assert max(queried) <= k + 2 + ilgraph.graph._BALL_QUERY_COST
+        assert queried[4:] == [k + 2] * len(queried[4:])
+        balls = [rows for call, rows in recording_tree if call == "ball"]
+        assert sum(balls) < 1100
+
+    def test_kdtree_grid_ball_queries_in_first_block_only(self, knn_clouds,
+                                                          recording_tree):
+        # interior rows of the 101x101 grid at k = 10 tie 4 points at the
+        # 9th to 12th distance; after the first block K covers them
+        exact_knn(knn_clouds["toy2d"][:101 * 101], 10)
+        calls = [call for call, _ in recording_tree]
+        assert calls[:2] == ["query", "ball"]
+        assert "ball" not in calls[2:]
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), dim=st.sampled_from([1, 2, 3, 20]),

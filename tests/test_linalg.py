@@ -133,6 +133,30 @@ class TestFactor:
         assert report.relative_residual == (np.linalg.norm(A @ x - b)
                                             / np.linalg.norm(b))
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_band_storage_is_the_upper_band_of_the_permuted_matrix(
+            self, seed, monkeypatch):
+        bands = []
+        factor_band = ilgraph.linalg.cholesky_banded
+
+        def record(ab, **kwargs):
+            bands.append(ab.copy())
+            return factor_band(ab, **kwargs)
+
+        monkeypatch.setattr(ilgraph.linalg, "cholesky_banded", record)
+        rng = np.random.default_rng(seed)
+        A = kernel_laplacian_1d(int(rng.integers(40, 200)), rng)
+        factor = factor_if_small(A)
+        assert isinstance(factor, BandCholesky)
+        (ab,) = bands
+        bw = ab.shape[0] - 1
+        dense = A.toarray()[np.ix_(factor.perm, factor.perm)]
+        assert not np.triu(dense, bw + 1).any()
+        expected = np.zeros_like(ab)
+        for d in range(bw + 1):
+            expected[bw - d, d:] = np.diag(dense, d)
+        assert np.array_equal(ab, expected)
+
     def test_band_rule_is_inclusive(self, monkeypatch):
         # half-bandwidth 1 on 8 unknowns: the band holds 16 entries, as
         # many as A with all four blocks coupled, more than with three
