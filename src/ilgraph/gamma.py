@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import InvalidParameterError, KernelSpec, WeightGraph
+from .graph import InvalidParameterError, KernelSpec, PointCloud, WeightGraph
 from .linalg import DisconnectedGraphError
 from .solver import ConvergenceError, LabelAssignment, SolverConfig, il_solve
 
@@ -54,18 +54,15 @@ def discrete_energy(u, points, kernel: KernelSpec, s: float, p: float,
     the support radius, one row of points per value of u (1-D points may
     come as a flat array). Returns +inf if the label constraint is violated."""
     u = np.asarray(u, dtype=float)
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
-    if points.ndim != 2 or points.shape[0] != u.shape[0]:
-        raise InvalidParameterError(f"points of shape {points.shape} do not "
-                                    "give one point per value of u")
+    graph = build_full_kernel_graph(points, kernel, s, dim=dim)
+    if graph.n_nodes != u.shape[0]:
+        raise InvalidParameterError(f"{graph.n_nodes} points do not give one "
+                                    f"point per value of u ({u.shape[0]})")
     if label_indices is not None:
         if not np.array_equal(u[np.asarray(label_indices)],
                               np.asarray(label_values, dtype=float)):
             return math.inf
-    return _graph_energy(u, build_full_kernel_graph(points, kernel, s, dim=dim),
-                         s, p)
+    return _graph_energy(u, graph, s, p)
 
 
 def _graph_energy(u, graph: WeightGraph, s: float, p: float) -> float:
@@ -199,12 +196,14 @@ class StudyRow:
 def build_full_kernel_graph(points, kernel: KernelSpec, s: float,
                             dim: Optional[int] = None) -> WeightGraph:
     """All pairs within the scaled support radius, w_ij = eta_s(|x_i-x_j|),
-    one row of points per node (1-D points may come as a flat array)."""
+    one row of points per node (1-D points may come as a flat array), at
+    a bandwidth s that is positive and finite."""
     # imported here: only graph builds from coordinates need scipy.spatial
     from scipy.spatial import cKDTree
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[:, None]
+    if not (math.isfinite(s) and s > 0):
+        raise InvalidParameterError(f"bandwidth s = {s} must be positive "
+                                    "and finite")
+    points = PointCloud(points).points
     n, d = points.shape
     if dim is not None:
         d = dim

@@ -118,8 +118,16 @@ class KernelSpec:
                   bandwidth: float = 1.0) -> "KernelSpec":
         radii = np.asarray(radii, dtype=float)
         values = np.asarray(values, dtype=float)
-        if np.any(np.diff(values) > 0) or np.any(values < 0):
-            raise InvalidParameterError("tabulated kernel must be nonincreasing and nonnegative")
+        if radii.ndim != 1 or radii.size == 0 or radii.shape != values.shape:
+            raise InvalidParameterError(
+                "tabulated kernel needs one value per radius")
+        if not (radii[0] >= 0 and np.all(np.diff(radii) > 0)):
+            raise InvalidParameterError(
+                "tabulated radii must be nonnegative and increasing")
+        if not (values[0] > 0 and np.all(np.diff(values) <= 0)
+                and values[-1] >= 0):
+            raise InvalidParameterError("tabulated kernel must be positive at "
+                                        "0, nonincreasing and nonnegative")
         r_max = float(radii[-1])
 
         def profile(t):

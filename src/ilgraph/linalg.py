@@ -7,8 +7,8 @@ definite. Every value update (GL, WNLL, the first pass of ``choose_c``,
 each ``il_solve`` iteration) takes one of three paths, chosen by
 ``factor_if_small`` from the matrix alone: a LAPACK band Cholesky factor
 where the matrix is dense within its band, a sparse LU factor where it
-is not, and deflated conjugate gradients (CG) where a factor would be
-big.
+is not, and conjugate gradients (CG) from a recycled start where a
+factor would be big.
 
 Whether to factor is decided before factoring, from a cheap bound on the
 factor's size. Under the reverse Cuthill-McKee order, every nonzero of
@@ -38,25 +38,25 @@ tolerance. scipy's MINRES, used here before, stops on its own
 backward-error estimate instead, and on the desk-texture graph ended
 every solve near 8e-7 against a tolerance of 1e-10. All solves of one
 value-update system share its matrix, so the first one keeps its
-Lanczos tridiagonal in a ``Deflation``, and the second builds from it
+Lanczos tridiagonal in a ``StartSpace``, and the second builds from it
 the Ritz vectors W of the ``RITZ_VECTORS`` smallest Ritz values; a
-matrix solved once builds none. Every later solve keeps its search
-directions A-orthogonal to W (Saad, Yeung, Erhel and Guyomarc'h 2000, "A
-deflated version of the conjugate gradient algorithm"), so the few
-isolated small eigenvalues of a patch-graph Laplacian no longer set its
-iteration count. It starts from the Galerkin solution on W and on the
-last ``RECYCLED_SOLUTIONS`` solutions of the matrix (Fischer 1998,
-"Projection techniques for iterative solution of Ax = b with successive
-right-hand sides"): il_solve's steps solve one matrix for a run of
-right-hand sides that change little from step to step. Their images
+matrix solved once builds none. Every later solve starts from the
+Galerkin solution on W and on the last ``RECYCLED_SOLUTIONS`` solutions
+of the matrix (Fischer 1998, "Projection techniques for iterative
+solution of Ax = b with successive right-hand sides"), then runs plain
+CG: il_solve's steps solve one matrix for a run of right-hand sides that
+change little from step to step. W takes out the few isolated small
+eigenvalues of a patch-graph Laplacian at the start; at the step
+tolerances il_solve asks for, keeping every search direction
+A-orthogonal to W as well saved no iteration. The solutions' images
 cost no product by A, A x = b - r with r the true residual the solve
-stopped on. The start is built inside the ``Deflation``, so the report
+stopped on. The start is built inside the ``StartSpace``, so the report
 of a solve still states its residual relative to its own right-hand
 side.
 
 Each solve's SolveReport states the tolerance it was judged against.
 The first value update of a system (GL, WNLL, choose_c, il_solve's
-first pass) solves to lin_tol, and its Deflation learns from that
+first pass) solves to lin_tol, and its StartSpace learns from that
 solve; il_solve's later steps pass their own, looser tolerance
 (solver.STEP_TOL_MAX). A factored solve ignores the tolerance.
 """
@@ -73,13 +73,13 @@ from .graph import InvalidParameterError
 DEFAULT_TOL = 1e-10
 # largest RCM envelope, in entries, of a matrix that factor_if_small factors
 FACTOR_MAX_ENTRIES = 2 ** 21
-# Ritz vectors a Deflation keeps from the first solve of its matrix
+# Ritz vectors a StartSpace keeps from the first solve of its matrix
 RITZ_VECTORS = 8
 # CG iterations of that first solve whose residuals it keeps: bounds its
 # memory at LANCZOS_STEPS x n where a solve may run 10 n iterations
 LANCZOS_STEPS = 200
 # latest solutions of the matrix on which, with the Ritz vectors, each
-# later solve of a Deflation starts
+# later solve of a StartSpace starts
 RECYCLED_SOLUTIONS = 2
 
 
@@ -90,7 +90,7 @@ class DisconnectedGraphError(RuntimeError):
 @dataclass
 class SolveReport:
     """One linear solve: CG iterations taken (0 for a factored solve; the
-    Galerkin start of a deflated solve counts as none), the true relative
+    Galerkin start of a recycled solve counts as none), the true relative
     residual ||A x - b|| / ||b||, the tolerance tol it was judged against,
     and whether it met that tol. An il_solve iteration solves for the
     change in u, so its residual is relative to the increment's
@@ -170,13 +170,13 @@ class BandCholesky:
         return y[self.pos]
 
 
-class Deflation:
-    """Deflation space of one symmetric positive definite matrix A of
-    size n for CG, and the last RECYCLED_SOLUTIONS solutions of A with
-    their images. The basis W, orthonormal, comes with A W and
-    (W^T A W)^-1. It is empty until the first solve, which records its
-    Lanczos tridiagonal; a later solve, or a read of W or AW, builds the
-    basis from it, so a matrix solved once never builds one."""
+class StartSpace:
+    """Start space of one symmetric positive definite matrix A of size n
+    for CG: a basis W, orthonormal, with A W and (W^T A W)^-1, and the
+    last RECYCLED_SOLUTIONS solutions of A with their images. W is empty
+    until the first solve, which records its Lanczos tridiagonal; a later
+    solve, or a read of W or AW, builds the basis from it, so a matrix
+    solved once never builds one."""
 
     def __init__(self, n: int):
         self._basis = (np.zeros((n, 0)), np.zeros((n, 0)), np.zeros((0, 0)))
@@ -194,7 +194,7 @@ class Deflation:
         return self.basis()[1]
 
     def set_basis(self, A, W):
-        """Deflate on the span of the columns of W, of full column rank."""
+        """Start on the span of the columns of W, of full column rank."""
         W = np.linalg.qr(W)[0]
         AW = A @ W
         self._basis = (W, AW, np.linalg.inv(W.T @ AW))
@@ -222,10 +222,9 @@ class Deflation:
         return self._basis
 
     def start(self, b):
-        """(x0, b - A x0), x0 the Galerkin solution of A x = b on the
-        recent solutions made A-orthogonal to W, with no product by A.
-        The projections on W and on them are then independent, and _cg
-        adds the one on W (Fischer 1998)."""
+        """(x0, b - A x0), x0 the Galerkin solution of A x = b on W and on
+        the recent solutions made A-orthogonal to W (Fischer 1998), with no
+        product by A. The two projections are independent and add up."""
         n = b.shape[0]
         x, r = np.zeros(n), b.copy()
         W, AW, E_inv = self.basis()
@@ -247,11 +246,14 @@ class Deflation:
             c = s * (Q @ ((Q.T @ (s * (P.T @ b))) / lam))
             x = P @ c
             r -= AP @ c
+        c = E_inv @ (W.T @ r)
+        x += W @ c
+        r -= AW @ c
         return x, r
 
     def solve(self, A, b, tol: float):
-        """Deflated CG on A x = b from the Galerkin start on W and the
-        recent solutions. The first call records its Lanczos data. Returns
+        """CG on A x = b from the Galerkin start on W and the recent
+        solutions. The first call records its Lanczos data. Returns
         (x, iterations, true relative residual)."""
         record = None
         if not self.learnt:
@@ -270,7 +272,7 @@ class Deflation:
                     alphas.append(alpha)
                     rrs.append(rr)
 
-        x, iterations, res, r = _cg(A, b, tol, self, record)
+        x, iterations, res, r = _cg(A, b, tol, *self.start(b), record)
         if record is not None:
             self._lanczos = (A, V[:len(alphas)], np.array(alphas), np.array(rrs))
             self.learnt = True
@@ -283,28 +285,16 @@ class Deflation:
         return x, iterations, res
 
 
-def _cg(A, b, tol: float, deflation: Deflation, record=None):
-    """CG on A x = b from the deflation's start, moved to the Galerkin
-    solution on its basis W, each search direction made A-orthogonal to W.
-    Stops once the true relative residual is at most tol (checked whenever
-    the recurred one is, and restarted from x when it is not), or after
-    10 n iterations. Until a restart, calls record(r, r.r, alpha) at every
-    iteration, before r moves. Returns (x, iterations, true relative
-    residual, true residual)."""
-    W, AW, E_inv = deflation.basis()
+def _cg(A, b, tol: float, x, r, record=None):
+    """CG on A x = b from x, with residual r = b - A x (both updated in
+    place). Stops once the true relative residual is at most tol (checked
+    whenever the recurred one is, and restarted from x when it is not),
+    or after 10 n iterations. Until a restart, calls record(r, r.r, alpha)
+    at every iteration, before r moves. Returns (x, iterations, true
+    relative residual, true residual)."""
     n, b_norm = b.shape[0], np.linalg.norm(b)
     stop = (tol * b_norm) ** 2
-
-    def restart(x, r):
-        """Move x, with residual r, to the Galerkin solution on W (both
-        in place); returns the first search direction and r.r."""
-        c = E_inv @ (W.T @ r)
-        x += W @ c
-        r -= AW @ c
-        return r - W @ (E_inv @ (AW.T @ r)), r @ r
-
-    x, r = deflation.start(b)
-    p, rr = restart(x, r)
+    p, rr = r.copy(), r @ r
     iterations = 0
     while iterations < 10 * n:
         if rr <= stop:
@@ -312,7 +302,7 @@ def _cg(A, b, tol: float, deflation: Deflation, record=None):
             res = np.linalg.norm(r) / b_norm
             if res <= tol:
                 break
-            p, rr = restart(x, r)
+            p, rr = r.copy(), r @ r
             record = None
         Ap = A @ p
         alpha = rr / (p @ Ap)
@@ -323,7 +313,7 @@ def _cg(A, b, tol: float, deflation: Deflation, record=None):
         r -= Ap
         rr, rr_old = r @ r, rr
         p *= rr / rr_old
-        p += r - W @ (E_inv @ (AW.T @ r))
+        p += r
         iterations += 1
     else:
         r = b - A @ x
@@ -337,9 +327,9 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
 
     With a factor of A from factor_if_small, band Cholesky or sparse LU,
     one direct solve (0 iterations); otherwise CG, capped at 10 n
-    iterations, deflated on the basis of a Deflation of A when given one
-    (the first solve fills an empty one). The Galerkin start on that basis
-    counts as no iteration. Either way the report holds the true relative
+    iterations, from the Galerkin start on a StartSpace of A when given one
+    (the first solve fills an empty one), else from zero. The start counts
+    as no iteration. Either way the report holds the true relative
     residual.
     Non-convergence is reported, not raised; the caller decides.
     """
@@ -350,13 +340,13 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
     b_norm = np.linalg.norm(b)
     if b_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True, tol)
-    if isinstance(factor, Deflation):
+    if isinstance(factor, StartSpace):
         x, iterations, res = factor.solve(A, b, tol)
     elif factor is not None:
         x, iterations = factor.solve(b), 0
         res = float(np.linalg.norm(A @ x - b) / b_norm)
     else:
-        x, iterations, res, _ = _cg(A, b, tol, Deflation(n))
+        x, iterations, res, _ = _cg(A, b, tol, np.zeros(n), b.copy())
     return x, SolveReport(iterations, res, bool(res <= tol), tol)
 
 

@@ -15,8 +15,8 @@ it returns that as Diagnostics.first_update; solve(method, ...) runs any
 of the three and returns one Diagnostics record. Every u-update solves by
 the path linalg.factor_if_small picks from its matrix: a band Cholesky
 factor where the matrix is dense within its RCM band (1-D kernel
-graphs), a sparse LU factor where it is not, and deflated CG where a
-factor would be big.
+graphs), a sparse LU factor where it is not, and CG from a recycled
+start where a factor would be big.
 Edge work goes through the graph's non-local gradient G and row sum R
 (WeightGraph.operators): the splitting is D = G u, the u-update solves
 G^T diag(nu_e) G u = G^T (nu_e * s) on the unlabeled nodes, and the row
@@ -61,7 +61,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import InvalidParameterError, WeightGraph
-from .linalg import (Deflation, check_label_connectivity, factor_if_small,
+from .linalg import (StartSpace, check_label_connectivity, factor_if_small,
                      solve_symmetric)
 
 # entries of threshold_subproblem's input sorted first: on the 101x101
@@ -257,8 +257,8 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     the weights with no sparse product, and factors A when
     linalg.factor_if_small allows: by band Cholesky when A is dense within
     its band, else by sparse LU. Otherwise its solves are CG, and every
-    solve after the first is deflated on the Ritz vectors the first one
-    leaves in a linalg.Deflation, and starts on them and on the last
+    solve after the first starts from the Galerkin solution on the Ritz
+    vectors the first one leaves in a linalg.StartSpace and on the last
     solutions. A band factor that breaks down, A not numerically positive
     definite, raises ConvergenceError.
 
@@ -286,8 +286,8 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
         raise ConvergenceError(
             f"value-update matrix is not numerically positive definite: {exc}"
         ) from exc
-    if factor is None:  # CG, deflated by what its first solve learns
-        factor = Deflation(unl.size)
+    if factor is None:  # CG, started from what its first solve learns
+        factor = StartSpace(unl.size)
 
     def advance(u, r, tol):
         """u + du with A du = r_unl, solved to the relative residual tol."""

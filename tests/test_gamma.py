@@ -226,6 +226,24 @@ class TestStudy:
         assert (g.n_nodes, g.weights.nnz) == (3, 4)
         assert (g.weights != column.weights).nnz == 0
 
+    @pytest.mark.parametrize("energy", [False, True],
+                             ids=["build_full_kernel_graph", "discrete_energy"])
+    @pytest.mark.parametrize("points, s, match", [
+        # s = 0 gave an edgeless graph, s = -1 a message about negative
+        # weights, and points not finite scipy's plain ValueError
+        ([0.0, 0.5], 0.0, "bandwidth"), ([0.0, 0.5], -1.0, "bandwidth"),
+        ([0.0, 0.5], math.nan, "bandwidth"),
+        ([0.0, 0.5], math.inf, "bandwidth"),
+        ([0.0, math.nan], 1.0, "finite"), ([0.0, math.inf], 1.0, "finite"),
+        ([[0.0], [-math.inf]], 1.0, "finite")])
+    def test_full_kernel_graph_rejects_bad_bandwidth_or_points(
+            self, energy, points, s, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            if energy:
+                discrete_energy([0.0, 1.0], points, KernelSpec.tent(), s, 2.0)
+            else:
+                build_full_kernel_graph(points, KernelSpec.tent(), s)
+
     @pytest.mark.parametrize("dim, n, s", [(1, 300, 0.05), (1, 60, 0.5),
                                            (2, 200, 0.2), (2, 50, 0.6)])
     @pytest.mark.parametrize("seed", range(3))

@@ -104,6 +104,23 @@ class TestKernelSpec:
         with pytest.raises(InvalidParameterError):
             KernelSpec.tabulated([0.0, 1.0], [0.0, 1.0])
 
+    @pytest.mark.parametrize("radii, values, match", [
+        # profile(0) = 0, against the contract's profile(0) > 0
+        ([0.0, 1.0], [0.0, 0.0], "positive at 0"),
+        ([0.0, 1.0, 2.0], [1.0, 0.5, 0.8], "nonincreasing"),
+        ([0.0, 1.0, 2.0], [1.0, 0.5, -0.1], "nonnegative"),
+        # the last radius, 1.0, would be taken as the support radius
+        ([0.0, 2.0, 1.0], [1.0, 0.5, 0.2], "increasing"),
+        ([-1.0, 1.0], [1.0, 0.0], "nonnegative"),
+        # numpy's interp failed only at evaluation
+        ([0.0, 1.0, 2.0], [1.0, 0.5], "one value per radius"),
+        ([0.0, 1.0], [1.0, 0.5, 0.0], "one value per radius"),
+        ([], [], "one value per radius")])
+    def test_tabulated_rejects_a_table_outside_the_contract(self, radii,
+                                                            values, match):
+        with pytest.raises(InvalidParameterError, match=match):
+            KernelSpec.tabulated(radii, values)
+
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(InvalidParameterError):
             KernelSpec.gaussian(0.0)

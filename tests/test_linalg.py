@@ -5,7 +5,7 @@ import scipy.sparse as sp
 import ilgraph.linalg
 from ilgraph.gamma import build_full_kernel_graph
 from ilgraph.graph import InvalidParameterError, KernelSpec, WeightGraph
-from ilgraph.linalg import (BandCholesky, Deflation, DisconnectedGraphError,
+from ilgraph.linalg import (BandCholesky, DisconnectedGraphError, StartSpace,
                             check_label_connectivity, factor_if_small,
                             solve_symmetric)
 from ilgraph.solver import LabelAssignment, gl_solve
@@ -199,9 +199,9 @@ class TestDeflation:
         b = rng.standard_normal(A.shape[0])
         expected = np.linalg.solve(A.toarray(), b)
         plain, _ = solve_symmetric(A, b, tol=1e-12)
-        deflation = Deflation(A.shape[0])
-        deflation.set_basis(A, rng.standard_normal((A.shape[0], rank)))
-        x, report = solve_symmetric(A, b, tol=1e-12, factor=deflation)
+        space = StartSpace(A.shape[0])
+        space.set_basis(A, rng.standard_normal((A.shape[0], rank)))
+        x, report = solve_symmetric(A, b, tol=1e-12, factor=space)
         assert report.converged and report.iterations > 0
         assert np.allclose(x, expected, rtol=1e-9, atol=1e-10)
         assert np.allclose(x, plain, rtol=1e-9, atol=1e-10)
@@ -209,17 +209,17 @@ class TestDeflation:
     def test_later_solves_take_fewer_iterations(self, over_cap):
         A = grid_laplacian(30)
         assert factor_if_small(A) is None
-        deflation = Deflation(A.shape[0])
+        space = StartSpace(A.shape[0])
         rng = np.random.default_rng(6)
         reports = [solve_symmetric(A, rng.standard_normal(A.shape[0]),
-                                   factor=deflation)[1] for _ in range(6)]
+                                   factor=space)[1] for _ in range(6)]
         assert all(r.converged for r in reports)
         first, later = reports[0], reports[1:]
-        assert deflation.W.shape[1] == ilgraph.linalg.RITZ_VECTORS
+        assert space.W.shape[1] == ilgraph.linalg.RITZ_VECTORS
         assert np.mean([r.iterations for r in later]) < first.iterations
         # the first solve's smallest Ritz value has converged to the
         # smallest eigenvalue, 4 (1 - cos(pi / 31)) on this grid
-        ritz = np.linalg.eigvalsh(deflation.W.T @ deflation.AW)
+        ritz = np.linalg.eigvalsh(space.W.T @ space.AW)
         assert np.isclose(ritz[0], 4 * (1 - np.cos(np.pi / 31)), rtol=1e-8)
 
     def test_first_solve_past_the_record_learns_from_its_start(
@@ -231,8 +231,8 @@ class TestDeflation:
         A = grid_laplacian(30)
         rng = np.random.default_rng(7)
         b = rng.standard_normal(A.shape[0])
-        deflation = Deflation(A.shape[0])
-        _, first = solve_symmetric(A, b, factor=deflation)
+        space = StartSpace(A.shape[0])
+        _, first = solve_symmetric(A, b, factor=space)
         assert first.converged and first.iterations > steps
         Q = np.empty((A.shape[0], steps))  # orthonormal basis of K_steps(A, b)
         q = b / np.linalg.norm(b)
@@ -243,11 +243,11 @@ class TestDeflation:
                 q -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ q)
             q /= np.linalg.norm(q)
         expected = np.linalg.eigvalsh(Q.T @ (A @ Q))
-        ritz = np.linalg.eigvalsh(deflation.W.T @ deflation.AW)
+        ritz = np.linalg.eigvalsh(space.W.T @ space.AW)
         assert np.allclose(ritz, expected[:ilgraph.linalg.RITZ_VECTORS],
                            rtol=1e-8)
         b = rng.standard_normal(A.shape[0])
-        x, later = solve_symmetric(A, b, factor=deflation)
+        x, later = solve_symmetric(A, b, factor=space)
         assert later.converged
         assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-8,
                            atol=1e-10)
@@ -265,14 +265,14 @@ class TestDeflation:
         monkeypatch.setattr(ilgraph.linalg, "eigh_tridiagonal", counting)
         A = grid_laplacian(20)
         rng = np.random.default_rng(8)
-        deflation = Deflation(A.shape[0])
-        solve_symmetric(A, rng.standard_normal(A.shape[0]), factor=deflation)
-        assert deflation.learnt and not builds
+        space = StartSpace(A.shape[0])
+        solve_symmetric(A, rng.standard_normal(A.shape[0]), factor=space)
+        assert space.learnt and not builds
         for _ in range(2):
             solve_symmetric(A, rng.standard_normal(A.shape[0]),
-                            factor=deflation)
+                            factor=space)
         assert len(builds) == 1
-        assert deflation.W.shape[1] == ilgraph.linalg.RITZ_VECTORS
+        assert space.W.shape[1] == ilgraph.linalg.RITZ_VECTORS
 
     def test_start_is_galerkin_on_the_recent_solutions(self, over_cap):
         # a right-hand side in the span of the last two solves' is solved
@@ -280,16 +280,35 @@ class TestDeflation:
         A = grid_laplacian(20)
         rng = np.random.default_rng(9)
         bs = rng.standard_normal((4, A.shape[0]))
-        deflation = Deflation(A.shape[0])
+        space = StartSpace(A.shape[0])
         for b in bs[:3]:
-            solve_symmetric(A, b, tol=1e-13, factor=deflation)
+            solve_symmetric(A, b, tol=1e-13, factor=space)
         b = 2.0 * bs[1] - 0.5 * bs[2]
-        x, report = solve_symmetric(A, b, tol=1e-8, factor=deflation)
+        x, report = solve_symmetric(A, b, tol=1e-8, factor=space)
         assert report.converged and report.iterations == 0
         assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-8,
                            atol=1e-10)
-        _, report = solve_symmetric(A, bs[0], tol=1e-8, factor=deflation)
+        _, report = solve_symmetric(A, bs[0], tol=1e-8, factor=space)
         assert report.converged and report.iterations > 0
+
+    def test_start_residual_is_orthogonal_to_w_and_the_solutions(
+            self, over_cap):
+        # the start is Galerkin on W and the kept solutions together: its
+        # residual is orthogonal to both, to round-off
+        A = grid_laplacian(20)
+        rng = np.random.default_rng(13)
+        space = StartSpace(A.shape[0])
+        for _ in range(3):
+            solve_symmetric(A, rng.standard_normal(A.shape[0]), tol=1e-10,
+                            factor=space)
+        assert space.W.shape[1] == ilgraph.linalg.RITZ_VECTORS
+        assert space.X.shape[1] == ilgraph.linalg.RECYCLED_SOLUTIONS
+        b = rng.standard_normal(A.shape[0])
+        x, r = space.start(b)
+        assert np.allclose(r, b - A @ x, rtol=0.0, atol=1e-12)
+        for V in (space.W, space.X):
+            V = V / np.linalg.norm(V, axis=0)
+            assert np.abs(V.T @ r).max() <= 1e-12 * np.linalg.norm(b)
 
     def test_start_drops_a_solution_in_the_span_of_w(self, over_cap):
         # a solution in span W keeps only round-off once made A-orthogonal
@@ -302,13 +321,13 @@ class TestDeflation:
         b = rng.standard_normal(n)
         reports = []
         for in_span in (True, False):
-            deflation = Deflation(n)
-            deflation.set_basis(A, W)
+            space = StartSpace(n)
+            space.set_basis(A, W)
             if in_span:
                 _, first = solve_symmetric(A, A @ (W @ np.ones(5)), tol=1e-10,
-                                           factor=deflation)
+                                           factor=space)
                 assert first.iterations == 0
-            x, report = solve_symmetric(A, b, tol=1e-10, factor=deflation)
+            x, report = solve_symmetric(A, b, tol=1e-10, factor=space)
             assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-8,
                                atol=1e-9)
             reports.append(report)
@@ -319,12 +338,12 @@ class TestDeflation:
         # spans nothing and must not reach a later start
         A = grid_laplacian(10)
         rng = np.random.default_rng(11)
-        deflation = Deflation(A.shape[0])
+        space = StartSpace(A.shape[0])
         x, report = solve_symmetric(A, rng.standard_normal(A.shape[0]),
-                                    tol=1.0, factor=deflation)
+                                    tol=1.0, factor=space)
         assert report.converged and not x.any()
         b = rng.standard_normal(A.shape[0])
-        x, report = solve_symmetric(A, b, tol=1e-10, factor=deflation)
+        x, report = solve_symmetric(A, b, tol=1e-10, factor=space)
         assert report.converged
         assert np.allclose(x, np.linalg.solve(A.toarray(), b), rtol=1e-8,
                            atol=1e-10)

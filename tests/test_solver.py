@@ -421,7 +421,7 @@ class TestValueUpdate:
             raise AssertionError("splu called above the cap")
 
         monkeypatch.setattr(ilgraph.linalg.spla, "splu", refuse)
-        # one solve per system: no deflation basis is built
+        # one solve per system: no Ritz basis is built
         monkeypatch.setattr(ilgraph.linalg, "eigh_tridiagonal", refuse)
         reports = record_reports(monkeypatch)
         rng = np.random.default_rng(15)
@@ -452,10 +452,10 @@ class TestValueUpdate:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n=st.integers(4, 40), n_labels=st.integers(1, 3),
            seed=st.integers(0, 2 ** 32 - 1), directed=st.booleans())
-    def test_deflated_updates_match_dense_solve(self, over_cap, n, n_labels,
+    def test_recycled_updates_match_dense_solve(self, over_cap, n, n_labels,
                                                 seed, directed):
         # one system, many right-hand sides: the first update learns the
-        # deflation basis, every later one is deflated on it
+        # Ritz basis, every later one starts on it
         rng = np.random.default_rng(seed)
         graph = (random_directed_graph if directed
                  else random_connected_graph)(n, rng)
@@ -463,7 +463,7 @@ class TestValueUpdate:
         nu = rng.uniform(0.5, 2.0, size=n)
         unl = labels.unlabeled(n)
         u0 = pinned_zeros(labels, n)
-        ranks = []  # deflation rank each solve starts with, None unlearnt
+        ranks = []  # Ritz basis rank each solve starts with, None unlearnt
         solve_symmetric = ilgraph.solver.solve_symmetric
 
         def recording(A, b, tol, factor):
@@ -551,7 +551,14 @@ class TestStepTolerance:
         assert np.array_equal(diag.first_update, gl_solve(g, labels, cfg))
         assert diag.linear_residual_ratio_max <= 1.0
         steps = sum(r.iterations for r in reports[1:])
+        recycled = ilgraph.linalg.RECYCLED_SOLUTIONS
         monkeypatch.setattr(ilgraph.linalg, "RECYCLED_SOLUTIONS", 0)
+        solves.clear()
+        il_solve(g, labels, cfg)
+        assert steps <= 0.9 * sum(r.iterations for *_, r in solves[1:])
+        # without the Ritz vectors in the start the steps rise as well
+        monkeypatch.setattr(ilgraph.linalg, "RECYCLED_SOLUTIONS", recycled)
+        monkeypatch.setattr(ilgraph.linalg, "RITZ_VECTORS", 0)
         solves.clear()
         il_solve(g, labels, cfg)
         assert steps <= 0.9 * sum(r.iterations for *_, r in solves[1:])
