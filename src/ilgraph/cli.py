@@ -1,9 +1,12 @@
 """Command-line front door.
 
 Subcommands: solve (graph + labels CSV), toy2d (the grid benchmark),
-inpaint (PGM images), gamma (convergence study). Every run writes its
-fully resolved configuration next to the outputs. Exit codes: 0 success,
-1 input error, 2 solver non-convergence (partial results still written).
+inpaint (PGM images), gamma (convergence study). Every run writes
+config.json next to the outputs: every parsed argument, then what the
+command resolved from them and the solver configuration. Exit codes: 0
+success (--help too), 1 input error (a malformed, missing or
+conflicting argument too), 2 solver non-convergence (partial results
+still written).
 solve, toy2d and inpaint write the fields of solver.Diagnostics, over
 every solve of the run, into report.json, and return 2 when it says the
 iteration did not converge or a linear solve missed its own tolerance
@@ -28,8 +31,7 @@ import numpy as np
 from . import gamma as gamma_mod
 from . import inpaint as inpaint_mod
 from . import toy2d as toy_mod
-from .graph import DegenerateBandwidthError, InvalidParameterError, WeightGraph
-from .linalg import DisconnectedGraphError
+from .graph import InvalidParameterError, WeightGraph
 from .solver import (ConvergenceError, LabelAssignment, SolverConfig,
                      nonlocal_inf_metric, solve)
 
@@ -64,13 +66,6 @@ def read_labels_csv(path) -> LabelAssignment:
         raise InvalidParameterError(f"{path}: {exc}") from exc
 
 
-def read_graph_csv(path) -> WeightGraph:
-    try:
-        return WeightGraph.from_csv(path)
-    except (ValueError, OSError) as exc:  # InvalidParameterError too
-        raise InvalidParameterError(f"{path}: {exc}") from exc
-
-
 def write_solution_csv(path, u):
     np.savetxt(path, np.column_stack([np.arange(len(u)), u]),
                delimiter=",", fmt=["%d", "%.17g"])
@@ -98,11 +93,6 @@ def write_report(path, report):
         fh.write("\n")
 
 
-def _diagnostics(diag) -> dict:
-    """A solver.Diagnostics as report.json keys, all but first_update."""
-    return {k: v for k, v in vars(diag).items() if k != "first_update"}
-
-
 def _exit_code(report) -> int:
     """One rule for every solving command: 2 when its report says the
     iteration did not converge or a linear solve missed its own
@@ -111,70 +101,65 @@ def _exit_code(report) -> int:
     return 2 if failed else 0
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("ILGRAPH_OUT", ".")
-    path = Path(out)
+def _start(args, cfg, **resolved):
+    """Open a run once its inputs are read: create the output directory
+    and write config.json, every parsed argument (out resolved), then the
+    command's own resolutions, then the fields of cfg. Returns the
+    directory, that config and the start time."""
+    out = Path(args.out or os.environ.get("ILGRAPH_OUT", "."))
     try:
-        path.mkdir(parents=True, exist_ok=True)
+        out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise InvalidParameterError(f"{out}: {exc}") from exc
-    return path
+    config = {**{k: v for k, v in vars(args).items() if k != "func"},
+              "out": str(out), **resolved, **dataclasses.asdict(cfg)}
+    write_report(out / "config.json", config)
+    return out, config, time.perf_counter()
+
+
+def _finish(out, config, t0, diag, **keys) -> int:
+    """Close a run: write report.json, the config, the command's keys,
+    the seconds since t0 and every field of the solver.Diagnostics diag
+    but first_update. Returns the run's exit code."""
+    report = {"config": config, **keys, "seconds": time.perf_counter() - t0,
+              **{k: v for k, v in vars(diag).items() if k != "first_update"}}
+    write_report(out / "report.json", report)
+    return _exit_code(report)
 
 
 def cmd_solve(args) -> int:
-    out = _out_dir(args)
-    graph = read_graph_csv(args.graph)
+    graph = WeightGraph.from_csv(args.graph)
     labels = read_labels_csv(args.labels)
     cfg = SolverConfig(alpha=args.alpha)
-    resolved = {"command": "solve", "method": args.method,
-                "graph": str(args.graph), "labels": str(args.labels),
-                **dataclasses.asdict(cfg)}
-    write_report(out / "config.json", resolved)
-    t0 = time.perf_counter()
+    out, config, t0 = _start(args, cfg)
     u, diag = solve(args.method, graph, labels, cfg)
-    report = {"method": args.method, "config": resolved, **_diagnostics(diag),
-              "metric": nonlocal_inf_metric(u, graph),
-              "seconds": time.perf_counter() - t0}
     write_solution_csv(out / "solution.csv", u)
-    write_report(out / "report.json", report)
-    return _exit_code(report)
+    return _finish(out, config, t0, diag, method=args.method,
+                   metric=nonlocal_inf_metric(u, graph))
 
 
 def cmd_toy2d(args) -> int:
-    out = _out_dir(args)
     methods = ("gl", "wnll", "il") if args.method == "all" else (args.method,)
     cfg = SolverConfig(alpha=args.alpha)
-    resolved = {"command": "toy2d", "grid": args.grid, "sigma": args.sigma,
-                "k": args.k, "methods": list(methods),
-                **dataclasses.asdict(cfg)}
-    write_report(out / "config.json", resolved)
-    t0 = time.perf_counter()
+    out, config, t0 = _start(args, cfg, methods=list(methods))
     problem = toy_mod.build_toy2d(args.grid, args.sigma, args.k)
     metrics, solutions, diag = toy_mod.run_toy2d(problem, methods, cfg)
-    rows = [(name, metrics[name]) for name in metrics]
     with open(out / "metrics.csv", "w") as fh:
         fh.write("method,nonlocal_inf_metric\n")
-        for name, val in rows:
+        for name, val in metrics.items():
             fh.write(f"{name},{val:.10g}\n")
     for name, u in solutions.items():
         write_solution_csv(out / f"solution_{name}.csv", u)
-    report = {"config": resolved, "metrics": metrics, **_diagnostics(diag),
-              "seconds": time.perf_counter() - t0}
-    write_report(out / "report.json", report)
-    return _exit_code(report)
+    return _finish(out, config, t0, diag, metrics=metrics)
 
 
 def cmd_inpaint(args) -> int:
-    out = _out_dir(args)
     img = inpaint_mod.read_pgm(args.image)
-    if args.mask_file:
+    if args.mask_file is not None:
         mask = inpaint_mod.SampleMask.from_csv(args.mask_file, img.shape)
-    elif args.mask_density is not None:
+    else:
         mask = inpaint_mod.SampleMask.random(img.shape, args.mask_density,
                                              seed=args.seed)
-    else:
-        raise InvalidParameterError(
-            "one of --mask-density or --mask-file is required")
     # read before the solve, so that a bad file does not waste the run
     paths = (args.oracle_weights, args.ground_truth)
     oracle, truth = (inpaint_mod.read_pgm(p) if p else None for p in paths)
@@ -185,32 +170,20 @@ def cmd_inpaint(args) -> int:
         method=args.method, patch_size=(args.patch, args.patch), k=args.k,
         k_sigma=args.k_sigma, outer_iters=args.outer_iters, seed=args.seed,
         solver=SolverConfig(alpha=args.alpha))
-    resolved = {"command": "inpaint", "image": str(args.image),
-                "oracle_weights": args.oracle_weights,
-                "ground_truth": args.ground_truth,
-                "mask_density": args.mask_density, "mask_file": args.mask_file,
-                "method": cfg.method, "patch": args.patch, "k": cfg.k,
-                "k_sigma": cfg.k_sigma, "outer_iters": cfg.outer_iters,
-                "seed": cfg.seed, **dataclasses.asdict(cfg.solver)}
-    write_report(out / "config.json", resolved)
-    t0 = time.perf_counter()
+    out, config, t0 = _start(args, cfg.solver)
     if oracle is not None:
         result, diag = inpaint_mod.oracle_weight_inpaint(oracle, mask, cfg)
     else:
         result, diag = inpaint_mod.inpaint(img, mask, cfg)
     inpaint_mod.write_pgm(result, out / "out.pgm")
     mask.to_csv(out / "mask.csv")
-    report = {"config": resolved, "seconds": time.perf_counter() - t0,
-              **_diagnostics(diag)}
     reference = truth if truth is not None else oracle
-    if reference is not None:
-        report["psnr_db"] = inpaint_mod.psnr(result, reference)
-    write_report(out / "report.json", report)
-    return _exit_code(report)
+    keys = {} if reference is None else {
+        "psnr_db": inpaint_mod.psnr(result, reference)}
+    return _finish(out, config, t0, diag, **keys)
 
 
 def cmd_gamma(args) -> int:
-    out = _out_dir(args)
     try:
         n_values = [int(v) for v in args.n_values.split(",")]
     except ValueError as exc:
@@ -222,10 +195,7 @@ def cmd_gamma(args) -> int:
     schedule = gamma_mod.BandwidthSchedule(n_values, r_adjust=args.r_adjust,
                                            dim=problem.intrinsic_dim)
     cfg = SolverConfig(alpha=0.0)
-    write_report(out / "config.json", {
-        "command": "gamma", "problem": args.problem, "trials": args.trials,
-        "seed": args.seed, "r_adjust": args.r_adjust,
-        "n_values": n_values, **dataclasses.asdict(cfg)})
+    out, _, _ = _start(args, cfg, n_values=n_values)
     rows = gamma_mod.convergence_study(problem, schedule, args.trials,
                                        seed=args.seed, solver_cfg=cfg)
     gamma_mod.rows_to_csv(rows, out / "study.csv")
@@ -256,8 +226,9 @@ def build_parser():
 
     p = sub.add_parser("inpaint", help="inpaint a PGM image")
     p.add_argument("image")
-    p.add_argument("--mask-density", type=float, default=None)
-    p.add_argument("--mask-file", default=None)
+    mask = p.add_mutually_exclusive_group(required=True)
+    mask.add_argument("--mask-density", type=float, default=None)
+    mask.add_argument("--mask-file", default=None)
     p.add_argument("--method", choices=["gl", "wnll", "il"], default="il")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--patch", type=int, default=11)
@@ -281,11 +252,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help, else 2
+        return 1 if exc.code else 0
     try:
         return args.func(args)
-    except (InvalidParameterError, FileNotFoundError, DisconnectedGraphError,
-            DegenerateBandwidthError) as exc:
+    except InvalidParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConvergenceError as exc:

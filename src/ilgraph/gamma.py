@@ -13,6 +13,7 @@ kernel moment constant computed by sigma_eta below.
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -20,7 +21,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import InvalidParameterError, KernelSpec, PointCloud, WeightGraph
-from .linalg import DisconnectedGraphError
 from .solver import ConvergenceError, LabelAssignment, SolverConfig, il_solve
 
 
@@ -52,15 +52,18 @@ def discrete_energy(u, points, kernel: KernelSpec, s: float, p: float,
                     dim: Optional[int] = None) -> float:
     """Exact evaluation of the scaled discrete energy over all pairs within
     the support radius, one row of points per value of u (1-D points may
-    come as a flat array). Returns +inf if the label constraint is violated."""
+    come as a flat array). Returns +inf if the label constraint is
+    violated; a malformed one (see solver.LabelAssignment) or an index
+    that names no point raises InvalidParameterError."""
     u = np.asarray(u, dtype=float)
     graph = build_full_kernel_graph(points, kernel, s, dim=dim)
     if graph.n_nodes != u.shape[0]:
         raise InvalidParameterError(f"{graph.n_nodes} points do not give one "
                                     f"point per value of u ({u.shape[0]})")
     if label_indices is not None:
-        if not np.array_equal(u[np.asarray(label_indices)],
-                              np.asarray(label_values, dtype=float)):
+        labels = LabelAssignment(label_indices, label_values)
+        labels.unlabeled(u.size)  # checks the indices against the points
+        if not np.array_equal(u[labels.indices], labels.values):
             return math.inf
     return _graph_energy(u, graph, s, p)
 
@@ -160,6 +163,9 @@ class BandwidthSchedule:
 
     def validate(self):
         """s(n) must vanish while dominating the transportation rate."""
+        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
+            raise InvalidParameterError(
+                f"dimension {self.dim!r} must be a positive integer")
         # s(1) is 0 under the default rule: a study needs n >= 2
         if not self.n_values or min(self.n_values) < 2:
             raise InvalidParameterError("sample sizes must be at least 2")
@@ -256,8 +262,7 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
             labels = LabelAssignment(label_idx, label_val)
             try:
                 u, diag = il_solve(graph, labels, cfg)
-            except (DisconnectedGraphError, ConvergenceError,
-                    InvalidParameterError) as exc:
+            except (InvalidParameterError, ConvergenceError) as exc:
                 rows.append(StudyRow(n, trial, s, math.nan, target, math.nan,
                                      math.nan, True,
                                      f"{type(exc).__name__}: {exc}"))

@@ -29,7 +29,7 @@ class InvalidParameterError(ValueError):
     """Raised when an operation receives out-of-contract parameters."""
 
 
-class DegenerateBandwidthError(ValueError):
+class DegenerateBandwidthError(InvalidParameterError):
     """Raised when a per-point bandwidth collapses to zero (duplicate points)."""
 
 
@@ -215,16 +215,23 @@ class WeightGraph:
 
     @classmethod
     def from_csv(cls, path, n_nodes: Optional[int] = None) -> "WeightGraph":
-        arr = np.loadtxt(path, delimiter=",", ndmin=2)
-        if arr.size == 0:
-            raise InvalidParameterError("empty graph file")
-        ends = arr[:, :2]
-        if not np.all(np.isfinite(ends) & (ends == np.round(ends))):
-            raise InvalidParameterError("node indices must be integers")
-        rows, cols = ends.astype(int).T
-        vals = arr[:, 2]
-        n = n_nodes if n_nodes is not None else int(max(rows.max(), cols.max())) + 1
-        return cls(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        """Graph from (i, j, w) lines; every error names the file."""
+        try:
+            arr = np.loadtxt(path, delimiter=",", ndmin=2)
+            if arr.size == 0:
+                raise InvalidParameterError("empty graph file")
+            if arr.shape[1] != 3:
+                raise InvalidParameterError("expected i,j,w lines")
+            ends = arr[:, :2]
+            if not np.all(np.isfinite(ends) & (ends == np.round(ends))):
+                raise InvalidParameterError("node indices must be integers")
+            rows, cols = ends.astype(int).T
+            vals = arr[:, 2]
+            n = (n_nodes if n_nodes is not None
+                 else int(max(rows.max(), cols.max())) + 1)
+            return cls(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
+        except (ValueError, OSError) as exc:  # InvalidParameterError too
+            raise InvalidParameterError(f"{path}: {exc}") from exc
 
 
 # Rows are searched in blocks of this many: a Gram block holds

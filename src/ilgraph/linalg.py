@@ -83,7 +83,7 @@ LANCZOS_STEPS = 200
 RECYCLED_SOLUTIONS = 2
 
 
-class DisconnectedGraphError(RuntimeError):
+class DisconnectedGraphError(InvalidParameterError):
     """Raised when unlabeled nodes are not connected to any labeled node."""
 
 

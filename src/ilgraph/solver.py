@@ -84,7 +84,13 @@ class LabelAssignment:
     values: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).ravel()
+        idx = np.asarray(self.indices).ravel()
+        if idx.dtype.kind not in "iu":  # 1.7 must not label node 1
+            as_float = idx.astype(float)
+            if not np.all(np.isfinite(as_float)
+                          & (as_float == np.round(as_float))):
+                raise InvalidParameterError("label indices must be integers")
+        idx = idx.astype(np.int64, copy=False)
         val = np.asarray(self.values, dtype=float).ravel()
         if idx.size == 0:
             raise InvalidParameterError("at least one labeled node is required")

@@ -152,8 +152,9 @@ WEIGHTS = st.sampled_from(["1", "0.25", "0", "-1", "nan", "inf", "1e300",
                            "1e-300", ""])
 LABEL_LINES = st.sampled_from(["3,-1", "1.5,0", "x,1", "2", "", "# note",
                                "0,nan", "9,1", "-1,0", "1,inf"])
-REALS = ["0", "-1", "1.5", "nan", "inf"]
-COUNTS = ["0", "-1", "1"]
+# "x" and "abc" are rejected by the parser itself
+REALS = ["0", "-1", "1.5", "nan", "inf", "x"]
+COUNTS = ["0", "-1", "1", "abc"]
 
 
 def _field(draw, valid, invalid):
@@ -175,7 +176,14 @@ def _pgm(draw, side):
 @st.composite
 def cli_runs(draw):
     """(files, argv) of one tiny run, argv naming the files by name: valid
-    inputs with some fields spoiled."""
+    inputs with some fields spoiled, and now and then a flag no command
+    knows."""
+    files, argv = draw(_command_runs())
+    return files, argv + _field(draw, [], [["--bogus"], ["--bogus", "1"]])
+
+
+@st.composite
+def _command_runs(draw):
     method = draw(st.sampled_from(["gl", "wnll", "il"]))
     alpha = _field(draw, "0.01", REALS)
     command = draw(st.sampled_from(["solve", "inpaint", "toy2d", "gamma"]))
@@ -190,12 +198,15 @@ def cli_runs(draw):
         return files, ["solve", "graph.csv", "labels.csv", "--method", method,
                        "--alpha", alpha]
     if command == "inpaint":
-        files = {"img.pgm": _pgm(draw, 5), "truth.pgm": _pgm(draw, 4)}
+        files = {"img.pgm": _pgm(draw, 5), "truth.pgm": _pgm(draw, 4),
+                 "mask.csv": b"0,0\n2,3\n"}
         truth = draw(st.sampled_from([[], ["--ground-truth", "truth.pgm"],
                                       ["--oracle-weights", "truth.pgm"]]))
+        density = ["--mask-density", _field(draw, "0.5", REALS)]
+        mask = draw(st.sampled_from([density, ["--mask-file", "mask.csv"],
+                                     [*density, "--mask-file", "mask.csv"]]))
         return files, ["inpaint", "img.pgm", "--method", method,
-                       "--alpha", alpha,
-                       "--mask-density", _field(draw, "0.5", REALS),
+                       "--alpha", alpha, *mask,
                        "--patch", _field(draw, "3", COUNTS),
                        "--k", _field(draw, "3", COUNTS),
                        "--k-sigma", _field(draw, "2", COUNTS),
@@ -228,6 +239,20 @@ class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    @pytest.mark.parametrize("argv", [
+        ["toy2d", "--grid", "abc"], ["toy2d", "--sigma", "x"], ["nope"], [],
+        ["solve", "g.csv", "l.csv", "--bogus"]])
+    def test_parser_rejection_exit_1(self, tmp_path, capsys, argv):
+        # argparse would exit 2, the code of solver non-convergence
+        assert main(["--out", str(tmp_path / "o"), *argv]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["inpaint", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: ilgraph")
 
     def test_solve_defaults(self):
         args = build_parser().parse_args(["solve", "g.csv", "l.csv"])
@@ -527,6 +552,17 @@ class TestInpaint:
                              "--ground-truth", str(path)) == 1
         assert capsys.readouterr().err.startswith(f"error: {path}: ")
         assert not (tmp_path / "o" / "out.pgm").exists()
+
+    def test_two_mask_sources_exit_1(self, tmp_path, capsys):
+        # --mask-file used to win silently over --mask-density
+        src = tmp_path / "img.pgm"
+        write_pgm(Image(np.full((6, 6), 100.0)), src)
+        mask = tmp_path / "mask.csv"
+        mask.write_text("0,0\n")
+        assert self._inpaint(tmp_path, src, "--mask-density", "0.3",
+                             "--mask-file", str(mask)) == 1
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_requires_mask_source(self, tmp_path, capsys):
         src = tmp_path / "img.pgm"

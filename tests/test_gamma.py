@@ -70,6 +70,16 @@ class TestDiscreteEnergy:
                               label_indices=[1], label_values=[5.0])
         assert val == math.inf
 
+    @pytest.mark.parametrize("indices, values", [
+        ([0, 1], [5.0]), ([1], None), ([2], [0.0]), ([-1], [0.0]),
+        ([0.5], [0.0])])
+    def test_malformed_constraint_raises(self, indices, values):
+        # not read as a violated constraint, and no bare IndexError
+        with pytest.raises(InvalidParameterError):
+            discrete_energy([0.0, 0.0], np.array([0.0, 1.0]),
+                            KernelSpec.tent(), 1.0, 2.0,
+                            label_indices=indices, label_values=values)
+
     def test_scaling_in_s(self):
         # doubling u doubles the energy (p-homogeneity of degree 1)
         rng = np.random.default_rng(0)
@@ -134,6 +144,12 @@ class TestBandwidthSchedule:
     def test_rejects_bad_inputs(self, n_values, r_adjust):
         with pytest.raises(InvalidParameterError):
             BandwidthSchedule(n_values, r_adjust=r_adjust).validate()
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5])
+    def test_rejects_bad_dimension(self, dim):
+        # 0 and -1 used to divide by zero, 2.5 passed
+        with pytest.raises(InvalidParameterError, match="positive integer"):
+            BandwidthSchedule([100, 200], dim=dim).validate()
 
     def test_s_decreases(self):
         sched = BandwidthSchedule([0], dim=1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,6 +12,7 @@ from conftest import random_directed_graph
 from ilgraph.graph import (DegenerateBandwidthError, InvalidParameterError,
                            KernelSpec, PointCloud, WeightGraph, exact_knn,
                            knn_graph, self_tuning_weights)
+from ilgraph.linalg import DisconnectedGraphError
 
 # KDTREE_MAX_DIM values that force each candidate path at any dimension
 PATHS = {"kdtree": 10 ** 6, "gram": 0}
@@ -238,6 +241,19 @@ class TestWeightGraph:
         path.write_text("0,1,1.0\n1.6,0,1.0\n")
         with pytest.raises(InvalidParameterError, match="integers"):
             WeightGraph.from_csv(path)
+
+    @pytest.mark.parametrize("text", ["0,1\n1,0\n", "0,1,nan\n", "0,x,1\n",
+                                      "0,-1,1\n", ""])
+    def test_from_csv_errors_name_the_file(self, tmp_path, text):
+        # two columns used to raise a bare IndexError
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(str(path))}: "):
+            WeightGraph.from_csv(path)
+
+    def test_input_errors_are_one_family(self):
+        for error in (DegenerateBandwidthError, DisconnectedGraphError):
+            assert issubclass(error, InvalidParameterError)
 
 
 class TestExactKnn:

@@ -148,6 +148,12 @@ class TestLabelAssignment:
         with pytest.raises(InvalidParameterError):
             LabelAssignment([0], [np.inf])
 
+    @pytest.mark.parametrize("index", [1.7, np.nan, np.inf])
+    def test_rejects_non_integer_indices(self, index):
+        # 1.7 used to label node 1, NaN to raise numpy's own ValueError
+        with pytest.raises(InvalidParameterError, match="integers"):
+            LabelAssignment([0.0, index], [0.0, 1.0])
+
     def test_unlabeled_complement(self):
         lab = LabelAssignment([1, 3], [0.0, 0.0])
         assert lab.unlabeled(5).tolist() == [0, 2, 4]
