@@ -138,12 +138,16 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class WeightGraph:
-    """Sparse directed nonnegative weight matrix with zero diagonal."""
+    """Sparse directed nonnegative weight matrix with zero diagonal, kept
+    in canonical CSR form with no stored zeros. The graph holds a copy of
+    the matrix it is given."""
 
     weights: sp.csr_matrix
 
     def __post_init__(self):
-        w = sp.csr_matrix(self.weights)
+        # a copy: the checks below edit it in place, and a later edit of
+        # the caller's matrix must not reach the graph or its operators
+        w = sp.csr_matrix(self.weights, copy=True)
         if w.shape[0] != w.shape[1]:
             raise InvalidParameterError("weight matrix must be square")
         if w.diagonal().any():

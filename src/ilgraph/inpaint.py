@@ -7,6 +7,7 @@ the quartic self-tuning kernel truncated to k nearest neighbors.
 """
 
 import math
+import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -98,8 +99,11 @@ class InpaintConfig:
     def __post_init__(self):
         if self.method not in ("gl", "wnll", "il"):
             raise InvalidParameterError(f"unknown method {self.method!r}")
-        if self.outer_iters < 1:
-            raise InvalidParameterError("outer_iters must be at least 1")
+        if not (isinstance(self.outer_iters, numbers.Integral)
+                and self.outer_iters >= 1):
+            raise InvalidParameterError(
+                "outer_iters must be at least 1 and an integer, not"
+                f" {self.outer_iters!r}")
 
 
 @dataclass(frozen=True)

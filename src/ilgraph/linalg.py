@@ -42,7 +42,8 @@ Lanczos tridiagonal in a ``StartSpace``, and the second builds from it
 the Ritz vectors W of the ``RITZ_VECTORS`` smallest Ritz values; a
 matrix solved once builds none. Every later solve starts from the
 Galerkin solution on W and on the last ``RECYCLED_SOLUTIONS`` solutions
-of the matrix (Fischer 1998, "Projection techniques for iterative
+of the matrix, one projection on their joint span with no inverse of
+W^T A W kept (Fischer 1998, "Projection techniques for iterative
 solution of Ax = b with successive right-hand sides"), then runs plain
 CG: il_solve's steps solve one matrix for a run of right-hand sides that
 change little from step to step. W takes out the few isolated small
@@ -172,14 +173,15 @@ class BandCholesky:
 
 class StartSpace:
     """Start space of one symmetric positive definite matrix A of size n
-    for CG: a basis W, orthonormal, with A W and (W^T A W)^-1, and the
-    last RECYCLED_SOLUTIONS solutions of A with their images. W is empty
-    until the first solve, which records its Lanczos tridiagonal; a later
-    solve, or a read of W or AW, builds the basis from it, so a matrix
-    solved once never builds one."""
+    for CG: a basis W, orthonormal, with A W, and the last
+    RECYCLED_SOLUTIONS solutions of A with their images; each start is
+    one Galerkin projection on their joint span. W is empty until the
+    first solve, which records its Lanczos tridiagonal; a later solve, or
+    a read of W or AW, builds the basis from it, so a matrix solved once
+    never builds one."""
 
     def __init__(self, n: int):
-        self._basis = (np.zeros((n, 0)), np.zeros((n, 0)), np.zeros((0, 0)))
+        self._basis = (np.zeros((n, 0)), np.zeros((n, 0)))
         self._lanczos = None  # (A, V, alphas, r.r's) until the basis is built
         # the recent solutions, newest first, and A times each
         self.X = self.AX = np.zeros((n, 0))
@@ -196,14 +198,12 @@ class StartSpace:
     def set_basis(self, A, W):
         """Start on the span of the columns of W, of full column rank."""
         W = np.linalg.qr(W)[0]
-        AW = A @ W
-        self._basis = (W, AW, np.linalg.inv(W.T @ AW))
+        self._basis = (W, A @ W)
         self.learnt = True
 
     def basis(self):
-        """(W, A W, (W^T A W)^-1): the Ritz vectors of the RITZ_VECTORS
-        smallest Ritz values of the first solve, built at the first call
-        after it."""
+        """(W, A W): the Ritz vectors of the RITZ_VECTORS smallest Ritz
+        values of the first solve, built at the first call after it."""
         if self._lanczos is not None:
             A, V, a, rr = self._lanczos
             self._lanczos = None
@@ -222,34 +222,25 @@ class StartSpace:
         return self._basis
 
     def start(self, b):
-        """(x0, b - A x0), x0 the Galerkin solution of A x = b on W and on
-        the recent solutions made A-orthogonal to W (Fischer 1998), with no
-        product by A. The two projections are independent and add up."""
-        n = b.shape[0]
-        x, r = np.zeros(n), b.copy()
-        W, AW, E_inv = self.basis()
+        """(x0, b - A x0), x0 the Galerkin solution of A x = b on the span
+        of W and the recent solutions (Fischer 1998), in one projection
+        and with no product by A."""
+        W, AW = self.basis()
         # fewer start vectors than unknowns, like the basis: every solve
         # still iterates
-        m = max(0, n - 1 - W.shape[1])
-        X, AX = self.X[:, :m], self.AX[:, :m]
-        if X.shape[1]:
-            C = E_inv @ (AW.T @ X)
-            P, AP = X - W @ C, AX - AW @ C
-            # P^T A P scaled by the solutions' A-norms to a unit diagonal
-            # before projection; a direction that keeps less than 1e-8 of
-            # its squared A-norm, nearly in span W or in the span of the
-            # other solutions, would be round-off and is dropped
-            s = 1.0 / np.sqrt(np.einsum("ij,ij->j", X, AX))
-            lam, Q = np.linalg.eigh(s[:, None] * (P.T @ AP) * s)
-            keep = lam > 1e-8
-            Q, lam = Q[:, keep], lam[keep]
-            c = s * (Q @ ((Q.T @ (s * (P.T @ b))) / lam))
-            x = P @ c
-            r -= AP @ c
-        c = E_inv @ (W.T @ r)
-        x += W @ c
-        r -= AW @ c
-        return x, r
+        m = max(0, b.shape[0] - 1 - W.shape[1])
+        Z = np.hstack([W, self.X[:, :m]])
+        AZ = np.hstack([AW, self.AX[:, :m]])
+        # Z^T A Z scaled by the A-norms of Z to a unit diagonal before
+        # projection; a direction that keeps less than 1e-8 of its squared
+        # A-norm, nearly in the span of the others, would be round-off and
+        # is dropped. An empty Z gives the zero start.
+        s = 1.0 / np.sqrt(np.einsum("ij,ij->j", Z, AZ))
+        lam, Q = np.linalg.eigh(s[:, None] * (Z.T @ AZ) * s)
+        keep = lam > 1e-8
+        Q, lam = Q[:, keep], lam[keep]
+        c = s * (Q @ ((Q.T @ (s * (Z.T @ b))) / lam))
+        return Z @ c, b - AZ @ c
 
     def solve(self, A, b, tol: float):
         """CG on A x = b from the Galerkin start on W and the recent

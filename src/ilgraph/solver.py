@@ -53,6 +53,7 @@ step that misses it is still counted. Factored solves are exact either
 way, so on factored systems the result does not depend on the rule.
 """
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -131,15 +132,20 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.alpha) and self.alpha >= 0):
             raise InvalidParameterError("alpha must be finite and nonnegative")
-        if self.max_outer_iter < 1:
-            raise InvalidParameterError("max_outer_iter must be at least 1")
-        if not (self.rel_obj_tol > 0 and self.lin_tol > 0):
-            raise InvalidParameterError("tolerances must be positive")
+        if not (isinstance(self.max_outer_iter, numbers.Integral)
+                and self.max_outer_iter >= 1):
+            raise InvalidParameterError(
+                "max_outer_iter must be at least 1 and an integer, not"
+                f" {self.max_outer_iter!r}")
+        if not all(np.isfinite(tol) and tol > 0
+                   for tol in (self.rel_obj_tol, self.lin_tol)):
+            raise InvalidParameterError("tolerances must be finite and positive")
         if self.fixed_c is not None and not (np.isfinite(self.fixed_c)
                                              and self.fixed_c > 0):
             raise InvalidParameterError("fixed_c must be finite and positive")
-        if self.primal_tol is not None and not self.primal_tol > 0:
-            raise InvalidParameterError("primal_tol must be positive")
+        if self.primal_tol is not None and not (np.isfinite(self.primal_tol)
+                                                and self.primal_tol > 0):
+            raise InvalidParameterError("primal_tol must be finite and positive")
 
 
 @dataclass
@@ -231,10 +237,11 @@ def threshold_subproblem(a, c):
         raise InvalidParameterError("a and c must have equal length")
     if c.size == 0:
         return np.zeros(0)
-    if np.any(a <= 0):  # one test for a scalar a
-        raise InvalidParameterError("all a_i must be positive")
-    if np.any(c < 0):
-        raise InvalidParameterError("all c_i must be nonnegative")
+    # written so that NaN fails too; one test for a scalar a
+    if not np.all((a > 0) & (a < np.inf)):
+        raise InvalidParameterError("all a_i must be finite and positive")
+    if not np.all((c >= 0) & (c < np.inf)):
+        raise InvalidParameterError("all c_i must be finite and nonnegative")
     # a scalar a is read through a broadcast view: no copy per entry
     a = np.broadcast_to(a, c.shape) if a.ndim == 0 else a.ravel()
 

@@ -154,6 +154,24 @@ class TestWeightGraph:
         assert np.array_equal(w.indices, [1, 2])
         assert np.array_equal(w.data, [2.5, 1.0])
 
+    @pytest.mark.parametrize("data, indices", [
+        ([1.0, 0.0, 1.0], [1, 0, 0]),   # a stored zero at (0, 0)
+        ([2.0, 1.0, 1.0], [1, 1, 0]),   # (0, 1) given twice
+    ])
+    def test_input_matrix_is_copied_not_edited(self, data, indices):
+        mat = sp.csr_matrix((np.array(data), np.array(indices),
+                             np.array([0, 2, 3])), shape=(2, 2))
+        before = (mat.nnz, mat.data.copy(), mat.indices.copy())
+        g = WeightGraph(mat)
+        assert mat.nnz == before[0]
+        assert np.array_equal(mat.data, before[1])
+        assert np.array_equal(mat.indices, before[2])
+        assert not np.shares_memory(g.weights.data, mat.data)
+        # a later edit of the caller's matrix does not reach the graph
+        expected = g.weights.toarray()
+        mat.data[:] = 7.0
+        assert np.array_equal(g.weights.toarray(), expected)
+
     def test_negative_repeated_entry_rejected(self):
         # (0, 1) given as -1 and +1: each entry is checked, not their sum 0
         mat = sp.csr_matrix((np.array([-1.0, 1.0]), np.array([1, 1]),

@@ -265,3 +265,9 @@ class TestPipelines:
     def test_unknown_method_rejected(self):
         with pytest.raises(InvalidParameterError):
             InpaintConfig(method="magic")
+
+    @pytest.mark.parametrize("outer_iters", [0, 2.5, 2.0, math.inf])
+    def test_outer_iters_must_be_a_positive_integer(self, outer_iters):
+        # 2.5 used to pass here and then fail in range() as a TypeError
+        with pytest.raises(InvalidParameterError, match="outer_iters"):
+            InpaintConfig(outer_iters=outer_iters)

@@ -861,6 +861,22 @@ class TestILSolve:
         with pytest.raises(InvalidParameterError, match="max_outer_iter"):
             SolverConfig(max_outer_iter=max_outer_iter)
 
+    @pytest.mark.parametrize("max_outer_iter", [2.5, 3.0, np.inf, np.nan])
+    def test_rejects_max_outer_iter_not_an_integer(self, max_outer_iter):
+        # a fractional or infinite cap is never met: il_solve ran on
+        # until the objective stalled
+        with pytest.raises(InvalidParameterError, match="max_outer_iter"):
+            SolverConfig(max_outer_iter=max_outer_iter)
+
+    def test_accepts_a_numpy_integer_cap(self):
+        assert SolverConfig(max_outer_iter=np.int64(3)).max_outer_iter == 3
+
+    @pytest.mark.parametrize("field", ["rel_obj_tol", "lin_tol"])
+    @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
+    def test_rejects_tolerance_not_finite_positive(self, field, tol):
+        with pytest.raises(InvalidParameterError, match="tolerances"):
+            SolverConfig(**{field: tol})
+
     @pytest.mark.parametrize("index", [-1, 20])
     @pytest.mark.parametrize("solve", [gl_solve, wnll_solve, il_solve, choose_c])
     def test_rejects_label_index_out_of_range(self, solve, index):
@@ -876,7 +892,7 @@ class TestILSolve:
         with pytest.raises(InvalidParameterError, match="fixed_c"):
             SolverConfig(alpha=2.0, fixed_c=fixed_c)
 
-    @pytest.mark.parametrize("primal_tol", [0.0, -1e-4, np.nan])
+    @pytest.mark.parametrize("primal_tol", [0.0, -1e-4, np.nan, np.inf])
     def test_rejects_primal_tol_not_positive(self, primal_tol):
         with pytest.raises(InvalidParameterError, match="primal_tol"):
             SolverConfig(primal_tol=primal_tol)

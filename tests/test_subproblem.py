@@ -93,6 +93,20 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             threshold_subproblem([1.0, 2.0], [1.0])
 
+    @pytest.mark.parametrize("a", [np.nan, np.inf, [1.0, np.nan],
+                                   [1.0, np.inf]])
+    def test_rejects_non_finite_a(self, a):
+        # a NaN weight used to return c unchanged
+        with pytest.raises(InvalidParameterError, match="a_i"):
+            threshold_subproblem(a, [1.0, 2.0])
+
+    @pytest.mark.parametrize("c", [[np.nan, 1.0], [np.inf, 1.0],
+                                   [1.0, np.inf]])
+    def test_rejects_non_finite_c(self, c):
+        # [nan, 1.0] used to give [nan, 0.5]; an infinite c_i came back as is
+        with pytest.raises(InvalidParameterError, match="c_i"):
+            threshold_subproblem(1.0, c)
+
 
 class TestAgainstOracle:
     def test_random_instances(self):
