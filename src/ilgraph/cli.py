@@ -6,7 +6,11 @@ config.json next to the outputs: every parsed argument, then what the
 command resolved from them and the solver configuration. Exit codes: 0
 success (--help too), 1 input error (a malformed, missing or
 conflicting argument too), 2 solver non-convergence (partial results
-still written).
+still written). Every check that needs only the arguments runs before the
+output directory is created: files are read, and configs and toy2d's problem
+built, first. One that needs the data ends the run during the work, exit 1: a
+patch larger than the image, k not below the pixel count, duplicate points, a
+disconnected graph.
 solve, toy2d and inpaint write the fields of solver.Diagnostics, over
 every solve of the run, into report.json, and return 2 when it says the
 iteration did not converge or a linear solve missed its own tolerance
@@ -31,7 +35,7 @@ import numpy as np
 from . import gamma as gamma_mod
 from . import inpaint as inpaint_mod
 from . import toy2d as toy_mod
-from .graph import InvalidParameterError, WeightGraph
+from .graph import InvalidParameterError, WeightGraph, check_count
 from .solver import (ConvergenceError, LabelAssignment, SolverConfig,
                      nonlocal_inf_metric, solve)
 
@@ -82,9 +86,7 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, np.generic):
         x = x.item()
-    if isinstance(x, float) and not math.isfinite(x):
-        return "nan" if math.isnan(x) else ("inf" if x > 0 else "-inf")
-    return x
+    return str(x) if isinstance(x, float) and not math.isfinite(x) else x
 
 
 def write_report(path, report):
@@ -97,15 +99,14 @@ def _exit_code(report) -> int:
     """One rule for every solving command: 2 when its report says the
     iteration did not converge or a linear solve missed its own
     tolerance, else 0."""
-    failed = not report["converged"] or report["linear_unconverged"] > 0
-    return 2 if failed else 0
+    return 2 if not report["converged"] or report["linear_unconverged"] else 0
 
 
 def _start(args, cfg, **resolved):
-    """Open a run once its inputs are read: create the output directory
-    and write config.json, every parsed argument (out resolved), then the
-    command's own resolutions, then the fields of cfg. Returns the
-    directory, that config and the start time."""
+    """Open a run once its inputs are read and checked: create the output
+    directory and write config.json, every parsed argument (out resolved),
+    then the command's own resolutions, then the fields of cfg. Returns
+    the directory, that config and the start time."""
     out = Path(args.out or os.environ.get("ILGRAPH_OUT", "."))
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -141,13 +142,11 @@ def cmd_solve(args) -> int:
 def cmd_toy2d(args) -> int:
     methods = ("gl", "wnll", "il") if args.method == "all" else (args.method,)
     cfg = SolverConfig(alpha=args.alpha)
-    out, config, t0 = _start(args, cfg, methods=list(methods))
     problem = toy_mod.build_toy2d(args.grid, args.sigma, args.k)
+    out, config, t0 = _start(args, cfg, methods=list(methods))
     metrics, solutions, diag = toy_mod.run_toy2d(problem, methods, cfg)
-    with open(out / "metrics.csv", "w") as fh:
-        fh.write("method,nonlocal_inf_metric\n")
-        for name, val in metrics.items():
-            fh.write(f"{name},{val:.10g}\n")
+    (out / "metrics.csv").write_text("method,nonlocal_inf_metric\n" + "".join(
+        f"{name},{val:.10g}\n" for name, val in metrics.items()))
     for name, u in solutions.items():
         write_solution_csv(out / f"solution_{name}.csv", u)
     return _finish(out, config, t0, diag, metrics=metrics)
@@ -155,11 +154,9 @@ def cmd_toy2d(args) -> int:
 
 def cmd_inpaint(args) -> int:
     img = inpaint_mod.read_pgm(args.image)
-    if args.mask_file is not None:
-        mask = inpaint_mod.SampleMask.from_csv(args.mask_file, img.shape)
-    else:
-        mask = inpaint_mod.SampleMask.random(img.shape, args.mask_density,
-                                             seed=args.seed)
+    mask = (inpaint_mod.SampleMask.from_csv(args.mask_file, img.shape)
+            if args.mask_file is not None else inpaint_mod.SampleMask.random(
+                img.shape, args.mask_density, seed=args.seed))
     # read before the solve, so that a bad file does not waste the run
     paths = (args.oracle_weights, args.ground_truth)
     oracle, truth = (inpaint_mod.read_pgm(p) if p else None for p in paths)
@@ -171,10 +168,8 @@ def cmd_inpaint(args) -> int:
         k_sigma=args.k_sigma, outer_iters=args.outer_iters, seed=args.seed,
         solver=SolverConfig(alpha=args.alpha))
     out, config, t0 = _start(args, cfg.solver)
-    if oracle is not None:
-        result, diag = inpaint_mod.oracle_weight_inpaint(oracle, mask, cfg)
-    else:
-        result, diag = inpaint_mod.inpaint(img, mask, cfg)
+    result, diag = (inpaint_mod.inpaint(img, mask, cfg) if oracle is None
+                    else inpaint_mod.oracle_weight_inpaint(oracle, mask, cfg))
     inpaint_mod.write_pgm(result, out / "out.pgm")
     mask.to_csv(out / "mask.csv")
     reference = truth if truth is not None else oracle
@@ -188,12 +183,12 @@ def cmd_gamma(args) -> int:
         n_values = [int(v) for v in args.n_values.split(",")]
     except ValueError as exc:
         raise InvalidParameterError(f"--n-values: {exc}") from exc
-    if args.problem == "1d":
-        problem = gamma_mod.interval_benchmark()
-    else:
-        problem = gamma_mod.circle_benchmark()
+    problem = {"1d": gamma_mod.interval_benchmark,
+               "circle": gamma_mod.circle_benchmark}[args.problem]()
     schedule = gamma_mod.BandwidthSchedule(n_values, r_adjust=args.r_adjust,
                                            dim=problem.intrinsic_dim)
+    check_count("trials", args.trials)
+    check_count("seed", args.seed, 0)
     cfg = SolverConfig(alpha=0.0)
     out, _, _ = _start(args, cfg, n_values=n_values)
     rows = gamma_mod.convergence_study(problem, schedule, args.trials,
@@ -258,12 +253,9 @@ def main(argv=None) -> int:
         return 1 if exc.code else 0
     try:
         return args.func(args)
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InvalidParameterError) else 2
 
 
 if __name__ == "__main__":

@@ -13,14 +13,14 @@ kernel moment constant computed by sigma_eta below.
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import InvalidParameterError, KernelSpec, PointCloud, WeightGraph
+from .graph import (InvalidParameterError, KernelSpec, PointCloud, WeightGraph,
+                    check_count, check_real)
 from .solver import ConvergenceError, LabelAssignment, SolverConfig, il_solve
 
 
@@ -31,10 +31,8 @@ def sigma_eta(kernel: KernelSpec, p: float, dim: int) -> float:
     if not kernel.compactly_supported:
         raise InvalidParameterError(
             "kernel must be compactly supported (use the tent kernel)")
-    if not p > 1:
-        raise InvalidParameterError("p must exceed 1")
-    if dim < 1:
-        raise InvalidParameterError("dimension must be a positive integer")
+    check_real("p", p, 1)
+    check_count("dim", dim)
     # imported here: scipy.integrate loads scipy.optimize too, and no other
     # function needs either
     from scipy.integrate import quad
@@ -55,6 +53,7 @@ def discrete_energy(u, points, kernel: KernelSpec, s: float, p: float,
     come as a flat array). Returns +inf if the label constraint is
     violated; a malformed one (see solver.LabelAssignment) or an index
     that names no point raises InvalidParameterError."""
+    check_real("p", p, 1, may_equal=True)
     u = np.asarray(u, dtype=float)
     graph = build_full_kernel_graph(points, kernel, s, dim=dim)
     if graph.n_nodes != u.shape[0]:
@@ -96,20 +95,18 @@ class ContinuumProblem:
     intrinsic_dim: int = 1
 
     def sample(self, n: int, rng: np.random.Generator):
-        """n i.i.d. uniform parameters plus the label points appended."""
-        if self.domain == "interval":
-            params = rng.uniform(0.0, 1.0, size=n)
-        elif self.domain == "circle":
-            params = rng.uniform(0.0, 2.0 * math.pi, size=n)
-        else:
-            raise InvalidParameterError(f"unknown domain {self.domain!r}")
-        params = np.concatenate([params, np.asarray(self.label_param, dtype=float)])
+        """n i.i.d. uniform parameters plus the label points appended; a
+        parameter is an arc length, in [0, volume)."""
+        params = np.concatenate([rng.uniform(0.0, self.volume, size=n),
+                                 np.asarray(self.label_param, dtype=float)])
         return params, self.embed(params)
 
     def embed(self, params):
         if self.domain == "interval":
             return np.asarray(params, dtype=float)[:, None]
-        return np.column_stack([np.cos(params), np.sin(params)])
+        if self.domain == "circle":
+            return np.column_stack([np.cos(params), np.sin(params)])
+        raise InvalidParameterError(f"unknown domain {self.domain!r}")
 
 
 def interval_benchmark(g0: float = 0.0, g1: float = 1.0) -> ContinuumProblem:
@@ -136,7 +133,7 @@ def circle_benchmark(v0: float = 0.0, v1: float = 1.0) -> ContinuumProblem:
                             lip, 2.0 * math.pi, 1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BandwidthSchedule:
     """Sample sizes and the bandwidth rule s(n)."""
 
@@ -163,14 +160,12 @@ class BandwidthSchedule:
 
     def validate(self):
         """s(n) must vanish while dominating the transportation rate."""
-        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
-            raise InvalidParameterError(
-                f"dimension {self.dim!r} must be a positive integer")
+        check_count("dim", self.dim)
+        check_count("number of sample sizes", len(self.n_values))
         # s(1) is 0 under the default rule: a study needs n >= 2
-        if not self.n_values or min(self.n_values) < 2:
-            raise InvalidParameterError("sample sizes must be at least 2")
-        if not (math.isfinite(self.r_adjust) and self.r_adjust > 0):
-            raise InvalidParameterError("r_adjust must be positive and finite")
+        for n in self.n_values:
+            check_count("sample sizes", n, 2)
+        check_real("r_adjust", self.r_adjust)
         probes = [int(v) for v in np.geomspace(max(16, min(self.n_values)),
                                                100 * max(self.n_values), 12)]
         s_vals = np.array([self.s(n) for n in probes])
@@ -181,6 +176,8 @@ class BandwidthSchedule:
         if not np.all(np.diff(ratios) < 0):
             raise InvalidParameterError(
                 "transportation rate does not vanish relative to the bandwidth")
+
+    __post_init__ = validate  # every schedule is checked when it is built
 
 
 @dataclass
@@ -206,13 +203,11 @@ def build_full_kernel_graph(points, kernel: KernelSpec, s: float,
     a bandwidth s that is positive and finite."""
     # imported here: only graph builds from coordinates need scipy.spatial
     from scipy.spatial import cKDTree
-    if not (math.isfinite(s) and s > 0):
-        raise InvalidParameterError(f"bandwidth s = {s} must be positive "
-                                    "and finite")
+    check_real("bandwidth s", s)
     points = PointCloud(points).points
-    n, d = points.shape
-    if dim is not None:
-        d = dim
+    n = points.shape[0]
+    d = points.shape[1] if dim is None else dim
+    check_count("dim", d)
     r_eta = kernel.support_radius / kernel.bandwidth
     tree = cKDTree(points)
     pairs = tree.query_pairs(r=s * r_eta, output_type="ndarray")
@@ -240,11 +235,10 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
     generator spawned from seed. A row records whether its solve converged
     and how many value updates missed their own tolerance; a row whose
     solve fails is flagged with the error as its reason."""
-    if trials < 1:
-        raise InvalidParameterError("trials must be a positive integer")
+    check_count("trials", trials)
+    check_count("seed", seed, 0)
     p = 2.0
     kernel = kernel or KernelSpec.tent()
-    schedule.validate()
     sigma = sigma_eta(kernel, p, problem.intrinsic_dim)
     target = sigma * problem.volume ** (-1.0 / p) * problem.min_energy
     cfg = solver_cfg or SolverConfig(alpha=0.0)
@@ -255,11 +249,9 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
         s = schedule.s(n)
         for trial in range(trials):
             params, pts = problem.sample(n, np.random.default_rng(next(streams)))
-            total = params.size
-            label_idx = np.arange(total - problem.label_param.size, total)
-            label_val = problem.minimizer(problem.label_param)
             graph = build_full_kernel_graph(pts, kernel, s, dim=problem.intrinsic_dim)
-            labels = LabelAssignment(label_idx, label_val)
+            labels = LabelAssignment(np.arange(n, params.size),
+                                     problem.minimizer(problem.label_param))
             try:
                 u, diag = il_solve(graph, labels, cfg)
             except (InvalidParameterError, ConvergenceError) as exc:

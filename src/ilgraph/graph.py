@@ -17,6 +17,7 @@ that of a full scan, ties broken by the smaller index.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Optional
@@ -31,6 +32,24 @@ class InvalidParameterError(ValueError):
 
 class DegenerateBandwidthError(InvalidParameterError):
     """Raised when a per-point bandwidth collapses to zero (duplicate points)."""
+
+
+def check_count(name: str, value, least: int = 1):
+    """Raise InvalidParameterError unless value is an int >= least, not a bool."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < least):
+        raise InvalidParameterError(
+            f"{name} must be at least {least} and an integer, not {value!r}")
+
+
+def check_real(name: str, value, above=0, may_equal: bool = False):
+    """Raise InvalidParameterError unless above < value < inf (<= if may_equal)."""
+    if not (isinstance(value, numbers.Real) and math.isfinite(value)
+            and (value > above or may_equal and value == above)):
+        side = (f"{'at least' if may_equal else 'above'} {above}" if above
+                else "nonnegative" if may_equal else "positive")
+        raise InvalidParameterError(
+            f"{name} must be {side} and finite, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,9 +107,8 @@ class KernelSpec:
     profile: Callable[[np.ndarray], np.ndarray] = field(compare=False)
 
     def __post_init__(self):
-        if not self.bandwidth > 0:
-            raise InvalidParameterError("bandwidth must be positive")
-        if not self.support_radius > 0:
+        check_real("bandwidth", self.bandwidth)
+        if not self.support_radius > 0:  # inf for an unbounded profile
             raise InvalidParameterError("support radius must be positive")
 
     @property
@@ -283,8 +301,9 @@ def exact_knn(points: np.ndarray, k: int):
     """
     points = PointCloud(points).points
     n, d = points.shape
-    if not 1 <= k < n:
-        raise InvalidParameterError(f"need 1 <= k < n, got k={k} for n={n} points")
+    check_count("k", k)
+    if k >= n:
+        raise InvalidParameterError(f"need k < n, got k={k} for n={n} points")
     search = (_kdtree_search if d <= KDTREE_MAX_DIM else _gram_search)(points, k)
     out_d = np.empty((n, k))
     out_i = np.empty((n, k), dtype=np.int64)
@@ -420,8 +439,7 @@ def knn_graph(cloud: PointCloud, k: int, kernel: KernelSpec) -> WeightGraph:
 def self_tuning_weights(cloud: PointCloud, k: int, k_sigma: int) -> WeightGraph:
     """Quartic self-tuning weights w = exp(-2 d^4 / sigma(x)^4) with
     sigma(x) the distance from x to its k_sigma-th nearest neighbor."""
-    if not (1 <= k_sigma <= k):
-        raise InvalidParameterError("need 1 <= k_sigma <= k")
+    check_neighbors(k, k_sigma)
     dist, idx = exact_knn(cloud.points, k)
     sigma = dist[:, k_sigma - 1]
     bad = np.nonzero(sigma == 0.0)[0]
@@ -433,6 +451,12 @@ def self_tuning_weights(cloud: PointCloud, k: int, k_sigma: int) -> WeightGraph:
     ratio = dist / sigma[:, None]
     w = np.exp(-2.0 * ratio ** 4)
     return _assemble(cloud.count, idx, w)
+
+
+def check_neighbors(k, k_sigma):
+    """The rule of self_tuning_weights' counts: 1 <= k_sigma <= k."""
+    check_count("k_sigma", k_sigma)
+    check_count("k", k, k_sigma)
 
 
 def _assemble(n, idx, w):

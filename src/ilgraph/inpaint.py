@@ -7,7 +7,6 @@ the quartic self-tuning kernel truncated to k nearest neighbors.
 """
 
 import math
-import numbers
 import re
 from dataclasses import dataclass, field
 from typing import Tuple
@@ -15,6 +14,7 @@ from typing import Tuple
 import numpy as np
 
 from .graph import (InvalidParameterError, PointCloud, WeightGraph,
+                    check_count, check_neighbors, check_real,
                     self_tuning_weights)
 from .solver import LabelAssignment, SolverConfig, solve
 
@@ -57,8 +57,10 @@ class SampleMask:
 
     @classmethod
     def random(cls, shape, density: float, seed: int = 0) -> "SampleMask":
-        if not 0 < density <= 1:
-            raise InvalidParameterError("density must be in (0, 1]")
+        check_real("density", density)
+        if density > 1:
+            raise InvalidParameterError(f"density must be at most 1, not {density}")
+        check_count("seed", seed, 0)
         rng = np.random.default_rng(seed)
         total = shape[0] * shape[1]
         count = max(1, int(round(density * total)))
@@ -86,7 +88,7 @@ class SampleMask:
         np.savetxt(path, np.column_stack([r, c]), delimiter=",", fmt="%d")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InpaintConfig:
     method: str = "il"  # gl | wnll | il
     patch_size: Tuple[int, int] = (11, 11)
@@ -99,11 +101,10 @@ class InpaintConfig:
     def __post_init__(self):
         if self.method not in ("gl", "wnll", "il"):
             raise InvalidParameterError(f"unknown method {self.method!r}")
-        if not (isinstance(self.outer_iters, numbers.Integral)
-                and self.outer_iters >= 1):
-            raise InvalidParameterError(
-                "outer_iters must be at least 1 and an integer, not"
-                f" {self.outer_iters!r}")
+        check_patch_size(*self.patch_size)
+        check_neighbors(self.k, self.k_sigma)
+        check_count("outer_iters", self.outer_iters)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,7 @@ def extract_patches(img: Image, p_x: int, p_y: int) -> PatchSet:
     """Patch of size p_x x p_y centered at every pixel, with mirror
     reflection across the nearest edge for out-of-range coordinates
     (index -t maps to t, index m-1+t maps to m-1-t)."""
-    if p_x % 2 == 0 or p_y % 2 == 0 or p_x < 1 or p_y < 1:
-        raise InvalidParameterError("patch dimensions must be odd positive integers")
+    check_patch_size(p_x, p_y)
     m, n = img.shape
     hx, hy = p_x // 2, p_y // 2
     if (m > 1 and hx > m - 1) or (n > 1 and hy > n - 1):
@@ -127,6 +127,14 @@ def extract_patches(img: Image, p_x: int, p_y: int) -> PatchSet:
     windows = np.lib.stride_tricks.sliding_window_view(padded, (p_x, p_y))
     vectors = windows.reshape(m * n, p_x * p_y).copy()
     return PatchSet(vectors)
+
+
+def check_patch_size(p_x, p_y):
+    """The rule of patch sides: p_x and p_y, the patch_size, are odd."""
+    for name, side in (("p_x", p_x), ("p_y", p_y)):
+        check_count(f"patch_size {name}", side)
+        if side % 2 == 0:
+            raise InvalidParameterError(f"patch_size {name} must be odd, not {side}")
 
 
 def psnr(f: Image, f_star: Image) -> float:

@@ -69,7 +69,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
 
-from .graph import InvalidParameterError
+from .graph import InvalidParameterError, check_real
 
 DEFAULT_TOL = 1e-10
 # largest RCM envelope, in entries, of a matrix that factor_if_small factors
@@ -324,8 +324,7 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
     residual.
     Non-convergence is reported, not raised; the caller decides.
     """
-    if not tol > 0:
-        raise InvalidParameterError("tol must be positive")
+    check_real("tol", tol)
     b = np.asarray(b, dtype=float)
     n = b.shape[0]
     b_norm = np.linalg.norm(b)

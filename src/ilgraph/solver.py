@@ -53,7 +53,6 @@ step that misses it is still counted. Factored solves are exact either
 way, so on factored systems the result does not depend on the rule.
 """
 
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -61,9 +60,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import InvalidParameterError, WeightGraph
-from .linalg import (StartSpace, check_label_connectivity, factor_if_small,
-                     solve_symmetric)
+from .graph import InvalidParameterError, WeightGraph, check_count, check_real
+from .linalg import (DEFAULT_TOL, StartSpace, check_label_connectivity,
+                     factor_if_small, solve_symmetric)
 
 # entries of threshold_subproblem's input sorted first: on the 101x101
 # grid about 60 of 10204 rows are clipped
@@ -86,10 +85,10 @@ class LabelAssignment:
 
     def __post_init__(self):
         idx = np.asarray(self.indices).ravel()
-        if idx.dtype.kind not in "iu":  # 1.7 must not label node 1
+        if idx.dtype.kind not in "iu":  # neither 1.7 nor True labels node 1
             as_float = idx.astype(float)
-            if not np.all(np.isfinite(as_float)
-                          & (as_float == np.round(as_float))):
+            if idx.dtype.kind == "b" or not np.all(
+                    np.isfinite(as_float) & (as_float == np.round(as_float))):
                 raise InvalidParameterError("label indices must be integers")
         idx = idx.astype(np.int64, copy=False)
         val = np.asarray(self.values, dtype=float).ravel()
@@ -117,12 +116,12 @@ class LabelAssignment:
         return np.nonzero(mask)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
     alpha: float = 0.0
     rel_obj_tol: float = 1e-6
     max_outer_iter: int = 500
-    lin_tol: float = 1e-10
+    lin_tol: float = DEFAULT_TOL
     max_over_unlabeled_only: bool = False
     fixed_c: Optional[float] = None
     # optional extra stopping requirement: max|D - sqrt(w)(u_i-u_j)| must
@@ -130,22 +129,11 @@ class SolverConfig:
     primal_tol: Optional[float] = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha >= 0):
-            raise InvalidParameterError("alpha must be finite and nonnegative")
-        if not (isinstance(self.max_outer_iter, numbers.Integral)
-                and self.max_outer_iter >= 1):
-            raise InvalidParameterError(
-                "max_outer_iter must be at least 1 and an integer, not"
-                f" {self.max_outer_iter!r}")
-        if not all(np.isfinite(tol) and tol > 0
-                   for tol in (self.rel_obj_tol, self.lin_tol)):
-            raise InvalidParameterError("tolerances must be finite and positive")
-        if self.fixed_c is not None and not (np.isfinite(self.fixed_c)
-                                             and self.fixed_c > 0):
-            raise InvalidParameterError("fixed_c must be finite and positive")
-        if self.primal_tol is not None and not (np.isfinite(self.primal_tol)
-                                                and self.primal_tol > 0):
-            raise InvalidParameterError("primal_tol must be finite and positive")
+        check_real("alpha", self.alpha, may_equal=True)
+        check_count("max_outer_iter", self.max_outer_iter)
+        for name in ("rel_obj_tol", "lin_tol", "fixed_c", "primal_tol"):
+            if getattr(self, name) is not None:
+                check_real(name, getattr(self, name))
 
 
 @dataclass
@@ -361,6 +349,7 @@ def choose_c(graph: WeightGraph, labels: LabelAssignment, alpha: float,
              eps: float = 1e-4) -> float:
     """Adaptive penalty: fixed-point iteration driving the first-iteration
     thresholding ratio ||D1 - T1||_F^2 / ||T1||_F^2 to 1/4."""
+    check_real("alpha", alpha, may_equal=True)
     u1 = gl_solve(graph, labels)
     G, R = graph.operators()
     return _choose_c_from_g1(R @ (G @ u1) ** 2, u1, alpha, eps)
@@ -428,10 +417,8 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     reports = [report]
     t = G @ u
     g = R @ t ** 2
-    if cfg.fixed_c is not None:
-        c_star = float(cfg.fixed_c)
-    else:
-        c_star = _choose_c_from_g1(g, u, cfg.alpha)
+    c_star = (float(cfg.fixed_c) if cfg.fixed_c is not None
+              else _choose_c_from_g1(g, u, cfg.alpha))
     # D = t and q = 0 on every row with rho_i = 1: a step takes the rows
     # with rho_i != 1 now or carrying q from the last step
     q = np.zeros(graph.weights.nnz)

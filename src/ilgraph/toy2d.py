@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (InvalidParameterError, KernelSpec, PointCloud, WeightGraph,
-                    knn_graph)
+                    check_count, knn_graph)
 from .solver import LabelAssignment, SolverConfig, nonlocal_inf_metric, solve
 
 LABEL_POINTS = np.array([
@@ -32,13 +32,11 @@ class ToyProblem:
 def build_toy2d(grid: int = 101, sigma: float = 0.02, k: int = 10) -> ToyProblem:
     """Grid of (grid x grid) unlabeled points plus the three labeled points
     appended at the end; gaussian weights truncated to k nearest neighbors."""
-    if grid < 2:
-        raise InvalidParameterError("grid must have at least 2 points per side")
+    check_count("grid", grid, 2)
     axis = np.linspace(0.0, 1.0, grid)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    pts = np.column_stack([gx.ravel(), gy.ravel()])
-    pts = np.vstack([pts, LABEL_POINTS])
-    labeled = np.arange(pts.shape[0] - LABEL_POINTS.shape[0], pts.shape[0])
+    pts = np.vstack([np.column_stack([gx.ravel(), gy.ravel()]), LABEL_POINTS])
+    labeled = np.arange(grid * grid, pts.shape[0])
     labels = LabelAssignment(labeled, generating_function(LABEL_POINTS))
     graph = knn_graph(PointCloud(pts), k, KernelSpec.gaussian(sigma))
     return ToyProblem(graph, labels, pts)

@@ -249,6 +249,25 @@ class TestParser:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["toy2d", "--grid", "1"], ["toy2d", "--sigma", "-1"],
+        ["toy2d", "--sigma", "inf"], ["toy2d", "--k", "0"],
+        ["inpaint", "--k-sigma", "0"], ["inpaint", "--k", "5", "--k-sigma", "6"],
+        ["inpaint", "--patch", "4"], ["inpaint", "--seed", "-1"],
+        ["gamma", "--n-values", "1"], ["gamma", "--r-adjust", "inf"],
+        ["gamma", "--trials", "0"], ["gamma", "--seed", "-1"]],
+        ids=" ".join)
+    def test_argument_check_exit_1_before_the_output_directory(
+            self, tmp_path, capsys, argv):
+        # every check that needs only the arguments runs before _start;
+        # each of these used to leave config.json behind, or a traceback
+        if argv[0] == "inpaint":
+            argv = ["inpaint", str(_small_image(tmp_path)),
+                    "--mask-density", "0.3", *argv[1:]]
+        assert main(["--out", str(tmp_path / "o"), *argv]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("argv", [["--help"], ["inpaint", "--help"]])
     def test_help_exit_0(self, capsys, argv):
         assert main(argv) == 0
@@ -367,7 +386,7 @@ class TestSolve:
         code = main(["--out", str(tmp_path / "o"), "solve", "--alpha", alpha,
                      str(graph), str(labels)])
         assert code == 1
-        assert "error: alpha must be finite" in capsys.readouterr().err
+        assert "error: alpha must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("weight", ["nan", "inf"])
     def test_non_finite_weight_exit_1(self, tmp_path, capsys, weight):
@@ -426,7 +445,7 @@ class TestToy2d:
     @pytest.mark.parametrize("grid", ["-5", "0"])
     def test_bad_grid_exit_1(self, tmp_path, capsys, grid):
         assert main(["--out", str(tmp_path), "toy2d", "--grid", grid]) == 1
-        assert capsys.readouterr().err.startswith("error: grid must have")
+        assert capsys.readouterr().err.startswith("error: grid must be")
 
 
 class TestInpaint:

@@ -154,6 +154,11 @@ class TestLabelAssignment:
         with pytest.raises(InvalidParameterError, match="integers"):
             LabelAssignment([0.0, index], [0.0, 1.0])
 
+    def test_rejects_boolean_indices(self):
+        # True used to read as 1.0, an integer, and label node 1
+        with pytest.raises(InvalidParameterError, match="integers"):
+            LabelAssignment(np.array([True]), [1.0])
+
     def test_unlabeled_complement(self):
         lab = LabelAssignment([1, 3], [0.0, 0.0])
         assert lab.unlabeled(5).tolist() == [0, 2, 4]
@@ -874,7 +879,7 @@ class TestILSolve:
     @pytest.mark.parametrize("field", ["rel_obj_tol", "lin_tol"])
     @pytest.mark.parametrize("tol", [0.0, -1e-6, np.nan, np.inf])
     def test_rejects_tolerance_not_finite_positive(self, field, tol):
-        with pytest.raises(InvalidParameterError, match="tolerances"):
+        with pytest.raises(InvalidParameterError, match=field):
             SolverConfig(**{field: tol})
 
     @pytest.mark.parametrize("index", [-1, 20])
