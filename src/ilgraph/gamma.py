@@ -97,6 +97,7 @@ class ContinuumProblem:
     def sample(self, n: int, rng: np.random.Generator):
         """n i.i.d. uniform parameters plus the label points appended; a
         parameter is an arc length, in [0, volume)."""
+        check_count("n", n)
         params = np.concatenate([rng.uniform(0.0, self.volume, size=n),
                                  np.asarray(self.label_param, dtype=float)])
         return params, self.embed(params)

@@ -10,13 +10,13 @@ sparse symmetric linear solve for u, an exact closed-form update for D
 (a max-of-quadratics problem solved by a partial sort and prefix sums),
 and a multiplier update for q. GL and WNLL are exactly the first u-update
 with constant and label-boosted penalties respectively. il_solve's
-penalty is constant too, so its first u-update is the GL solution, and
-it returns that as Diagnostics.first_update; solve(method, ...) runs any
-of the three and returns one Diagnostics record. Every u-update solves by
-the path linalg.factor_if_small picks from its matrix: a band Cholesky
-factor where the matrix is dense within its RCM band (1-D kernel
-graphs), a sparse LU factor where it is not, and CG from a recycled
-start where a factor would be big.
+penalty is one constant on every edge too, so its first u-update is the
+GL solution, and it returns that as Diagnostics.first_update;
+solve(method, ...) runs any of the three and returns one Diagnostics
+record. Every u-update solves by the path linalg.factor_if_small picks
+from its matrix: a band Cholesky factor where the matrix is dense within
+its RCM band (1-D kernel graphs), a sparse LU factor where it is not, and
+CG from a recycled start where a factor would be big.
 Edge work goes through the graph's non-local gradient G and row sum R
 (WeightGraph.operators): the splitting is D = G u, the u-update solves
 G^T diag(nu_e) G u = G^T (nu_e * s) on the unlabeled nodes, and the row
@@ -51,6 +51,18 @@ summable errors keep the splitting convergent (Eckstein and Bertsekas
 1992). A SolveReport is judged against its step's own tolerance, so a
 step that misses it is still counted. Factored solves are exact either
 way, so on factored systems the result does not depend on the rule.
+
+il_solve balances its penalty c against the two residuals (He, Yang and
+Wang 2000; Boyd et al. 2011, section 3.4.1). Every BALANCE_EVERY outer
+iterations it takes the primal residual r = ||D - t||, the multiplier
+increment, and after the step the dual residual s = c ||G (u' - u)||. If
+r > BALANCE_MU s, c is multiplied by BALANCE_TAU; if s > BALANCE_MU r, it
+is divided by it. q is the multiplier scaled by 1 / c, so it is rescaled
+by c_old / c_new. Since c is the same on every edge, it scales both sides
+of the value update and cancels there: the unit-penalty (GL) system, its
+factor and its StartSpace serve every c, and only the D update and q see
+it. A fixed_c keeps c fixed, as in the paper's constant-penalty
+algorithm. Diagnostics.c_star is the first penalty, c_final the last.
 """
 
 import warnings
@@ -69,6 +81,12 @@ from .linalg import (DEFAULT_TOL, StartSpace, check_label_connectivity,
 THRESHOLD_TOP = 64
 # loosest relative residual an il_solve step solves to (module docstring)
 STEP_TOL_MAX = 1e-4
+# residual balancing of il_solve's penalty (module docstring): every
+# BALANCE_EVERY outer iterations, c is scaled by BALANCE_TAU when one
+# residual exceeds BALANCE_MU times the other
+BALANCE_EVERY = 5
+BALANCE_MU = 20.0
+BALANCE_TAU = 2.0
 
 
 class ConvergenceError(RuntimeError):
@@ -144,8 +162,9 @@ class Diagnostics:
     tolerance (lin_tol, or an il_solve step's), the worst relative residual,
     the worst ratio of a residual to its own tolerance (at most 1 when
     every solve met its target) and the CG iterations summed. IL adds its
-    penalty c*, the final max|D - G u| and its first value update, bitwise
-    what gl_solve returns for the same graph, labels and lin_tol."""
+    first penalty c*, its last c_final, the final max|D - G u| and its first
+    value update, bitwise what gl_solve returns for the same graph, labels
+    and lin_tol."""
 
     converged: bool
     iterations: int
@@ -156,6 +175,7 @@ class Diagnostics:
     linear_residual_ratio_max: float
     linear_iterations: int
     c_star: Optional[float] = None
+    c_final: Optional[float] = None
     primal_residual: Optional[float] = None
     first_update: Optional[np.ndarray] = None
 
@@ -191,6 +211,7 @@ def _model_value(g, alpha: float, row_subset=None) -> float:
 def objective(u, graph: WeightGraph, alpha: float, row_subset=None) -> float:
     """max_i sum_j w_ij (u_i-u_j)^2 + alpha * double sum. The max ranges
     over all nodes unless an explicit row subset is given."""
+    check_real("alpha", alpha, may_equal=True)
     u = np.asarray(u, dtype=float)
     if u.shape[0] != graph.n_nodes:
         raise InvalidParameterError("u length must equal node count")
@@ -408,17 +429,17 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     cfg = cfg or SolverConfig()
     n = graph.n_nodes
     G, R = graph.operators()
-    # The penalty nu = c* is constant, so c* scales both sides of the value
-    # update and cancels: the unit-penalty (GL) system serves the first
-    # pass and every outer iteration.
+    # The penalty nu = c is the same on every edge, so c scales both sides
+    # of the value update and cancels: the unit-penalty (GL) system serves
+    # the first pass and every outer iteration, whatever c balancing picks.
     (u, report), step = _value_solver(np.ones(n), graph, labels, cfg.lin_tol)
     first_update = u
     row_subset = labels.unlabeled(n) if cfg.max_over_unlabeled_only else None
     reports = [report]
     t = G @ u
     g = R @ t ** 2
-    c_star = (float(cfg.fixed_c) if cfg.fixed_c is not None
-              else _choose_c_from_g1(g, u, cfg.alpha))
+    c_star = c = (float(cfg.fixed_c) if cfg.fixed_c is not None
+                  else _choose_c_from_g1(g, u, cfg.alpha))
     # D = t and q = 0 on every row with rho_i = 1: a step takes the rows
     # with rho_i != 1 now or carrying q from the last step
     q = np.zeros(graph.weights.nnz)
@@ -431,7 +452,7 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         y = t[e] - q[e]
         norm = np.sqrt(np.where(
             carried, np.bincount(tails, y ** 2, minlength=n), g))
-        rho = _row_scale(norm, c_star, cfg.alpha, row_subset)
+        rho = _row_scale(norm, c, cfg.alpha, row_subset)
         e, tails = graph.out_edges((rho != 1.0) | carried)
         y = t[e] - q[e]
         D = rho[tails] * y
@@ -453,12 +474,25 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
                  or np.max(np.abs(D - t[e]), initial=0.0) <= cfg.primal_tol))
         if converged or len(history) == cfg.max_outer_iter:
             break
+        balance = (cfg.fixed_c is None
+                   and len(history) % BALANCE_EVERY == 0)
+        t_prev = t if balance else None
         # the step solves only as accurately as the objective still moves,
         # never looser than STEP_TOL_MAX (fmin: the first step's nan too)
         u, report = step(u, D + q[e] - t[e], e,
                          max(cfg.lin_tol, float(np.fmin(change, STEP_TOL_MAX))))
         reports.append(report)
         t = G @ u
+        if balance:
+            # the primal residual is the multiplier increment D - t, the
+            # dual one c G (u' - u); q is scaled by 1 / c
+            r = np.linalg.norm(D - t_prev[e])
+            s = c * np.linalg.norm(t - t_prev)
+            t_prev = None
+            if r > BALANCE_MU * s or s > BALANCE_MU * r:
+                scale = BALANCE_TAU if r > s else 1 / BALANCE_TAU
+                c *= scale
+                q[e] /= scale
         g = R @ t ** 2
 
     # clipping to the label range, which holds a minimizer, is 1-Lipschitz:
@@ -468,5 +502,5 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         converged=converged, iterations=len(history),
         objective=_model_value(R @ (G @ best_u) ** 2, cfg.alpha, row_subset),
         history=np.asarray(history), **_linear_fields(reports), c_star=c_star,
-        primal_residual=float(np.max(np.abs(D - t[e]), initial=0.0)),
+        c_final=c, primal_residual=float(np.max(np.abs(D - t[e]), initial=0.0)),
         first_update=first_update)

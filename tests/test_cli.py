@@ -301,7 +301,7 @@ class TestSolve:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["converged"] is True
-        assert report["c_star"] > 0
+        assert report["c_star"] > 0 and report["c_final"] > 0
         assert report["linear_unconverged"] == 0
         assert 0 <= report["linear_residual_max"] <= 1e-10
         assert 0 <= report["linear_residual_ratio_max"] <= 1

@@ -127,6 +127,11 @@ class TestBenchmarks:
         assert np.allclose(params[-2:], [0.0, 1.0])
         assert pts.shape == (12, 1)
 
+    @pytest.mark.parametrize("n", [2.5, -3, 0, True])
+    def test_sample_rejects_a_bad_count(self, n):
+        with pytest.raises(InvalidParameterError, match="n must"):
+            interval_benchmark().sample(n, np.random.default_rng(0))
+
 
 class TestBandwidthSchedule:
     def test_default_rule_validates(self):

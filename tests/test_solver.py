@@ -12,9 +12,11 @@ from ilgraph.graph import (InvalidParameterError, PointCloud, WeightGraph,
                            self_tuning_weights)
 from ilgraph.inpaint import SampleMask, extract_patches
 from ilgraph.linalg import DisconnectedGraphError
-from ilgraph.solver import (LabelAssignment, SolverConfig, _choose_c_from_g1,
+from ilgraph.solver import (BALANCE_EVERY, BALANCE_MU, BALANCE_TAU,
+                            LabelAssignment, SolverConfig, _choose_c_from_g1,
                             _value_solver, choose_c, gl_solve, il_solve,
                             nonlocal_inf_metric, objective, solve, wnll_solve)
+from ilgraph.toy2d import build_toy2d
 
 
 def record_reports(monkeypatch):
@@ -47,8 +49,9 @@ def pinned_zeros(labels, n):
 def reference_il_solve(graph, labels, cfg):
     """Split Bregman on full edge vectors through G and R only: D, q and
     s = D + q on every edge, u from a dense solve of the full value update,
-    and the penalty from the edge-space fixed point. Returns every iterate,
-    the penalty, the objective history and the final primal residual."""
+    the penalty from the edge-space fixed point, and that penalty balanced
+    against the residuals unless it is fixed. Returns every iterate, the
+    first penalty, the objective history and the final primal residual."""
     G, R = graph.operators()
     n = graph.n_nodes
     unl = labels.unlabeled(n)
@@ -80,9 +83,17 @@ def reference_il_solve(graph, labels, cfg):
     q = np.zeros_like(t)
     D = edge_space_d_update(t, q, c, R, cfg.alpha, scope)
     iterates, history = [u], [f(t)]
+    c_first = c
     while len(history) < cfg.max_outer_iter:
         u = solve(D + q)
-        t = G @ u
+        t_prev, t = t, G @ u
+        if cfg.fixed_c is None and len(history) % BALANCE_EVERY == 0:
+            r = np.linalg.norm(D - t_prev)
+            s = c * np.linalg.norm(t - t_prev)
+            if r > BALANCE_MU * s:
+                c, q = c * BALANCE_TAU, q / BALANCE_TAU
+            elif s > BALANCE_MU * r:
+                c, q = c / BALANCE_TAU, q * BALANCE_TAU
         D = edge_space_d_update(t, q, c, R, cfg.alpha, scope)
         q = q + D - t
         iterates.append(u)
@@ -93,7 +104,7 @@ def reference_il_solve(graph, labels, cfg):
                     and np.max(np.abs(D - t)) > cfg.primal_tol):
                 continue
             break
-    return iterates, c, np.asarray(history), np.max(np.abs(D - t))
+    return iterates, c_first, np.asarray(history), np.max(np.abs(D - t))
 
 
 def four_node_graph():
@@ -127,6 +138,12 @@ class TestObjective:
         full = objective([2.0, 0.0, 1.0, 0.0], graph, 0.0)
         sub = objective([2.0, 0.0, 1.0, 0.0], graph, 0.0, row_subset=[3])
         assert sub < full
+
+    @pytest.mark.parametrize("alpha", [-1.0, np.nan])
+    def test_rejects_alpha_negative_or_nan(self, alpha):
+        graph = WeightGraph(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        with pytest.raises(InvalidParameterError, match="alpha"):
+            objective([0.0, 1.0], graph, alpha)
 
     def test_metric_is_alpha0_objective(self):
         graph, _ = four_node_graph()
@@ -689,6 +706,33 @@ class TestILSolve:
                            SolverConfig(alpha=0.0, fixed_c=0.7))
         assert diag.c_star == 0.7
 
+    def test_balancing_keeps_one_factor(self, monkeypatch):
+        # c moves on the 31x31 grid, and the unit-penalty factor serves
+        # every c
+        calls = []
+        factor_if_small = ilgraph.solver.factor_if_small
+
+        def counting(A):
+            calls.append(1)
+            return factor_if_small(A)
+
+        monkeypatch.setattr(ilgraph.solver, "factor_if_small", counting)
+        prob = build_toy2d(grid=31, sigma=1 / 15, k=10)
+        _, diag = il_solve(prob.graph, prob.labels, SolverConfig(alpha=0.0))
+        assert diag.c_final != diag.c_star
+        assert len(calls) == 1
+
+    def test_fixed_c_is_never_balanced(self):
+        # c* alone is balanced away on this grid (test above); fixed at c*,
+        # it stays
+        prob = build_toy2d(grid=31, sigma=1 / 15, k=10)
+        c_star = choose_c(prob.graph, prob.labels, 0.0)
+        _, diag = il_solve(prob.graph, prob.labels,
+                           SolverConfig(alpha=0.0, fixed_c=c_star,
+                                        max_outer_iter=100))
+        assert diag.iterations > BALANCE_EVERY
+        assert diag.c_star == diag.c_final == c_star
+
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         graph = random_connected_graph(25, rng)
@@ -765,6 +809,9 @@ class TestILSolve:
            unlabeled_only=st.booleans(),
            primal_tol=st.sampled_from([None, 1e-4]),
            max_outer_iter=st.sampled_from([1, 2, 300]))
+    # balancing doubles c
+    @example(n=20, seed=6, directed=False, alpha=0.0, unlabeled_only=False,
+             primal_tol=None, max_outer_iter=300)
     def test_matches_full_edge_reference(self, n, seed, directed, alpha,
                                          unlabeled_only, primal_tol,
                                          max_outer_iter):
