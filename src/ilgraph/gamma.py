@@ -8,7 +8,7 @@ with eta_s(t) = s^-d eta(t/s). As the sample grows and s shrinks slowly
 enough, minimizers of E subject to the label constraint approach the
 Lipschitz-minimal extension, and E itself approaches
 sigma * vol^(-1/p) * (minimal Lipschitz constant), where sigma is the
-kernel moment constant computed by sigma_eta below.
+kernel moment constant that sigma_eta below computes in closed form.
 """
 
 import csv
@@ -26,19 +26,33 @@ from .solver import ConvergenceError, LabelAssignment, SolverConfig, il_solve
 
 def sigma_eta(kernel: KernelSpec, p: float, dim: int) -> float:
     """Kernel moment constant (integral of eta(|z|) |z . e1|^p over the
-    support ball)^(1/p), via radial quadrature times the closed-form
-    angular moment of the sphere."""
+    support ball)^(1/p): the radial moment of the profile, integrated in
+    closed form between its knots, times the closed-form angular moment
+    of the sphere."""
     if not kernel.compactly_supported:
         raise InvalidParameterError(
             "kernel must be compactly supported (use the tent kernel)")
+    if kernel.knots is None:
+        raise InvalidParameterError(
+            "kernel profile must be piecewise linear with knots "
+            "(use the tent or tabulated kernel)")
     check_real("p", p, 1)
     check_count("dim", dim)
-    # imported here: scipy.integrate loads scipy.optimize too, and no other
-    # function needs either
-    from scipy.integrate import quad
-    r = kernel.support_radius / kernel.bandwidth  # support of the profile
-    radial, _ = quad(lambda t: kernel.profile(t) * t ** (p + dim - 1), 0.0, r,
-                     epsabs=0.0, epsrel=1e-10)
+    # on each knot interval the profile is a line b0 + b1 t, whose moment
+    # with t^a has the antiderivative
+    # t^(a+1) (b0 (a+2) + b1 (a+1) t) / ((a+1)(a+2)): one division, so
+    # the tent's 1/20 at p = d = 2 comes out exact
+    a = p + dim - 1
+    knots = np.asarray(kernel.knots)
+    values = kernel.profile(knots)
+    b1 = np.diff(values) / np.diff(knots)
+    b0 = values[:-1] - b1 * knots[:-1]
+
+    def antiderivative(t):
+        return t ** (a + 1) * (b0 * (a + 2) + b1 * (a + 1) * t)
+
+    radial = float(np.sum(antiderivative(knots[1:])
+                          - antiderivative(knots[:-1]))) / ((a + 1) * (a + 2))
     # integral of |omega_1|^p over the unit sphere S^{d-1}: exactly 2 at d = 1
     angular = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.exp(
         math.lgamma((p + 1) / 2.0) - math.lgamma((p + dim) / 2.0))
@@ -69,10 +83,10 @@ def discrete_energy(u, points, kernel: KernelSpec, s: float, p: float,
 
 def _graph_energy(u, graph: WeightGraph, s: float, p: float) -> float:
     """The scaled discrete energy of u on its kernel graph at bandwidth s."""
-    G, R = graph.operators()
     # |G u|^p carries w_ij^(p/2); the factor w_ij^(1 - p/2), 1 at p = 2,
     # makes each edge term w_ij |u_i - u_j|^p
-    row_sums = R @ (np.abs(G @ u) ** p * graph.weights.data ** (1.0 - p / 2.0))
+    row_sums = graph.row_sums(np.abs(graph.gradient() @ u) ** p
+                              * graph.weights.data ** (1.0 - p / 2.0))
     return float((row_sums.max() / u.size) ** (1.0 / p) / s)
 
 
@@ -170,7 +184,9 @@ class BandwidthSchedule:
         probes = [int(v) for v in np.geomspace(max(16, min(self.n_values)),
                                                100 * max(self.n_values), 12)]
         s_vals = np.array([self.s(n) for n in probes])
-        ratios = np.array([self.delta(n, self.dim) / self.s(n) for n in probes])
+        for n, s_n in zip(probes, s_vals):  # a custom rule may give any value
+            check_real(f"bandwidth s({n})", s_n)
+        ratios = np.array([self.delta(n, self.dim) for n in probes]) / s_vals
         if not (s_vals[-1] < s_vals[0] and s_vals[-1] < 0.5 * s_vals[0]):
             raise InvalidParameterError("bandwidth rule does not vanish")
         # the d=1 ratio decays only like sqrt(lnln/ln): test the trend, not speed

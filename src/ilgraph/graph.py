@@ -3,10 +3,11 @@
 Weight graphs are kept directed after truncation: row i holds the weights
 from x_i to its k nearest neighbors, which need not coincide with the
 reverse edges. Solvers consume w_ij and w_ji separately, through the
-non-local gradient G (one row per directed edge) and the row sum R that
-``WeightGraph.operators`` builds once per graph, and through
-``out_edges`` and ``gradient_adjoint``, which work on the edges of a few
-nodes without a pass over all edges.
+non-local gradient G (one row per directed edge) that
+``WeightGraph.gradient`` builds once per graph, through ``row_sums``,
+which adds up the edges leaving each node, and through ``out_edges`` and
+``gradient_adjoint``, which work on the edges of a few nodes without a
+pass over all edges.
 
 Every graph builder takes its neighbors from ``exact_knn``: per block of
 rows, a kd-tree query of each row's K nearest points in low dimension,
@@ -99,17 +100,31 @@ class KernelSpec:
     ``profile`` is the unscaled shape: continuous, nonincreasing, supported
     in [0, support_radius] with profile(0) > 0. Pairwise weights are
     evaluated as profile(distance / bandwidth).
+
+    ``knots``, for a piecewise-linear profile, are the radii in profile
+    units, increasing from 0 to support_radius / bandwidth, between which
+    the profile is linear; the convergence study integrates its moments
+    in closed form over them. The tent and tabulated kernels have knots,
+    and a hand-built profile has none unless it is given them.
     """
 
     family: str
     bandwidth: float
     support_radius: float
     profile: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    knots: Optional[tuple] = None
 
     def __post_init__(self):
         check_real("bandwidth", self.bandwidth)
         if not self.support_radius > 0:  # inf for an unbounded profile
             raise InvalidParameterError("support radius must be positive")
+        if self.knots is not None:
+            knots = np.asarray(self.knots, dtype=float)
+            if not (knots.ndim == 1 and knots.size >= 2 and knots[0] == 0
+                    and np.all(np.diff(knots) > 0)):
+                raise InvalidParameterError(
+                    "knots must increase from 0, at least two of them")
+            object.__setattr__(self, "knots", tuple(knots.tolist()))
 
     @property
     def compactly_supported(self) -> bool:
@@ -123,13 +138,13 @@ class KernelSpec:
     @classmethod
     def gaussian(cls, sigma: float) -> "KernelSpec":
         # Unbounded support: fine for kNN-truncated weights, rejected by
-        # the quadrature in the convergence-study module.
+        # the kernel moment of the convergence-study module.
         return cls("gaussian", sigma, math.inf, lambda t: np.exp(-(t ** 2)))
 
     @classmethod
     def tent(cls, bandwidth: float = 1.0) -> "KernelSpec":
         return cls("tent", bandwidth, bandwidth,
-                   lambda t: np.maximum(0.0, 1.0 - t))
+                   lambda t: np.maximum(0.0, 1.0 - t), knots=(0.0, 1.0))
 
     @classmethod
     def tabulated(cls, radii: np.ndarray, values: np.ndarray,
@@ -151,7 +166,10 @@ class KernelSpec:
         def profile(t):
             return np.interp(t, radii, values, right=0.0)
 
-        return cls("tabulated", bandwidth, bandwidth * r_max, profile)
+        # constant before the first radius, linear between the radii
+        knots = radii if radii[0] == 0 else np.concatenate([[0.0], radii])
+        return cls("tabulated", bandwidth, bandwidth * r_max, profile,
+                   knots=knots)
 
 
 @dataclass(frozen=True)
@@ -164,7 +182,7 @@ class WeightGraph:
 
     def __post_init__(self):
         # a copy: the checks below edit it in place, and a later edit of
-        # the caller's matrix must not reach the graph or its operators
+        # the caller's matrix must not reach the graph or its gradient
         w = sp.csr_matrix(self.weights, copy=True)
         if w.shape[0] != w.shape[1]:
             raise InvalidParameterError("weight matrix must be square")
@@ -187,24 +205,30 @@ class WeightGraph:
     def n_nodes(self) -> int:
         return self.weights.shape[0]
 
-    def operators(self):
-        """(G, R), built once and cached (the graph is immutable). Edge e
-        is the e-th nonzero w_ij of ``weights`` in CSR order. The gradient
-        G (m x n) has (G u)_e = sqrt(w_ij) (u_i - u_j); the row sum R
-        (n x m) adds up the edges leaving each node, and R.T copies a
-        node's value onto its edges."""
-        cached = getattr(self, "_operators", None)
-        if cached is None:
+    def gradient(self):
+        """The non-local gradient G (m x n), built once and cached (the
+        graph is immutable): (G u)_e = sqrt(w_ij) (u_i - u_j), edge e the
+        e-th nonzero w_ij of ``weights`` in CSR order."""
+        G = getattr(self, "_gradient", None)
+        if G is None:
             w, n, m = self.weights, self.n_nodes, self.weights.nnz
             tails = np.repeat(np.arange(n), np.diff(w.indptr))
             sqw = np.sqrt(w.data)
             G = sp.csr_matrix((np.column_stack([sqw, -sqw]).ravel(),
                                np.column_stack([tails, w.indices]).ravel(),
                                np.arange(0, 2 * m + 1, 2)), shape=(m, n))
-            R = sp.csr_matrix((np.ones(m), np.arange(m), w.indptr), shape=(n, m))
-            cached = (G, R)
-            object.__setattr__(self, "_operators", cached)
-        return cached
+            object.__setattr__(self, "_gradient", G)
+        return G
+
+    def row_sums(self, x):
+        """Per node, the sum of x over the edges leaving it, for x with one
+        value per edge in CSR order. The edges are added in that order, as
+        a product with the n x m row-sum matrix would add them, but no
+        such matrix is stored: x is read in place as the data of W's
+        sparsity pattern."""
+        w = self.weights
+        return sp.csr_matrix((x, w.indices, w.indptr), shape=w.shape) @ np.ones(
+            self.n_nodes)
 
     def out_edges(self, mask):
         """The edges leaving the nodes where the boolean ``mask`` holds, in
@@ -219,7 +243,7 @@ class WeightGraph:
     def gradient_adjoint(self, v, edges):
         """G^T v for v listed on ``edges`` only and zero on every other
         edge, in O(len(edges)) rather than a pass over all edges."""
-        G, _ = self.operators()
+        G = self.gradient()
         # G holds two entries per edge, at its tail and its head
         ends = np.take(G.indices.reshape(-1, 2), edges, axis=0).ravel()
         vals = np.take(G.data.reshape(-1, 2), edges, axis=0).ravel()

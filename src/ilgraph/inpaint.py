@@ -61,6 +61,11 @@ class SampleMask:
         if density > 1:
             raise InvalidParameterError(f"density must be at most 1, not {density}")
         check_count("seed", seed, 0)
+        if len(shape) != 2:
+            raise InvalidParameterError(
+                f"mask shape must be (rows, columns), not {shape!r}")
+        check_count("mask rows", shape[0])
+        check_count("mask columns", shape[1])
         rng = np.random.default_rng(seed)
         total = shape[0] * shape[1]
         count = max(1, int(round(density * total)))

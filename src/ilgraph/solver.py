@@ -17,10 +17,12 @@ record. Every u-update solves by the path linalg.factor_if_small picks
 from its matrix: a band Cholesky factor where the matrix is dense within
 its RCM band (1-D kernel graphs), a sparse LU factor where it is not, and
 CG from a recycled start where a factor would be big.
-Edge work goes through the graph's non-local gradient G and row sum R
-(WeightGraph.operators): the splitting is D = G u, the u-update solves
-G^T diag(nu_e) G u = G^T (nu_e * s) on the unlabeled nodes, and the row
-energies are R (G u)^2.
+Edge work goes through the graph's non-local gradient G
+(WeightGraph.gradient) and its per-node sums over out-edges
+(WeightGraph.row_sums): the splitting is D = G u, the u-update solves
+G^T diag(nu_e) G u = G^T (nu_e * s) on the unlabeled nodes, nu_e the
+penalty of each edge's tail, and the row energies are the row sums of
+(G u)^2.
 
 Every value update is one step: for the target s = G u + delta it
 solves A du = (G^T (nu_e * delta))_unl, A the restricted matrix, and
@@ -40,8 +42,8 @@ il_solve's loop reads in algorithm order: the D update (row norms of y,
 the row scales rho, the edge selection, D = rho y); the multiplier
 update q' = D - y, skipped on the first pass; the objective, the best
 iterate and the stop test; then the value update towards s = D + q' and
-the two full edge passes t = G u and g = R t^2. Everything else touches
-the selected edges only.
+the two full edge passes t = G u and g, the row sums of t^2. Everything
+else touches the selected edges only.
 
 The first value update solves to lin_tol. Each later step solves only as
 accurately as the iteration needs: to the last relative objective change
@@ -215,8 +217,8 @@ def objective(u, graph: WeightGraph, alpha: float, row_subset=None) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape[0] != graph.n_nodes:
         raise InvalidParameterError("u length must equal node count")
-    G, R = graph.operators()
-    return _model_value(R @ (G @ u) ** 2, alpha, row_subset)
+    return _model_value(graph.row_sums((graph.gradient() @ u) ** 2), alpha,
+                        row_subset)
 
 
 def nonlocal_inf_metric(u, graph: WeightGraph) -> float:
@@ -285,22 +287,34 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     definite, raises ConvergenceError.
 
     Returns ((u, SolveReport), step): the first value update, for the
-    target s = 0, and step(u, delta, edges), which takes the target
-    G u + delta, with delta listed on the index array ``edges`` only, and
-    solves A du = (G^T (nu_e * delta))_unl for the change in u. Labeled
-    values stay pinned exactly.
+    target s = 0, and step(u, delta, edges, tails), which takes the target
+    G u + delta, with delta listed on the index array ``edges`` only and
+    ``tails`` the tail of each of those edges (WeightGraph.out_edges
+    returns both), and solves A du = (G^T (nu_e * delta))_unl for the
+    change in u. Labeled values stay pinned exactly. No edge-length
+    vector is kept past the assembly.
     """
     n = graph.n_nodes
     unl = labels.unlabeled(n)
-    G, R = graph.operators()
-    nu_e = R.T @ nu
+    G, w = graph.gradient(), graph.weights
+    nu_e = np.repeat(nu, np.diff(w.indptr))  # each edge takes its tail's nu
     # G^T diag(nu_e) G = diag(S 1) - S, S = NW + NW^T, NW = diag(nu) W;
     # S, positive on the support of W and W^T, serves the label check too
-    w = graph.weights
     S = sp.csr_matrix((nu_e * w.data, w.indices, w.indptr), shape=w.shape)
+    # the first update is the step from u0, the labels pinned and zeros
+    # elsewhere, towards s = 0: delta = -G u0 on every edge
+    u0 = np.zeros(n)
+    u0[labels.indices] = labels.values
+    nu_e *= G @ u0
+    first_rhs = -(G.T @ nu_e)
+    del nu_e
     S = S + S.T
     check_label_connectivity(S, labels.indices)
-    A = sp.diags((S @ np.ones(n))[unl]) - S[unl][:, unl]
+    degree = (S @ np.ones(n))[unl]
+    # one restriction at a time, each freeing the matrix it came from
+    S = S[unl]
+    S = S[:, unl]
+    A = sp.diags(degree) - S
     del S  # free the assembly before a factor is built
     try:
         factor = factor_if_small(A)
@@ -318,16 +332,11 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
         u[unl] += du
         return u, report
 
-    def step(u, delta, edges, tol=lin_tol):
-        return advance(u, graph.gradient_adjoint(nu_e[edges] * delta, edges),
+    def step(u, delta, edges, tails, tol=lin_tol):
+        return advance(u, graph.gradient_adjoint(nu[tails] * delta, edges),
                        tol)
 
-    # the step from u0 towards s = 0: delta = -G u0 on every edge
-    u0 = np.zeros(n)
-    u0[labels.indices] = labels.values
-    v = G @ u0
-    v *= nu_e
-    return advance(u0, -(G.T @ v), lin_tol), step
+    return advance(u0, first_rhs, lin_tol), step
 
 
 def _row_scale(norm, c: float, alpha: float, row_subset=None):
@@ -372,8 +381,8 @@ def choose_c(graph: WeightGraph, labels: LabelAssignment, alpha: float,
     thresholding ratio ||D1 - T1||_F^2 / ||T1||_F^2 to 1/4."""
     check_real("alpha", alpha, may_equal=True)
     u1 = gl_solve(graph, labels)
-    G, R = graph.operators()
-    return _choose_c_from_g1(R @ (G @ u1) ** 2, u1, alpha, eps)
+    return _choose_c_from_g1(graph.row_sums((graph.gradient() @ u1) ** 2),
+                             u1, alpha, eps)
 
 
 def _baseline(method, graph, labels, cfg):
@@ -428,7 +437,7 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     """
     cfg = cfg or SolverConfig()
     n = graph.n_nodes
-    G, R = graph.operators()
+    G = graph.gradient()
     # The penalty nu = c is the same on every edge, so c scales both sides
     # of the value update and cancels: the unit-penalty (GL) system serves
     # the first pass and every outer iteration, whatever c balancing picks.
@@ -437,7 +446,7 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     row_subset = labels.unlabeled(n) if cfg.max_over_unlabeled_only else None
     reports = [report]
     t = G @ u
-    g = R @ t ** 2
+    g = graph.row_sums(t ** 2)
     c_star = c = (float(cfg.fixed_c) if cfg.fixed_c is not None
                   else _choose_c_from_g1(g, u, cfg.alpha))
     # D = t and q = 0 on every row with rho_i = 1: a step takes the rows
@@ -479,28 +488,30 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         t_prev = t if balance else None
         # the step solves only as accurately as the objective still moves,
         # never looser than STEP_TOL_MAX (fmin: the first step's nan too)
-        u, report = step(u, D + q[e] - t[e], e,
+        u, report = step(u, D + q[e] - t[e], e, tails,
                          max(cfg.lin_tol, float(np.fmin(change, STEP_TOL_MAX))))
         reports.append(report)
         t = G @ u
         if balance:
             # the primal residual is the multiplier increment D - t, the
-            # dual one c G (u' - u); q is scaled by 1 / c
+            # dual one c G (u' - u), taken in place in the old t; q is
+            # scaled by 1 / c
             r = np.linalg.norm(D - t_prev[e])
-            s = c * np.linalg.norm(t - t_prev)
+            s = c * np.linalg.norm(np.subtract(t_prev, t, out=t_prev))
             t_prev = None
             if r > BALANCE_MU * s or s > BALANCE_MU * r:
                 scale = BALANCE_TAU if r > s else 1 / BALANCE_TAU
                 c *= scale
                 q[e] /= scale
-        g = R @ t ** 2
+        g = graph.row_sums(t ** 2)
 
     # clipping to the label range, which holds a minimizer, is 1-Lipschitz:
     # no row energy rises
     best_u = np.clip(best_u, labels.values.min(), labels.values.max())
     return best_u, Diagnostics(
         converged=converged, iterations=len(history),
-        objective=_model_value(R @ (G @ best_u) ** 2, cfg.alpha, row_subset),
+        objective=_model_value(graph.row_sums((G @ best_u) ** 2), cfg.alpha,
+                               row_subset),
         history=np.asarray(history), **_linear_fields(reports), c_star=c_star,
         c_final=c, primal_residual=float(np.max(np.abs(D - t[e]), initial=0.0)),
         first_update=first_update)

@@ -79,6 +79,16 @@ def desk_image(n):
     return Image(np.clip(arr, 0, 255))
 
 
+def row_sum_matrix(graph):
+    """The n x m matrix R that adds up the edges leaving each node, edges
+    in CSR order; R.T copies a node's value onto its edges. Built here,
+    apart from the library, for the references that work on full edge
+    vectors."""
+    w = graph.weights
+    return sp.csr_matrix((np.ones(w.nnz), np.arange(w.nnz), w.indptr),
+                         shape=(graph.n_nodes, w.nnz))
+
+
 def edge_space_d_update(t, q, c, R, alpha, scope):
     """The D update on full edge vectors: scale kappa (t - q) row by row
     from the norms of its rows."""

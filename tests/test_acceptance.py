@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from scipy.stats import spearmanr
 
 from conftest import (desk_image, edge_space_d_update, random_connected_graph,
-                      random_labels)
+                      random_labels, row_sum_matrix)
 from ilgraph.gamma import BandwidthSchedule, convergence_study, interval_benchmark
 from ilgraph.graph import WeightGraph
 from ilgraph.inpaint import (Image, InpaintConfig, SampleMask, _inpaint_pass,
@@ -303,7 +303,7 @@ def test_criterion_8_invariants(tmp_path):
     c = 0.8
     nu = np.full(25, c)
     q = rng.standard_normal(graph.weights.nnz) * 0.3
-    grad = graph.operators()[0] @ u_il
+    grad = graph.gradient() @ u_il
     target = grad - q
 
     def d_objective(d_flat):
@@ -311,7 +311,7 @@ def test_criterion_8_invariants(tmp_path):
         return (row_sq.max() + alpha * np.sum(d_flat ** 2)
                 + np.sum(nu[rows] * (d_flat - target) ** 2))
 
-    d_star = edge_space_d_update(grad, q, c, graph.operators()[1], alpha,
+    d_star = edge_space_d_update(grad, q, c, row_sum_matrix(graph), alpha,
                                  slice(None))
     base = d_objective(d_star)
     minimal = all(

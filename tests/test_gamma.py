@@ -28,16 +28,49 @@ class TestSigmaEta:
     def test_tent_1d_p2_closed_form(self):
         # integral of (1-|t|) t^2 over [-1,1] is 1/6
         val = sigma_eta(KernelSpec.tent(), p=2.0, dim=1)
-        assert np.isclose(val, math.sqrt(1.0 / 6.0), rtol=1e-8)
+        assert np.isclose(val, math.sqrt(1.0 / 6.0), rtol=1e-15, atol=0.0)
 
     def test_tent_2d_p2_closed_form(self):
         # 2-D: radial integral of (1-r) r^3 = 1/20, angular moment = pi
         val = sigma_eta(KernelSpec.tent(), p=2.0, dim=2)
-        assert np.isclose(val, math.sqrt(math.pi / 20.0), rtol=1e-8)
+        assert np.isclose(val, math.sqrt(math.pi / 20.0), rtol=1e-15,
+                          atol=0.0)
+
+    @pytest.mark.parametrize("bandwidth", [1.0, 3.0])
+    def test_tabulated_constant_then_linear(self, bandwidth):
+        # 1 on [0, 1/2], then 2 - 2t: the t^2 moment is 1/24 + 11/96, twice
+        # over [-1, 1]; the bandwidth scales distances, not the profile
+        ker = KernelSpec.tabulated([0.5, 1.0], [1.0, 0.0], bandwidth)
+        assert np.isclose(sigma_eta(ker, p=2.0, dim=1), math.sqrt(0.3125),
+                          rtol=1e-15, atol=0.0)
+
+    def test_tabulated_constant_to_the_support(self):
+        # 1 on [0, 1]: twice the integral of t^2
+        ker = KernelSpec.tabulated([0.0, 1.0], [1.0, 1.0])
+        assert np.isclose(sigma_eta(ker, p=2.0, dim=1), math.sqrt(2.0 / 3.0),
+                          rtol=1e-15, atol=0.0)
+
+    def test_tabulated_non_integer_p_in_2d(self):
+        # radial t^(p+1) moment of 1 on [0, 1/2] and 2 - 2t on [1/2, 1],
+        # times the integral of |cos|^p over the circle
+        p = 3.5
+        ker = KernelSpec.tabulated([0.5, 1.0], [1.0, 0.0])
+        radial = (0.5 ** (p + 2) / (p + 2) + 2 * (1 - 0.5 ** (p + 2)) / (p + 2)
+                  - 2 * (1 - 0.5 ** (p + 3)) / (p + 3))
+        angular = (2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2)
+                   / math.gamma((p + 2) / 2))
+        assert np.isclose(sigma_eta(ker, p=p, dim=2),
+                          (radial * angular) ** (1 / p), rtol=1e-14, atol=0.0)
 
     def test_rejects_noncompact_kernel(self):
         with pytest.raises(InvalidParameterError):
             sigma_eta(KernelSpec.gaussian(1.0), p=2.0, dim=1)
+
+    def test_rejects_compact_kernel_without_knots(self):
+        # only a hand-built kernel can lack knots
+        ker = KernelSpec("bump", 1.0, 1.0, lambda t: np.maximum(0.0, 1 - t * t))
+        with pytest.raises(InvalidParameterError, match="knots"):
+            sigma_eta(ker, p=2.0, dim=1)
 
     def test_rejects_p_not_above_one(self):
         with pytest.raises(InvalidParameterError):
@@ -155,6 +188,12 @@ class TestBandwidthSchedule:
         with pytest.raises(InvalidParameterError, match="dim"):
             BandwidthSchedule([100, 200], dim=dim).validate()
 
+    @pytest.mark.parametrize("s_n", [0.0, -1.0, math.nan])
+    def test_custom_rule_must_be_positive_and_finite(self, s_n):
+        # 0 divided by zero, -1 and nan read as a rule that does not vanish
+        with pytest.raises(InvalidParameterError, match="bandwidth s"):
+            BandwidthSchedule([10], s_fn=lambda n: s_n)
+
     def test_s_decreases(self):
         sched = BandwidthSchedule([125], dim=1)
         assert sched.s(2000) < sched.s(125)
@@ -172,7 +211,7 @@ class TestStudy:
             assert not r.flagged
             assert r.converged and r.linear_unconverged == 0
             assert math.isfinite(r.rel_error)
-            assert np.isclose(r.target, math.sqrt(1 / 6), rtol=1e-8)
+            assert np.isclose(r.target, math.sqrt(1 / 6), rtol=1e-15, atol=0.0)
         rows_to_csv(rows, tmp_path / "study.csv")
         lines = (tmp_path / "study.csv").read_text().splitlines()
         assert lines[0].endswith(",flagged,reason")

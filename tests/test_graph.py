@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ilgraph.graph
-from conftest import random_directed_graph
+from conftest import random_directed_graph, row_sum_matrix
 from ilgraph.graph import (DegenerateBandwidthError, InvalidParameterError,
                            KernelSpec, PointCloud, WeightGraph, exact_knn,
                            knn_graph, self_tuning_weights)
@@ -102,6 +102,20 @@ class TestKernelSpec:
     def test_tabulated_interpolates_and_clips(self):
         ker = KernelSpec.tabulated([0.0, 1.0], [2.0, 0.0])
         assert np.allclose(ker.evaluate([0.25, 1.5]), [1.5, 0.0])
+
+    def test_knots_of_the_piecewise_linear_kernels(self):
+        assert KernelSpec.tent(2.0).knots == (0.0, 1.0)
+        # constant before the first radius
+        assert KernelSpec.tabulated([0.5, 1.0], [1.0, 0.0]).knots == (
+            0.0, 0.5, 1.0)
+        assert KernelSpec.tabulated([0.0, 1.0], [1.0, 0.0]).knots == (0.0, 1.0)
+        assert KernelSpec.gaussian(1.0).knots is None
+
+    @pytest.mark.parametrize("knots", [(0.5, 1.0), (0.0, 1.0, 1.0), (0.0,)])
+    def test_rejects_knots_not_increasing_from_zero(self, knots):
+        with pytest.raises(InvalidParameterError, match="knots"):
+            KernelSpec("tent", 1.0, 1.0, lambda t: np.maximum(0.0, 1.0 - t),
+                       knots=knots)
 
     def test_tabulated_rejects_increasing(self):
         with pytest.raises(InvalidParameterError):
@@ -201,17 +215,16 @@ class TestWeightGraph:
         # has no out-edges
         g = WeightGraph(sp.csr_matrix(np.array(
             [[0.0, 4.0, 1.0], [9.0, 0.0, 0.0], [0.0, 0.0, 0.0]])))
-        G, R = g.operators()
-        assert g.operators()[0] is G and g.operators()[1] is R  # cached
+        G = g.gradient()
+        assert g.gradient() is G  # cached
         assert np.array_equal(G.toarray(), [[2, -2, 0], [1, 0, -1], [-3, 3, 0]])
-        assert np.array_equal(R.toarray(), [[1, 1, 0], [0, 0, 1], [0, 0, 0]])
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1))
     def test_operators_match_dense_oracle_on_directed_graphs(self, n, seed):
         rng = np.random.default_rng(seed)
         graph = random_directed_graph(n, rng)
-        G, R = graph.operators()
+        G = graph.gradient()
         coo = graph.weights.tocoo()  # the edges, in CSR order
         rows, cols, w = coo.row, coo.col, coo.data
         m = w.size
@@ -225,13 +238,13 @@ class TestWeightGraph:
             row_sum[rows[e]] += x[e]
             adjoint[rows[e]] += np.sqrt(w[e]) * v[e]
             adjoint[cols[e]] -= np.sqrt(w[e]) * v[e]
-        assert np.allclose(R @ x, row_sum, rtol=1e-13, atol=1e-13)
+        assert np.allclose(graph.row_sums(x), row_sum, rtol=1e-13, atol=1e-13)
         assert np.allclose(G.T @ v, adjoint, rtol=1e-13, atol=1e-13)
         # G^T diag(nu_e) G, each edge taking its tail's penalty, restricted
         # to the unlabeled nodes: the Laplacian of nu_i w_ij + nu_j w_ji
         nu = rng.uniform(0.5, 2.0, size=n)
         unl = np.sort(rng.permutation(n)[:max(1, n // 2)])
-        system = (G.T @ sp.diags(R.T @ nu) @ G).toarray()[np.ix_(unl, unl)]
+        system = (G.T @ sp.diags(nu[rows]) @ G).toarray()[np.ix_(unl, unl)]
         B = nu[:, None] * graph.weights.toarray()
         B = B + B.T
         lap = np.diag(B.sum(axis=1)) - B
@@ -239,10 +252,25 @@ class TestWeightGraph:
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_sums_bitwise_an_explicit_row_sum_matrix(self, n, seed):
+        # about a third of the rows are sinks, with no edges to sum
+        rng = np.random.default_rng(seed)
+        graph = random_directed_graph(n, rng)
+        x = rng.standard_normal(graph.weights.nnz)
+        assert np.array_equal(graph.row_sums(x), row_sum_matrix(graph) @ x)
+
+    def test_row_sums_of_an_edgeless_graph(self):
+        graph = WeightGraph(sp.csr_matrix((4, 4)))
+        sums = graph.row_sums(np.zeros(0))
+        assert np.array_equal(sums, np.zeros(4))
+        assert np.array_equal(sums, row_sum_matrix(graph) @ np.zeros(0))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1))
     def test_out_edges_and_adjoint_on_a_node_subset(self, n, seed):
         rng = np.random.default_rng(seed)
         graph = random_directed_graph(n, rng)
-        G, _ = graph.operators()
+        G = graph.gradient()
         tails = graph.weights.tocoo().row  # the edges, in CSR order
         mask = rng.random(n) < rng.random()
         edges, edge_tails = graph.out_edges(mask)

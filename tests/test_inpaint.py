@@ -37,6 +37,13 @@ class TestSampleMask:
         m2 = SampleMask.random((16, 16), 0.05, seed=3)
         assert np.array_equal(m1.known, m2.known)
 
+    @pytest.mark.parametrize("shape", [(0, 5), (-1, 3), (2.5, 3), (3, 0),
+                                       (3,), (2, 2, 2)])
+    def test_random_rejects_a_bad_shape(self, shape):
+        # numpy's own ValueError before
+        with pytest.raises(InvalidParameterError, match="^mask "):
+            SampleMask.random(shape, 0.5)
+
     def test_csv_roundtrip(self, tmp_path):
         mask = SampleMask.random((9, 7), 0.2, seed=1)
         mask.to_csv(tmp_path / "m.csv")

@@ -73,7 +73,7 @@ def kernel_laplacian_1d(n, rng):
     restricted to all nodes but the first: dense within its RCM band."""
     graph = build_full_kernel_graph(rng.uniform(size=(n, 1)),
                                     KernelSpec.tent(), 4.0 / n ** 0.5, dim=1)
-    G, _ = graph.operators()
+    G = graph.gradient()
     return (G.T @ G).tocsr()[1:][:, 1:]
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import ilgraph.linalg
 import ilgraph.solver
 from conftest import (desk_image, edge_space_d_update, random_connected_graph,
-                      random_directed_graph, random_labels)
+                      random_directed_graph, random_labels, row_sum_matrix)
 from ilgraph.graph import (InvalidParameterError, PointCloud, WeightGraph,
                            self_tuning_weights)
 from ilgraph.inpaint import SampleMask, extract_patches
@@ -35,8 +35,9 @@ def record_reports(monkeypatch):
 
 def step_to_target(step, u0, s, graph):
     """The value update for the full target s, as the step from u0."""
-    G = graph.operators()[0]
-    return step(u0, s - G @ u0, np.arange(G.shape[0]))
+    G = graph.gradient()
+    return step(u0, s - G @ u0, np.arange(G.shape[0]),
+                graph.weights.tocoo().row)
 
 
 def pinned_zeros(labels, n):
@@ -52,7 +53,7 @@ def reference_il_solve(graph, labels, cfg):
     the penalty from the edge-space fixed point, and that penalty balanced
     against the residuals unless it is fixed. Returns every iterate, the
     first penalty, the objective history and the final primal residual."""
-    G, R = graph.operators()
+    G, R = graph.gradient(), row_sum_matrix(graph)
     n = graph.n_nodes
     unl = labels.unlabeled(n)
     scope = unl if cfg.max_over_unlabeled_only else slice(None)
@@ -370,7 +371,7 @@ class TestValueUpdate:
 
         monkeypatch.setattr(ilgraph.solver, "factor_if_small", recording)
         _value_solver(nu, graph, labels, 1e-10)
-        G, R = graph.operators()
+        G, R = graph.gradient(), row_sum_matrix(graph)
         unl = labels.unlabeled(n)
         expected = (G.T @ sp.diags(R.T @ nu) @ G)[unl][:, unl].toarray()
         (A,) = matrices
@@ -393,12 +394,13 @@ class TestValueUpdate:
         u, _ = step_to_target(step, u0, rng.standard_normal(m), graph)
         edges = np.sort(rng.choice(m, 15, replace=False))
         delta = rng.standard_normal(edges.size)
-        G = graph.operators()[0]
+        G = graph.gradient()
         s = G @ u
         s[edges] += delta
         expected, _ = step_to_target(step, u0, s, graph)
+        tails = graph.weights.tocoo().row  # the edges, in CSR order
         for change, where in ((delta, edges), (s - G @ u, np.arange(m))):
-            moved, _ = step(u, change, where)
+            moved, _ = step(u, change, where, tails[where])
             assert np.allclose(moved, expected, rtol=1e-9, atol=1e-9)
             assert np.array_equal(moved[labels.indices], labels.values)
 
@@ -501,7 +503,7 @@ class TestValueUpdate:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ilgraph.solver, "solve_symmetric", recording)
             (_, first), step = _value_solver(nu, graph, labels, 1e-10)
-            G = graph.operators()[0].toarray()
+            G = graph.gradient().toarray()
             weight = nu[graph.weights.tocoo().row]
             lhs = G[:, unl].T @ (weight[:, None] * G[:, unl])
             for _ in range(4):
@@ -618,7 +620,7 @@ class TestChooseC:
         labels = random_labels(30, rng)
         c = choose_c(graph, labels, alpha=0.0, eps=1e-4)
         (u1, _), _ = _value_solver(np.ones(30), graph, labels, lin_tol=1e-10)
-        G, R = graph.operators()
+        G, R = graph.gradient(), row_sum_matrix(graph)
         t1 = G @ u1
         d1 = edge_space_d_update(t1, 0.0, c, R, 0.0, slice(None))
         ratio = np.sum((d1 - t1) ** 2) / np.sum(t1 * t1)
@@ -631,7 +633,7 @@ class TestChooseC:
         graph = (random_directed_graph if seed % 2
                  else random_connected_graph)(30, rng)
         u1 = gl_solve(graph, random_labels(30, rng))
-        G, R = graph.operators()
+        G, R = graph.gradient(), row_sum_matrix(graph)
         t1 = G @ u1
         c = alpha if alpha > 0 else 1.0
         for _ in range(1000):  # the fixed point on full edge vectors
@@ -657,7 +659,7 @@ class TestChooseC:
         graph = random_connected_graph(20, rng)
         labels = random_labels(20, rng)
         u1 = gl_solve(graph, labels)
-        G, R = graph.operators()
+        G, R = graph.gradient(), row_sum_matrix(graph)
         with pytest.raises(ConvergenceError, match="did not settle"):
             _choose_c_from_g1(R @ (G @ u1) ** 2, u1, 0.0, eps=1e-300,
                               max_iter=2)
@@ -855,8 +857,9 @@ class TestILSolve:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_iteration_makes_two_full_edge_passes(self, alpha):
-        # wrap G, R and out_edges: at every alpha an iteration applies G
-        # once and R once, neither adjoint, and selects edges once
+        # wrap G, row_sums and out_edges: at every alpha an iteration
+        # applies G once, not its adjoint, sums rows once and selects
+        # edges once
         calls = []
 
         class Counting:
@@ -877,27 +880,25 @@ class TestILSolve:
         def counts(max_outer_iter):
             rng = np.random.default_rng(19)
             graph = random_connected_graph(40, rng)
-            G, R = graph.operators()
-            object.__setattr__(graph, "_operators",
-                               (Counting(G, "G"), Counting(R, "R")))
-            out_edges = graph.out_edges
+            object.__setattr__(graph, "_gradient",
+                               Counting(graph.gradient(), "G"))
+            for name in ("row_sums", "out_edges"):
+                def counting(x, name=name, method=getattr(graph, name)):
+                    calls.append(name)
+                    return method(x)
 
-            def counting_out_edges(mask):
-                calls.append("out_edges")
-                return out_edges(mask)
-
-            object.__setattr__(graph, "out_edges", counting_out_edges)
+                object.__setattr__(graph, name, counting)
             calls.clear()
             _, diag = il_solve(graph, random_labels(40, rng), SolverConfig(
                 alpha=alpha, fixed_c=0.05, rel_obj_tol=1e-15,
                 max_outer_iter=max_outer_iter))
             assert diag.iterations == max_outer_iter
             return {k: calls.count(k)
-                    for k in ("G", "R", "G.T", "R.T", "out_edges")}
+                    for k in ("G", "row_sums", "G.T", "out_edges")}
 
         few, more = counts(3), counts(13)
         assert {k: more[k] - few[k] for k in few} == {
-            "G": 10, "R": 10, "G.T": 0, "R.T": 0, "out_edges": 10}
+            "G": 10, "row_sums": 10, "G.T": 0, "out_edges": 10}
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(InvalidParameterError):

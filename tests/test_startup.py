@@ -1,8 +1,10 @@
 """Start-up: importing the library loads only the scipy every run uses.
 
-The kd-tree (scipy.spatial), the quadrature (scipy.integrate, which loads
-scipy.optimize) and scipy.special are imported by the functions that use
-them, so a run that never calls those functions never pays for them.
+The kd-tree (scipy.spatial) and scipy.special are imported by the
+functions that use them, so a run that never calls those functions never
+pays for them. scipy.integrate and scipy.optimize are never loaded: the
+kernel moment of the convergence study is integrated in closed form, so
+neither its constant nor a whole study loads them.
 """
 
 import json
@@ -22,7 +24,8 @@ import json, sys
 import ilgraph, ilgraph.cli
 loaded = [m for m in {DEFERRED!r} if m in sys.modules]
 import numpy as np
-from ilgraph.gamma import sigma_eta
+from ilgraph.gamma import (BandwidthSchedule, convergence_study,
+                           interval_benchmark, sigma_eta)
 from ilgraph.graph import KernelSpec, PointCloud, exact_knn, knn_graph
 pts = np.random.default_rng(0).random((60, 2))
 graph = knn_graph(PointCloud(pts), 5, KernelSpec.tent())
@@ -30,12 +33,17 @@ graph = knn_graph(PointCloud(pts), 5, KernelSpec.tent())
 # than the first block's K and ties at the k-th distance
 ties = np.random.default_rng(1).integers(0, 6, (300, 2)).astype(float)
 tie_dist, tie_idx = exact_knn(ties, 5)
+sigma = sigma_eta(KernelSpec.tent(), 2.0, 2)
+rows = convergence_study(interval_benchmark(), BandwidthSchedule([60, 120]), 1)
 print(json.dumps({{"loaded": loaded, "points": pts.tolist(),
                   "weights": graph.weights.toarray().tolist(),
                   "kdtree_loaded": "scipy.spatial" in sys.modules,
                   "ties": ties.tolist(), "tie_dist": tie_dist.tolist(),
                   "tie_idx": tie_idx.tolist(),
-                  "sigma": sigma_eta(KernelSpec.tent(), 2.0, 2)}}))
+                  "sigma": sigma, "study_rows": len(rows),
+                  "study_loaded": [m for m in ("scipy.integrate",
+                                               "scipy.optimize")
+                                   if m in sys.modules]}}))
 """
 
 
@@ -71,3 +79,6 @@ def test_import_defers_heavy_scipy_and_deferred_paths_work():
     # pinned figure is the value computed with scipy.special.gammaln
     assert out["sigma"] == pytest.approx(0.3963327297606011, rel=1e-15, abs=0)
     assert out["sigma"] == pytest.approx(np.sqrt(np.pi / 20.0), rel=1e-12)
+    # the kernel moment and a two-row study load no quadrature
+    assert out["study_rows"] == 2
+    assert out["study_loaded"] == []
