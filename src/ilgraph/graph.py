@@ -5,9 +5,13 @@ from x_i to its k nearest neighbors, which need not coincide with the
 reverse edges. Solvers consume w_ij and w_ji separately, through the
 non-local gradient G (one row per directed edge) that
 ``WeightGraph.gradient`` builds once per graph, through ``row_sums``,
-which adds up the edges leaving each node, and through ``out_edges`` and
-``gradient_adjoint``, which work on the edges of a few nodes without a
-pass over all edges.
+which adds up the edges leaving each node, ``square_sums``, which adds up
+their squares without forming them, and through the EdgeSelection record
+that ``select`` builds for the edges of a few nodes: the rows, their CSR
+offsets, the edge ids, tails and heads. The record sums its rows' edges,
+applies G^T to values on its edges and carries values from another
+record's edges onto its own, over those arrays alone, never a pass over
+all edges.
 
 Every graph builder takes its neighbors from ``exact_knn``: per block of
 rows, a kd-tree query of each row's K nearest points in low dimension,
@@ -106,6 +110,10 @@ class KernelSpec:
     the profile is linear; the convergence study integrates its moments
     in closed form over them. The tent and tabulated kernels have knots,
     and a hand-built profile has none unless it is given them.
+
+    Two kernels are equal when their fields other than the profile are,
+    and so are the profile's values at the knots, which fix a
+    piecewise-linear profile.
     """
 
     family: str
@@ -113,6 +121,7 @@ class KernelSpec:
     support_radius: float
     profile: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     knots: Optional[tuple] = None
+    knot_values: Optional[tuple] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         check_real("bandwidth", self.bandwidth)
@@ -125,6 +134,8 @@ class KernelSpec:
                 raise InvalidParameterError(
                     "knots must increase from 0, at least two of them")
             object.__setattr__(self, "knots", tuple(knots.tolist()))
+            object.__setattr__(self, "knot_values", tuple(
+                np.asarray(self.profile(knots), dtype=float).tolist()))
 
     @property
     def compactly_supported(self) -> bool:
@@ -230,24 +241,36 @@ class WeightGraph:
         return sp.csr_matrix((x, w.indices, w.indptr), shape=w.shape) @ np.ones(
             self.n_nodes)
 
-    def out_edges(self, mask):
-        """The edges leaving the nodes where the boolean ``mask`` holds, in
-        order, and the tail of each."""
-        indptr = self.weights.indptr
-        count = np.where(mask, np.diff(indptr), 0)
-        tails = np.repeat(np.arange(self.n_nodes), count)
-        # per node: its first edge less the position of that edge in the output
-        shift = indptr[:-1] - np.cumsum(count) + count
-        return np.arange(tails.size) + shift[tails], tails
+    def square_sums(self, t):
+        """Per node, the sum of t**2 over the edges leaving it, for t with
+        one value per edge in CSR order: the row energies when t = G u.
+        The products and their order are those of row_sums(t ** 2), but
+        t**2 is never formed: t is read as the data of a matrix whose row
+        i holds the ids of node i's edges, and that matrix is applied to
+        t. The edge ids, in W's index type, are built once and cached."""
+        ids = getattr(self, "_edge_ids", None)
+        if ids is None:
+            ids = np.arange(self.weights.nnz, dtype=self.weights.indices.dtype)
+            object.__setattr__(self, "_edge_ids", ids)
+        return sp.csr_matrix((t, ids, self.weights.indptr),
+                             shape=(self.n_nodes, ids.size)) @ t
 
-    def gradient_adjoint(self, v, edges):
-        """G^T v for v listed on ``edges`` only and zero on every other
-        edge, in O(len(edges)) rather than a pass over all edges."""
-        G = self.gradient()
-        # G holds two entries per edge, at its tail and its head
-        ends = np.take(G.indices.reshape(-1, 2), edges, axis=0).ravel()
-        vals = np.take(G.data.reshape(-1, 2), edges, axis=0).ravel()
-        return np.bincount(ends, vals * np.repeat(v, 2), minlength=self.n_nodes)
+    def select(self, mask) -> "EdgeSelection":
+        """The edges leaving the nodes where the boolean ``mask`` holds,
+        as one EdgeSelection record, built in O(n + its edges)."""
+        w = self.weights
+        idx = w.indices.dtype
+        rows = np.flatnonzero(mask).astype(idx)
+        first = w.indptr[rows]
+        degree = w.indptr[rows + 1] - first
+        indptr = np.zeros(rows.size + 1, dtype=idx)
+        np.cumsum(degree, out=indptr[1:])
+        # per row: its first edge less the position of that edge in the
+        # record; edge ids are intp, which numpy indexes by without a cast
+        edges = np.repeat((first - indptr[:-1]).astype(np.intp), degree)
+        edges += np.arange(edges.size)
+        return EdgeSelection(self.gradient(), rows, indptr, edges,
+                             np.repeat(rows, degree), w.indices[edges])
 
     def symmetrized(self) -> "WeightGraph":
         """Max-symmetrization: w_ij = w_ji = max(w_ij, w_ji)."""
@@ -278,6 +301,60 @@ class WeightGraph:
             return cls(sp.csr_matrix((vals, (rows, cols)), shape=(n, n)))
         except (ValueError, OSError) as exc:  # InvalidParameterError too
             raise InvalidParameterError(f"{path}: {exc}") from exc
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeSelection:
+    """The edges leaving a set of rows, from WeightGraph.select: the rows,
+    ascending, the CSR offsets of their edges in this record (row k owns
+    positions indptr[k]:indptr[k + 1]), the edge ids in CSR order and the
+    tail and head of each edge. The rows, offsets, tails and heads are in
+    W's index type, so that scipy takes them as they are (numpy arrays
+    are indexed by them with np.take, which does not convert them first);
+    the edge ids, which only index numpy arrays, are intp. Its sums are
+    sparse products over these arrays, with no pass over all edges."""
+
+    G: sp.csr_matrix
+    rows: np.ndarray
+    indptr: np.ndarray
+    edges: np.ndarray
+    tails: np.ndarray
+    heads: np.ndarray
+
+    def row_sums(self, x):
+        """Per node, the sum of x over its selected edges, for x listed on
+        ``edges``; 0 on the rows not selected. The edges of a row are added
+        in CSR order from 0, as np.bincount(tails, x) adds them."""
+        n = self.G.shape[1]
+        out = np.zeros(n)
+        out[self.rows] = sp.csr_matrix(
+            (x, self.heads, self.indptr), shape=(self.rows.size, n)) @ np.ones(n)
+        return out
+
+    def carry(self, prev, x, mask):
+        """x, listed on the edges of the record ``prev``, on this record's
+        edges: its values on the rows where the boolean ``mask`` holds,
+        which both records hold, and 0 on every other edge. Both list
+        those rows' edges in the same order, so one boolean compress and
+        one expand move them."""
+        out = np.zeros(self.edges.size)
+        out[np.repeat(mask[self.rows], np.diff(self.indptr))] = x[
+            np.repeat(mask[prev.rows], np.diff(prev.indptr))]
+        return out
+
+    def adjoint(self, v):
+        """G^T v for v listed on ``edges`` and zero on every other edge: a
+        CSC product over G's selected rows, which adds each node's terms
+        in edge order, tail before head."""
+        G, k = self.G, self.edges.size
+        # G holds two entries per edge, at its tail and its head
+        ends = np.empty((k, 2), dtype=self.tails.dtype)
+        ends[:, 0], ends[:, 1] = self.tails, self.heads
+        vals = np.take(G.data.reshape(-1, 2), self.edges, axis=0)
+        return sp.csc_matrix(
+            (vals.ravel(), ends.ravel(),
+             np.arange(0, 2 * k + 1, 2, dtype=ends.dtype)),
+            shape=(G.shape[1], k)) @ v
 
 
 # Rows are searched in blocks of this many: a Gram block holds

@@ -59,9 +59,14 @@ Each solve's SolveReport states the tolerance it was judged against.
 The first value update of a system (GL, WNLL, choose_c, il_solve's
 first pass) solves to lin_tol, and its StartSpace learns from that
 solve; il_solve's later steps pass their own, looser tolerance
-(solver.STEP_TOL_MAX). A factored solve ignores the tolerance.
+(solver.STEP_TOL_MAX). A factored solve ignores the tolerance, and
+only the first solve of each factor is checked against its matrix, by
+one product with it: the factor is exact to round-off for every
+right-hand side once it is for one, and later solves report their
+residual as not computed (NaN).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,12 +97,13 @@ class DisconnectedGraphError(InvalidParameterError):
 class SolveReport:
     """One linear solve: CG iterations taken (0 for a factored solve; the
     Galerkin start of a recycled solve counts as none), the true relative
-    residual ||A x - b|| / ||b||, the tolerance tol it was judged against,
-    and whether it met that tol. An il_solve iteration solves for the
-    change in u, so its residual is relative to the increment's
-    right-hand side, not to that of the full value update, and its tol is
-    the step's own (see solver.STEP_TOL_MAX); a factored solve ignores
-    tol and is exact to round-off."""
+    residual ||A x - b|| / ||b|| (NaN, not computed, for a factored solve
+    after the factor's first; see solve_symmetric), the tolerance tol it
+    was judged against, and whether it met that tol. An il_solve
+    iteration solves for the change in u, so its residual is relative to
+    the increment's right-hand side, not to that of the full value
+    update, and its tol is the step's own (see solver.STEP_TOL_MAX); a
+    factored solve ignores tol and is exact to round-off."""
 
     iterations: int
     relative_residual: float
@@ -110,8 +116,8 @@ def factor_if_small(A):
     envelope of A under reverse Cuthill-McKee, which bounds its Cholesky
     factor, exceeds FACTOR_MAX_ENTRIES entries. Under the cap, a
     BandCholesky when the RCM band of half-width bw holds no more entries
-    than A, (bw + 1) n <= nnz(A), and a sparse LU factor otherwise. Either
-    has ``solve(b)``."""
+    than A, (bw + 1) n <= nnz(A), and a SparseLU otherwise. Either has
+    ``solve(b)``."""
     A = sp.csr_matrix(A)
     if not A.has_canonical_format:  # nnz and the band copy count each entry once
         A = A.copy()
@@ -132,18 +138,36 @@ def factor_if_small(A):
     bw = int(width.max())
     if (bw + 1) * n <= A.nnz:
         return BandCholesky(A, perm, pos, bw)
-    # A.T is A in CSC form without a copy (1.5 MB less peak memory on the
-    # 101x101 grid); minimum degree on A + A^T gives 40% less fill than
-    # COLAMD there; a symmetric positive definite A needs no pivoting
-    return spla.splu(A.T, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0,
-                     options={"SymmetricMode": True})
+    return SparseLU(A)
+
+
+class SparseLU:
+    """SuperLU factor of the symmetric positive definite CSR matrix A.
+    ``checked`` turns true once solve_symmetric has checked a solve by it
+    against its matrix."""
+
+    checked = False
+
+    def __init__(self, A):
+        # A.T is A in CSC form without a copy (1.5 MB less peak memory on
+        # the 101x101 grid); minimum degree on A + A^T gives 40% less fill
+        # than COLAMD there; a symmetric positive definite A needs no
+        # pivoting
+        self.lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A",
+                            diag_pivot_thresh=0,
+                            options={"SymmetricMode": True})
+
+    def solve(self, b):
+        return self.lu.solve(b)
 
 
 class BandCholesky:
     """LAPACK band Cholesky factor of the symmetric positive definite CSR
     matrix A under the symmetric permutation perm (pos its inverse), whose
     permuted form has half-bandwidth bw. Raises numpy's LinAlgError when A
-    is not numerically positive definite."""
+    is not numerically positive definite. ``checked`` as for SparseLU."""
+
+    checked = False
 
     def __init__(self, A, perm, pos, bw: int):
         n = A.shape[0]
@@ -177,7 +201,7 @@ class StartSpace:
     RECYCLED_SOLUTIONS solutions of A with their images; each start is
     one Galerkin projection on their joint span. W is empty until the
     first solve, which records its Lanczos tridiagonal; a later solve, or
-    a read of W or AW, builds the basis from it, so a matrix solved once
+    a call of basis(), builds the basis from it, so a matrix solved once
     never builds one."""
 
     def __init__(self, n: int):
@@ -186,14 +210,6 @@ class StartSpace:
         # the recent solutions, newest first, and A times each
         self.X = self.AX = np.zeros((n, 0))
         self.learnt = False
-
-    @property
-    def W(self):
-        return self.basis()[0]
-
-    @property
-    def AW(self):
-        return self.basis()[1]
 
     def set_basis(self, A, W):
         """Start on the span of the columns of W, of full column rank."""
@@ -320,8 +336,11 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
     one direct solve (0 iterations); otherwise CG, capped at 10 n
     iterations, from the Galerkin start on a StartSpace of A when given one
     (the first solve fills an empty one), else from zero. The start counts
-    as no iteration. Either way the report holds the true relative
-    residual.
+    as no iteration. A CG report holds the true relative residual. A
+    factor's first solve is checked by one product with A, and its report
+    holds that true residual; a factor that solved its matrix to round-off
+    once does so for every right-hand side, so later solves by it are not
+    checked and report the residual as NaN ("not computed") and converged.
     Non-convergence is reported, not raised; the caller decides.
     """
     check_real("tol", tol)
@@ -334,7 +353,10 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
         x, iterations, res = factor.solve(A, b, tol)
     elif factor is not None:
         x, iterations = factor.solve(b), 0
+        if factor.checked:
+            return x, SolveReport(0, math.nan, True, tol)
         res = float(np.linalg.norm(A @ x - b) / b_norm)
+        factor.checked = True
     else:
         x, iterations, res, _ = _cg(A, b, tol, np.zeros(n), b.copy())
     return x, SolveReport(iterations, res, bool(res <= tol), tol)

@@ -18,11 +18,15 @@ from its matrix: a band Cholesky factor where the matrix is dense within
 its RCM band (1-D kernel graphs), a sparse LU factor where it is not, and
 CG from a recycled start where a factor would be big.
 Edge work goes through the graph's non-local gradient G
-(WeightGraph.gradient) and its per-node sums over out-edges
-(WeightGraph.row_sums): the splitting is D = G u, the u-update solves
+(WeightGraph.gradient) and its per-node sums of squares over out-edges
+(WeightGraph.square_sums): the splitting is D = G u, the u-update solves
 G^T diag(nu_e) G u = G^T (nu_e * s) on the unlabeled nodes, nu_e the
 penalty of each edge's tail, and the row energies are the row sums of
-(G u)^2.
+(G u)^2, taken with no (G u)^2 formed. Work on a few rows goes through
+one EdgeSelection record per selection (WeightGraph.select: the rows,
+their CSR offsets, edge ids, tails and heads): its row sums and its G^T
+are sparse products over the record alone, each bitwise the np.bincount
+over the same edges.
 
 Every value update is one step: for the target s = G u + delta it
 solves A du = (G^T (nu_e * delta))_unl, A the restricted matrix, and
@@ -42,8 +46,12 @@ il_solve's loop reads in algorithm order: the D update (row norms of y,
 the row scales rho, the edge selection, D = rho y); the multiplier
 update q' = D - y, skipped on the first pass; the objective, the best
 iterate and the stop test; then the value update towards s = D + q' and
-the two full edge passes t = G u and g, the row sums of t^2. Everything
-else touches the selected edges only.
+the two full edge passes t = G u and g = square_sums(t). Everything
+else touches the selected edges only: t is gathered onto them once per
+selection, q lives on them alone and is carried onto the next selection
+(EdgeSelection.carry), and the row norms of y and the step's right-hand
+side come from the selection's record. No iteration allocates an
+edge-length array besides t.
 
 The first value update solves to lin_tol. Each later step solves only as
 accurately as the iteration needs: to the last relative objective change
@@ -52,7 +60,9 @@ error of a step is lost again at the next threshold; inexact steps with
 summable errors keep the splitting convergent (Eckstein and Bertsekas
 1992). A SolveReport is judged against its step's own tolerance, so a
 step that misses it is still counted. Factored solves are exact either
-way, so on factored systems the result does not depend on the rule.
+way, so on factored systems the result does not depend on the rule;
+only the first solve of a factor is checked against its matrix
+(linalg.solve_symmetric), and the later ones report no residual (NaN).
 
 il_solve balances its penalty c against the two residuals (He, Yang and
 Wang 2000; Boyd et al. 2011, section 3.4.1). Every BALANCE_EVERY outer
@@ -67,6 +77,7 @@ it. A fixed_c keeps c fixed, as in the paper's constant-penalty
 algorithm. Diagnostics.c_star is the first penalty, c_final the last.
 """
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -163,7 +174,9 @@ class Diagnostics:
     The linear_* fields cover every value update: how many missed its own
     tolerance (lin_tol, or an il_solve step's), the worst relative residual,
     the worst ratio of a residual to its own tolerance (at most 1 when
-    every solve met its target) and the CG iterations summed. IL adds its
+    every solve met its target) and the CG iterations summed. The two
+    residual fields cover the residuals computed: every CG solve's and
+    the first of each factor's (linalg.solve_symmetric). IL adds its
     first penalty c*, its last c_final, the final max|D - G u| and its first
     value update, bitwise what gl_solve returns for the same graph, labels
     and lin_tol."""
@@ -196,11 +209,14 @@ class Diagnostics:
 
 
 def _linear_fields(reports):
-    """The linear_* fields of a Diagnostics over these SolveReports."""
+    """The linear_* fields of a Diagnostics over these SolveReports; the
+    residual fields over the residuals computed (not NaN), of which every
+    value update has at least its first."""
+    checked = [r for r in reports if not math.isnan(r.relative_residual)]
     return dict(linear_unconverged=sum(not r.converged for r in reports),
-                linear_residual_max=max(r.relative_residual for r in reports),
+                linear_residual_max=max(r.relative_residual for r in checked),
                 linear_residual_ratio_max=max(r.relative_residual / r.tol
-                                              for r in reports),
+                                              for r in checked),
                 linear_iterations=sum(r.iterations for r in reports))
 
 
@@ -217,7 +233,7 @@ def objective(u, graph: WeightGraph, alpha: float, row_subset=None) -> float:
     u = np.asarray(u, dtype=float)
     if u.shape[0] != graph.n_nodes:
         raise InvalidParameterError("u length must equal node count")
-    return _model_value(graph.row_sums((graph.gradient() @ u) ** 2), alpha,
+    return _model_value(graph.square_sums(graph.gradient() @ u), alpha,
                         row_subset)
 
 
@@ -287,12 +303,11 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     definite, raises ConvergenceError.
 
     Returns ((u, SolveReport), step): the first value update, for the
-    target s = 0, and step(u, delta, edges, tails), which takes the target
-    G u + delta, with delta listed on the index array ``edges`` only and
-    ``tails`` the tail of each of those edges (WeightGraph.out_edges
-    returns both), and solves A du = (G^T (nu_e * delta))_unl for the
-    change in u. Labeled values stay pinned exactly. No edge-length
-    vector is kept past the assembly.
+    target s = 0, and step(u, delta, selection), which takes the target
+    G u + delta, with delta listed on the edges of the EdgeSelection
+    ``selection`` (WeightGraph.select) only, and solves
+    A du = (G^T (nu_e * delta))_unl for the change in u. Labeled values
+    stay pinned exactly. No edge-length vector is kept past the assembly.
     """
     n = graph.n_nodes
     unl = labels.unlabeled(n)
@@ -332,9 +347,9 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
         u[unl] += du
         return u, report
 
-    def step(u, delta, edges, tails, tol=lin_tol):
-        return advance(u, graph.gradient_adjoint(nu[tails] * delta, edges),
-                       tol)
+    def step(u, delta, selection, tol=lin_tol):
+        return advance(
+            u, selection.adjoint(np.take(nu, selection.tails) * delta), tol)
 
     return advance(u0, first_rhs, lin_tol), step
 
@@ -381,7 +396,7 @@ def choose_c(graph: WeightGraph, labels: LabelAssignment, alpha: float,
     thresholding ratio ||D1 - T1||_F^2 / ||T1||_F^2 to 1/4."""
     check_real("alpha", alpha, may_equal=True)
     u1 = gl_solve(graph, labels)
-    return _choose_c_from_g1(graph.row_sums((graph.gradient() @ u1) ** 2),
+    return _choose_c_from_g1(graph.square_sums(graph.gradient() @ u1),
                              u1, alpha, eps)
 
 
@@ -446,27 +461,30 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
     row_subset = labels.unlabeled(n) if cfg.max_over_unlabeled_only else None
     reports = [report]
     t = G @ u
-    g = graph.row_sums(t ** 2)
+    g = graph.square_sums(t)
     c_star = c = (float(cfg.fixed_c) if cfg.fixed_c is not None
                   else _choose_c_from_g1(g, u, cfg.alpha))
     # D = t and q = 0 on every row with rho_i = 1: a step takes the rows
-    # with rho_i != 1 now or carrying q from the last step
-    q = np.zeros(graph.weights.nnz)
+    # with rho_i != 1 now or carrying q from the last step. q is kept on
+    # the edges of the last selection only (qe), which hold every row
+    # carrying it
     carried = np.zeros(n, dtype=bool)
-    e = tails = np.zeros(0, dtype=np.intp)  # the last selection
+    sel = graph.select(carried)  # the last selection
+    qe = np.zeros(0)
     history = []
     while True:
         # D = rho y, y = t - q, with ||y_i|| from g where q = 0 and from y
         # on the rows carrying q: whole rows of the last selection
-        y = t[e] - q[e]
         norm = np.sqrt(np.where(
-            carried, np.bincount(tails, y ** 2, minlength=n), g))
+            carried, sel.row_sums((t[sel.edges] - qe) ** 2), g))
         rho = _row_scale(norm, c, cfg.alpha, row_subset)
-        e, tails = graph.out_edges((rho != 1.0) | carried)
-        y = t[e] - q[e]
-        D = rho[tails] * y
+        new = graph.select((rho != 1.0) | carried)
+        te, qe = t[new.edges], new.carry(sel, qe, carried)  # t, q on its edges
+        sel = new
+        y = te - qe
+        D = np.take(rho, sel.tails) * y
         if history:  # q' = D - y = (rho - 1) y; the first pass keeps q = 0
-            q[e] = D - y
+            qe = np.subtract(D, y, out=y)
             carried = rho != 1.0
         fval = _model_value(g, cfg.alpha, row_subset)
         if not history or fval < best_f:
@@ -480,7 +498,7 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         converged = bool(
             change <= cfg.rel_obj_tol
             and (cfg.primal_tol is None
-                 or np.max(np.abs(D - t[e]), initial=0.0) <= cfg.primal_tol))
+                 or np.max(np.abs(D - te), initial=0.0) <= cfg.primal_tol))
         if converged or len(history) == cfg.max_outer_iter:
             break
         balance = (cfg.fixed_c is None
@@ -488,7 +506,7 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         t_prev = t if balance else None
         # the step solves only as accurately as the objective still moves,
         # never looser than STEP_TOL_MAX (fmin: the first step's nan too)
-        u, report = step(u, D + q[e] - t[e], e, tails,
+        u, report = step(u, D + qe - te, sel,
                          max(cfg.lin_tol, float(np.fmin(change, STEP_TOL_MAX))))
         reports.append(report)
         t = G @ u
@@ -496,22 +514,22 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
             # the primal residual is the multiplier increment D - t, the
             # dual one c G (u' - u), taken in place in the old t; q is
             # scaled by 1 / c
-            r = np.linalg.norm(D - t_prev[e])
+            r = np.linalg.norm(D - te)
             s = c * np.linalg.norm(np.subtract(t_prev, t, out=t_prev))
             t_prev = None
             if r > BALANCE_MU * s or s > BALANCE_MU * r:
                 scale = BALANCE_TAU if r > s else 1 / BALANCE_TAU
                 c *= scale
-                q[e] /= scale
-        g = graph.row_sums(t ** 2)
+                qe /= scale
+        g = graph.square_sums(t)
 
     # clipping to the label range, which holds a minimizer, is 1-Lipschitz:
     # no row energy rises
     best_u = np.clip(best_u, labels.values.min(), labels.values.max())
     return best_u, Diagnostics(
         converged=converged, iterations=len(history),
-        objective=_model_value(graph.row_sums((G @ best_u) ** 2), cfg.alpha,
+        objective=_model_value(graph.square_sums(G @ best_u), cfg.alpha,
                                row_subset),
         history=np.asarray(history), **_linear_fields(reports), c_star=c_star,
-        c_final=c, primal_residual=float(np.max(np.abs(D - t[e]), initial=0.0)),
+        c_final=c, primal_residual=float(np.max(np.abs(D - te), initial=0.0)),
         first_update=first_update)

@@ -103,6 +103,16 @@ class TestKernelSpec:
         ker = KernelSpec.tabulated([0.0, 1.0], [2.0, 0.0])
         assert np.allclose(ker.evaluate([0.25, 1.5]), [1.5, 0.0])
 
+    def test_equality_compares_the_profile_at_the_knots(self):
+        # equal fields, profiles apart: 0.5 and 1.0 at distance 0.5
+        assert (KernelSpec.tabulated([0, 1], [1, 0])
+                != KernelSpec.tabulated([0, 1], [2, 0]))
+        assert (KernelSpec.tabulated([0, 1], [1, 0])
+                == KernelSpec.tabulated([0, 1], [1, 0]))
+        assert KernelSpec.tent() == KernelSpec.tent()
+        assert hash(KernelSpec.tent()) == hash(KernelSpec.tent())
+        assert KernelSpec.tent(2.0) != KernelSpec.tent()
+
     def test_knots_of_the_piecewise_linear_kernels(self):
         assert KernelSpec.tent(2.0).knots == (0.0, 1.0)
         # constant before the first radius
@@ -258,29 +268,84 @@ class TestWeightGraph:
         graph = random_directed_graph(n, rng)
         x = rng.standard_normal(graph.weights.nnz)
         assert np.array_equal(graph.row_sums(x), row_sum_matrix(graph) @ x)
+        # the same products in the same order, with no square formed
+        assert np.array_equal(graph.square_sums(x), graph.row_sums(x ** 2))
 
     def test_row_sums_of_an_edgeless_graph(self):
         graph = WeightGraph(sp.csr_matrix((4, 4)))
         sums = graph.row_sums(np.zeros(0))
         assert np.array_equal(sums, np.zeros(4))
         assert np.array_equal(sums, row_sum_matrix(graph) @ np.zeros(0))
+        assert np.array_equal(graph.square_sums(np.zeros(0)), np.zeros(4))
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1))
-    def test_out_edges_and_adjoint_on_a_node_subset(self, n, seed):
+    def test_selection_and_adjoint_on_a_node_subset(self, n, seed):
         rng = np.random.default_rng(seed)
         graph = random_directed_graph(n, rng)
         G = graph.gradient()
         tails = graph.weights.tocoo().row  # the edges, in CSR order
         mask = rng.random(n) < rng.random()
-        edges, edge_tails = graph.out_edges(mask)
+        selection = graph.select(mask)
+        edges, edge_tails = selection.edges, selection.tails
         assert np.array_equal(edges, np.flatnonzero(mask[tails]))
         assert np.array_equal(edge_tails, tails[edges])
         v = rng.standard_normal(edges.size)
         full = np.zeros(graph.weights.nnz)
         full[edges] = v
-        assert np.allclose(graph.gradient_adjoint(v, edges), G.T @ full,
+        assert np.allclose(selection.adjoint(v), G.T @ full,
                            rtol=1e-13, atol=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1),
+           share=st.sampled_from([0.0, 0.3, 1.0, None]))
+    def test_selection_record_against_bincount_and_dense_adjoint(
+            self, n, seed, share):
+        # random directed graphs: about a third of the nodes are sinks, and
+        # a node may have no edge either way; share 0 is the empty mask
+        rng = np.random.default_rng(seed)
+        graph = random_directed_graph(n, rng)
+        if rng.random() < 0.3:  # isolate a node: drop its edges both ways
+            keep = sp.diags((np.arange(n) != rng.integers(n)).astype(float))
+            graph = WeightGraph(keep @ graph.weights @ keep)
+        w = graph.weights
+        tails = graph.weights.tocoo().row
+        mask = rng.random(n) < (rng.random() if share is None else share)
+        sel = graph.select(mask)
+        rows = np.flatnonzero(mask)
+        edges = np.flatnonzero(mask[tails])
+        assert np.array_equal(sel.rows, rows)
+        assert np.array_equal(sel.edges, edges)
+        assert np.array_equal(sel.tails, tails[edges])
+        assert np.array_equal(sel.heads, w.indices[edges])
+        assert np.array_equal(
+            sel.indptr, np.concatenate([[0], np.cumsum(np.diff(w.indptr)[rows])]))
+        # scipy takes the index arrays as they are, in W's index type
+        for name in ("rows", "indptr", "tails", "heads"):
+            assert getattr(sel, name).dtype == w.indices.dtype
+        x = rng.standard_normal(edges.size)
+        assert np.array_equal(sel.row_sums(x),
+                              np.bincount(tails[edges], x, minlength=n))
+        full = np.zeros(w.nnz)
+        full[edges] = x
+        dense = graph.gradient().toarray().T @ full
+        assert np.allclose(sel.adjoint(x), dense, rtol=1e-13, atol=1e-13)
+        # G^T adds each node's terms in edge order: bitwise the adjoint
+        # that gathers both ends of every edge into one np.bincount
+        G = graph.gradient()
+        ends = G.indices.reshape(-1, 2)[edges].ravel()
+        vals = G.data.reshape(-1, 2)[edges].ravel()
+        assert np.array_equal(
+            sel.adjoint(x), np.bincount(ends, vals * np.repeat(x, 2),
+                                        minlength=n))
+        # values carried onto another selection of the rows both hold,
+        # against a full edge vector: scattered from one, gathered by the
+        # other
+        other = graph.select(mask | (rng.random(n) < 0.5))
+        both = mask & (rng.random(n) < 0.5)
+        full = np.zeros(w.nnz)
+        full[edges] = np.where(both[tails[edges]], x, 0.0)
+        assert np.array_equal(other.carry(sel, x, both), full[other.edges])
 
     def test_from_csv_rejects_fractional_node_index(self, tmp_path):
         path = tmp_path / "g.csv"

@@ -100,6 +100,47 @@ class TestFactor:
         assert np.isclose(report.relative_residual,
                           np.linalg.norm(A @ x - b) / np.linalg.norm(b))
 
+    @pytest.mark.parametrize("band", [True, False])
+    def test_only_the_first_solve_of_a_factor_is_checked(self, band):
+        # one product by A, on the first solve; later solves report their
+        # residual as not computed (NaN) and converged
+        rng = np.random.default_rng(9)
+        A = kernel_laplacian_1d(80, rng) if band else grid_laplacian(12)
+        products = []
+
+        class Counting:
+            def __matmul__(self, x):
+                products.append(1)
+                return A @ x
+
+        factor = factor_if_small(A)
+        assert isinstance(factor, BandCholesky) == band
+        bs = rng.standard_normal((3, A.shape[0]))
+        reports = [solve_symmetric(Counting(), b, factor=factor)[1]
+                   for b in bs]
+        assert len(products) == 1
+        first, later = reports[0], reports[1:]
+        assert first.converged and 0 <= first.relative_residual <= 1e-10
+        assert all(np.isnan(r.relative_residual) and r.converged
+                   and r.iterations == 0 for r in later)
+        x, _ = solve_symmetric(A, bs[2], factor=factor)
+        assert np.allclose(x, np.linalg.solve(A.toarray(), bs[2]),
+                           rtol=1e-8, atol=1e-10)
+
+    @pytest.mark.parametrize("band", [True, False])
+    def test_factor_of_another_matrix_fails_its_first_solve(self, band):
+        # the check on the first solve is what catches a factor used with
+        # a matrix it does not factor
+        rng = np.random.default_rng(10)
+        A = kernel_laplacian_1d(80, rng) if band else grid_laplacian(12)
+        factor = factor_if_small(A)
+        assert isinstance(factor, BandCholesky) == band
+        other = A + sp.eye(A.shape[0], format="csr")
+        _, report = solve_symmetric(other, rng.standard_normal(A.shape[0]),
+                                    factor=factor)
+        assert not report.converged
+        assert report.relative_residual > 1e-3
+
     def test_envelope_over_cap_is_not_factored(self, monkeypatch):
         # the RCM envelope of a 150x150 grid is about 150^3 / 2 entries
         def refuse(*args, **kwargs):
@@ -215,11 +256,12 @@ class TestDeflation:
                                    factor=space)[1] for _ in range(6)]
         assert all(r.converged for r in reports)
         first, later = reports[0], reports[1:]
-        assert space.W.shape[1] == ilgraph.linalg.RITZ_VECTORS
+        assert space.basis()[0].shape[1] == ilgraph.linalg.RITZ_VECTORS
         assert np.mean([r.iterations for r in later]) < first.iterations
         # the first solve's smallest Ritz value has converged to the
         # smallest eigenvalue, 4 (1 - cos(pi / 31)) on this grid
-        ritz = np.linalg.eigvalsh(space.W.T @ space.AW)
+        W, AW = space.basis()
+        ritz = np.linalg.eigvalsh(W.T @ AW)
         assert np.isclose(ritz[0], 4 * (1 - np.cos(np.pi / 31)), rtol=1e-8)
 
     def test_first_solve_past_the_record_learns_from_its_start(
@@ -243,7 +285,8 @@ class TestDeflation:
                 q -= Q[:, :j + 1] @ (Q[:, :j + 1].T @ q)
             q /= np.linalg.norm(q)
         expected = np.linalg.eigvalsh(Q.T @ (A @ Q))
-        ritz = np.linalg.eigvalsh(space.W.T @ space.AW)
+        W, AW = space.basis()
+        ritz = np.linalg.eigvalsh(W.T @ AW)
         assert np.allclose(ritz, expected[:ilgraph.linalg.RITZ_VECTORS],
                            rtol=1e-8)
         b = rng.standard_normal(A.shape[0])
@@ -272,7 +315,7 @@ class TestDeflation:
             solve_symmetric(A, rng.standard_normal(A.shape[0]),
                             factor=space)
         assert len(builds) == 1
-        assert space.W.shape[1] == ilgraph.linalg.RITZ_VECTORS
+        assert space.basis()[0].shape[1] == ilgraph.linalg.RITZ_VECTORS
 
     def test_start_is_galerkin_on_the_recent_solutions(self, over_cap):
         # a right-hand side in the span of the last two solves' is solved
@@ -301,12 +344,12 @@ class TestDeflation:
         for _ in range(3):
             solve_symmetric(A, rng.standard_normal(A.shape[0]), tol=1e-10,
                             factor=space)
-        assert space.W.shape[1] == ilgraph.linalg.RITZ_VECTORS
+        assert space.basis()[0].shape[1] == ilgraph.linalg.RITZ_VECTORS
         assert space.X.shape[1] == ilgraph.linalg.RECYCLED_SOLUTIONS
         b = rng.standard_normal(A.shape[0])
         x, r = space.start(b)
         assert np.allclose(r, b - A @ x, rtol=0.0, atol=1e-12)
-        for V in (space.W, space.X):
+        for V in (space.basis()[0], space.X):
             V = V / np.linalg.norm(V, axis=0)
             assert np.abs(V.T @ r).max() <= 1e-12 * np.linalg.norm(b)
 

@@ -8,8 +8,9 @@ import ilgraph.linalg
 import ilgraph.solver
 from conftest import (desk_image, edge_space_d_update, random_connected_graph,
                       random_directed_graph, random_labels, row_sum_matrix)
-from ilgraph.graph import (InvalidParameterError, PointCloud, WeightGraph,
-                           self_tuning_weights)
+from ilgraph.gamma import build_full_kernel_graph
+from ilgraph.graph import (InvalidParameterError, KernelSpec, PointCloud,
+                           WeightGraph, self_tuning_weights)
 from ilgraph.inpaint import SampleMask, extract_patches
 from ilgraph.linalg import DisconnectedGraphError
 from ilgraph.solver import (BALANCE_EVERY, BALANCE_MU, BALANCE_TAU,
@@ -36,8 +37,7 @@ def record_reports(monkeypatch):
 def step_to_target(step, u0, s, graph):
     """The value update for the full target s, as the step from u0."""
     G = graph.gradient()
-    return step(u0, s - G @ u0, np.arange(G.shape[0]),
-                graph.weights.tocoo().row)
+    return step(u0, s - G @ u0, graph.select(np.ones(graph.n_nodes, bool)))
 
 
 def pinned_zeros(labels, n):
@@ -251,10 +251,14 @@ class TestSolve:
         assert len(reports) == diag.iterations
         assert (diag.iterations == 1) == (method != "il")
         assert diag.linear_unconverged == sum(not r.converged for r in reports)
+        # the residual fields cover the residuals computed: every CG solve's,
+        # and only the first of the one factor's solves
+        checked = [r for r in reports if not np.isnan(r.relative_residual)]
+        assert len(checked) == (1 if factored else len(reports))
         assert diag.linear_residual_max == max(r.relative_residual
-                                               for r in reports)
+                                               for r in checked)
         assert diag.linear_residual_ratio_max == max(
-            r.relative_residual / r.tol for r in reports) <= 1.0
+            r.relative_residual / r.tol for r in checked) <= 1.0
         assert diag.linear_iterations == sum(r.iterations for r in reports)
         assert (diag.linear_iterations > 0) == (not factored)
         if method != "il":
@@ -392,15 +396,16 @@ class TestValueUpdate:
         u0 = pinned_zeros(labels, 30)
         m = graph.weights.nnz
         u, _ = step_to_target(step, u0, rng.standard_normal(m), graph)
-        edges = np.sort(rng.choice(m, 15, replace=False))
+        selection = graph.select(rng.random(30) < 0.2)
+        edges = selection.edges
         delta = rng.standard_normal(edges.size)
         G = graph.gradient()
         s = G @ u
         s[edges] += delta
         expected, _ = step_to_target(step, u0, s, graph)
-        tails = graph.weights.tocoo().row  # the edges, in CSR order
-        for change, where in ((delta, edges), (s - G @ u, np.arange(m))):
-            moved, _ = step(u, change, where, tails[where])
+        for change, where in ((delta, selection),
+                              (s - G @ u, graph.select(np.ones(30, bool)))):
+            moved, _ = step(u, change, where)
             assert np.allclose(moved, expected, rtol=1e-9, atol=1e-9)
             assert np.array_equal(moved[labels.indices], labels.values)
 
@@ -430,6 +435,47 @@ class TestValueUpdate:
         assert all(r.converged and r.iterations == 0 for r in reports)
         assert diag.linear_unconverged == 0
         assert diag.linear_residual_max <= 1e-10
+
+    @pytest.mark.parametrize("band", [True, False])
+    def test_one_residual_product_per_factor(self, monkeypatch, band):
+        # a whole il_solve multiplies by its matrix once, to check the
+        # factor's first solve; every later step reports NaN, converged
+        products, factors = [], []
+        factor_if_small = ilgraph.solver.factor_if_small
+        solve_symmetric = ilgraph.solver.solve_symmetric
+
+        class Counting:
+            def __init__(self, A):
+                self.A = A
+
+            def __matmul__(self, x):
+                products.append(1)
+                return self.A @ x
+
+        def factoring(A):
+            factors.append(factor_if_small(A))
+            return factors[-1]
+
+        def counting(A, b, **kwargs):
+            return solve_symmetric(Counting(A), b, **kwargs)
+
+        monkeypatch.setattr(ilgraph.solver, "factor_if_small", factoring)
+        monkeypatch.setattr(ilgraph.solver, "solve_symmetric", counting)
+        reports = record_reports(monkeypatch)
+        rng = np.random.default_rng(21)
+        graph = (build_full_kernel_graph(rng.uniform(size=(60, 1)),
+                                         KernelSpec.tent(), 0.2, dim=1)
+                 if band else random_connected_graph(40, rng))
+        _, diag = il_solve(graph, random_labels(graph.n_nodes, rng),
+                           SolverConfig(max_outer_iter=12, rel_obj_tol=1e-15))
+        (factor,) = factors
+        assert isinstance(factor, ilgraph.linalg.BandCholesky) == band
+        assert diag.iterations == len(reports) == 12
+        assert len(products) == 1
+        assert 0 <= reports[0].relative_residual <= 1e-10
+        assert all(np.isnan(r.relative_residual) and r.converged
+                   for r in reports[1:])
+        assert diag.linear_residual_max == reports[0].relative_residual
 
     @staticmethod
     def _single_solves(graph, labels):
@@ -497,7 +543,8 @@ class TestValueUpdate:
         solve_symmetric = ilgraph.solver.solve_symmetric
 
         def recording(A, b, tol, factor):
-            ranks.append(factor.W.shape[1] if factor.learnt else None)
+            ranks.append(factor.basis()[0].shape[1] if factor.learnt
+                         else None)
             return solve_symmetric(A, b, tol=tol, factor=factor)
 
         with pytest.MonkeyPatch.context() as mp:
@@ -857,8 +904,8 @@ class TestILSolve:
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_iteration_makes_two_full_edge_passes(self, alpha):
-        # wrap G, row_sums and out_edges: at every alpha an iteration
-        # applies G once, not its adjoint, sums rows once and selects
+        # wrap G, square_sums and select: at every alpha an iteration
+        # applies G once, not its adjoint, sums squares once and selects
         # edges once
         calls = []
 
@@ -882,7 +929,7 @@ class TestILSolve:
             graph = random_connected_graph(40, rng)
             object.__setattr__(graph, "_gradient",
                                Counting(graph.gradient(), "G"))
-            for name in ("row_sums", "out_edges"):
+            for name in ("square_sums", "select"):
                 def counting(x, name=name, method=getattr(graph, name)):
                     calls.append(name)
                     return method(x)
@@ -894,11 +941,11 @@ class TestILSolve:
                 max_outer_iter=max_outer_iter))
             assert diag.iterations == max_outer_iter
             return {k: calls.count(k)
-                    for k in ("G", "row_sums", "G.T", "out_edges")}
+                    for k in ("G", "square_sums", "G.T", "select")}
 
         few, more = counts(3), counts(13)
         assert {k: more[k] - few[k] for k in few} == {
-            "G": 10, "row_sums": 10, "G.T": 0, "out_edges": 10}
+            "G": 10, "square_sums": 10, "G.T": 0, "select": 10}
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(InvalidParameterError):
