@@ -77,25 +77,6 @@ class PointCloud:
     def count(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-    @classmethod
-    def from_csv(cls, path) -> "PointCloud":
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2))
-
-    def to_csv(self, path):
-        np.savetxt(path, self.points, delimiter=",")
-
-    def to_cache(self, path):
-        np.savez_compressed(path, points=self.points)
-
-    @classmethod
-    def from_cache(cls, path) -> "PointCloud":
-        with np.load(path) as data:
-            return cls(data["points"])
-
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -271,16 +252,6 @@ class WeightGraph:
         edges += np.arange(edges.size)
         return EdgeSelection(self.gradient(), rows, indptr, edges,
                              np.repeat(rows, degree), w.indices[edges])
-
-    def symmetrized(self) -> "WeightGraph":
-        """Max-symmetrization: w_ij = w_ji = max(w_ij, w_ji)."""
-        w = self.weights
-        return WeightGraph(w.maximum(w.T).tocsr())
-
-    def to_csv(self, path):
-        coo = self.weights.tocoo()
-        arr = np.column_stack([coo.row, coo.col, coo.data])
-        np.savetxt(path, arr, delimiter=",", fmt=["%d", "%d", "%.17g"])
 
     @classmethod
     def from_csv(cls, path, n_nodes: Optional[int] = None) -> "WeightGraph":

@@ -37,9 +37,6 @@ class Image:
     def shape(self) -> Tuple[int, int]:
         return self.pixels.shape
 
-    def clamped(self) -> "Image":
-        return Image(np.clip(self.pixels, 0.0, 255.0))
-
 
 @dataclass(frozen=True)
 class SampleMask:
@@ -208,7 +205,7 @@ _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*([^\s#]+)")
 
 
 def read_pgm(path) -> Image:
-    """P2 (ASCII) and P5 (binary, maxval <= 255) readers."""
+    """P2 (ASCII) and P5 (binary, maxval <= 255) readers, scaled to 255."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -232,7 +229,10 @@ def read_pgm(path) -> Image:
         vals = np.frombuffer(data[pos + 1:pos + 1 + size], dtype=np.uint8)
         if vals.size < size:
             raise InvalidParameterError(f"truncated P5 raster: {size} bytes expected")
-    return Image(np.asarray(vals, dtype=float).reshape(height, width))
+    vals = np.asarray(vals, dtype=float).reshape(height, width)
+    if vals.min() < 0 or vals.max() > maxval:
+        raise InvalidParameterError(f"PGM raster outside [0, maxval {maxval}]")
+    return Image(vals * (255 / maxval))  # the scale psnr and write_pgm take
 
 
 def _pgm_ints(tokens, count, part):
@@ -246,16 +246,10 @@ def _pgm_ints(tokens, count, part):
         raise InvalidParameterError(f"malformed PGM {part}: {exc}") from exc
 
 
-def write_pgm(img: Image, path, binary: bool = True):
-    """Write 8-bit PGM; P5 round-trips bit-exactly for integer images."""
+def write_pgm(img: Image, path):
+    """Write 8-bit P5 PGM; it round-trips bit-exactly for integer images."""
     px = np.clip(np.rint(img.pixels), 0, 255).astype(np.uint8)
     h, w = px.shape
-    if binary:
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{w} {h}\n255\n".encode())
-            fh.write(px.tobytes())
-    else:
-        with open(path, "w") as fh:
-            fh.write(f"P2\n{w} {h}\n255\n")
-            for row in px:
-                fh.write(" ".join(str(v) for v in row) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode())
+        fh.write(px.tobytes())

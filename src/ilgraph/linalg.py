@@ -55,15 +55,15 @@ stopped on. The start is built inside the ``StartSpace``, so the report
 of a solve still states its residual relative to its own right-hand
 side.
 
-Each solve's SolveReport states the tolerance it was judged against.
+Each path answers solve(A, b, tol) -> (x, CG iterations, true relative
+residual), and its SolveReport states the tol it was judged against.
 The first value update of a system (GL, WNLL, choose_c, il_solve's
 first pass) solves to lin_tol, and its StartSpace learns from that
 solve; il_solve's later steps pass their own, looser tolerance
-(solver.STEP_TOL_MAX). A factored solve ignores the tolerance, and
-only the first solve of each factor is checked against its matrix, by
-one product with it: the factor is exact to round-off for every
-right-hand side once it is for one, and later solves report their
-residual as not computed (NaN).
+(solver.STEP_TOL_MAX). A factor ignores the tolerance and checks only
+its first solve against its matrix, by one product with it: it is exact
+to round-off for every right-hand side once it is for one, and later
+solves return their residual as not computed (NaN).
 """
 
 import math
@@ -98,8 +98,8 @@ class SolveReport:
     """One linear solve: CG iterations taken (0 for a factored solve; the
     Galerkin start of a recycled solve counts as none), the true relative
     residual ||A x - b|| / ||b|| (NaN, not computed, for a factored solve
-    after the factor's first; see solve_symmetric), the tolerance tol it
-    was judged against, and whether it met that tol. An il_solve
+    after the factor's first), the tolerance tol it was judged against,
+    and whether it met that tol (a NaN residual counts as met). An il_solve
     iteration solves for the change in u, so its residual is relative to
     the increment's right-hand side, not to that of the full value
     update, and its tol is the step's own (see solver.STEP_TOL_MAX); a
@@ -117,7 +117,7 @@ def factor_if_small(A):
     factor, exceeds FACTOR_MAX_ENTRIES entries. Under the cap, a
     BandCholesky when the RCM band of half-width bw holds no more entries
     than A, (bw + 1) n <= nnz(A), and a SparseLU otherwise. Either has
-    ``solve(b)``."""
+    ``solve(A, b, tol)``, as a StartSpace has."""
     A = sp.csr_matrix(A)
     if not A.has_canonical_format:  # nnz and the band copy count each entry once
         A = A.copy()
@@ -141,33 +141,39 @@ def factor_if_small(A):
     return SparseLU(A)
 
 
-class SparseLU:
-    """SuperLU factor of the symmetric positive definite CSR matrix A.
-    ``checked`` turns true once solve_symmetric has checked a solve by it
-    against its matrix."""
+class _Factor:
+    """Direct factor of one symmetric positive definite matrix: its
+    solve(A, b, tol) checks the first solve only (module docstring) and
+    takes no iteration. A subclass gives _solve(b)."""
 
     checked = False
+
+    def solve(self, A, b, tol: float):
+        x = self._solve(b)
+        if self.checked:
+            return x, 0, math.nan
+        self.checked = True
+        return x, 0, float(np.linalg.norm(A @ x - b) / np.linalg.norm(b))
+
+
+class SparseLU(_Factor):
+    """SuperLU factor of the symmetric positive definite CSR matrix A."""
 
     def __init__(self, A):
         # A.T is A in CSC form without a copy (1.5 MB less peak memory on
         # the 101x101 grid); minimum degree on A + A^T gives 40% less fill
         # than COLAMD there; a symmetric positive definite A needs no
         # pivoting
-        self.lu = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A",
-                            diag_pivot_thresh=0,
-                            options={"SymmetricMode": True})
-
-    def solve(self, b):
-        return self.lu.solve(b)
+        self._solve = spla.splu(A.T, permc_spec="MMD_AT_PLUS_A",
+                                diag_pivot_thresh=0,
+                                options={"SymmetricMode": True}).solve
 
 
-class BandCholesky:
+class BandCholesky(_Factor):
     """LAPACK band Cholesky factor of the symmetric positive definite CSR
     matrix A under the symmetric permutation perm (pos its inverse), whose
     permuted form has half-bandwidth bw. Raises numpy's LinAlgError when A
-    is not numerically positive definite. ``checked`` as for SparseLU."""
-
-    checked = False
+    is not numerically positive definite."""
 
     def __init__(self, A, perm, pos, bw: int):
         n = A.shape[0]
@@ -189,7 +195,7 @@ class BandCholesky:
         self.cb = cholesky_banded(ab, overwrite_ab=True, check_finite=False)
         self.perm, self.pos = perm, pos
 
-    def solve(self, b):
+    def _solve(self, b):
         y = cho_solve_banded((self.cb, False), b[self.perm],
                              overwrite_b=True, check_finite=False)
         return y[self.pos]
@@ -332,34 +338,22 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
     """Solve A x = b for symmetric positive definite A. Returns
     (x, SolveReport).
 
-    With a factor of A from factor_if_small, band Cholesky or sparse LU,
-    one direct solve (0 iterations); otherwise CG, capped at 10 n
-    iterations, from the Galerkin start on a StartSpace of A when given one
-    (the first solve fills an empty one), else from zero. The start counts
-    as no iteration. A CG report holds the true relative residual. A
-    factor's first solve is checked by one product with A, and its report
-    holds that true residual; a factor that solved its matrix to round-off
-    once does so for every right-hand side, so later solves by it are not
-    checked and report the residual as NaN ("not computed") and converged.
+    ``factor`` is what factor_if_small gave for A, or a StartSpace of A,
+    and solves by its own solve(A, b, tol): a factor directly, checking
+    its first solve only, a StartSpace by CG from its Galerkin start.
+    With no factor, CG from zero. CG stops at tol or after 10 n
+    iterations. A residual not computed (NaN) counts as converged.
     Non-convergence is reported, not raised; the caller decides.
     """
     check_real("tol", tol)
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True, tol)
-    if isinstance(factor, StartSpace):
-        x, iterations, res = factor.solve(A, b, tol)
-    elif factor is not None:
-        x, iterations = factor.solve(b), 0
-        if factor.checked:
-            return x, SolveReport(0, math.nan, True, tol)
-        res = float(np.linalg.norm(A @ x - b) / b_norm)
-        factor.checked = True
+    if np.linalg.norm(b) == 0.0:
+        return np.zeros(b.shape[0]), SolveReport(0, 0.0, True, tol)
+    if factor is None:
+        x, iterations, res, _ = _cg(A, b, tol, np.zeros(b.shape[0]), b.copy())
     else:
-        x, iterations, res, _ = _cg(A, b, tol, np.zeros(n), b.copy())
-    return x, SolveReport(iterations, res, bool(res <= tol), tol)
+        x, iterations, res = factor.solve(A, b, tol)
+    return x, SolveReport(iterations, res, not res > tol, tol)
 
 
 def check_label_connectivity(support: sp.csr_matrix, labeled_idx: np.ndarray):

@@ -30,8 +30,9 @@ over the same edges.
 
 Every value update is one step: for the target s = G u + delta it
 solves A du = (G^T (nu_e * delta))_unl, A the restricted matrix, and
-moves u' = u + du. The first update is the step from u0, the labels
-pinned and zeros elsewhere, towards s = 0.
+moves u' = u + du; il_solve's penalties are 1 (c cancels, below). The
+first update is the step from u0, the labels pinned and zeros
+elsewhere, towards s = 0.
 
 The D update scales each row of y = t - q, t = G u, by one factor rho_i
 and the multiplier becomes q' = (rho - 1) y, so s = D + q' equals t on
@@ -303,11 +304,11 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     definite, raises ConvergenceError.
 
     Returns ((u, SolveReport), step): the first value update, for the
-    target s = 0, and step(u, delta, selection), which takes the target
-    G u + delta, with delta listed on the edges of the EdgeSelection
-    ``selection`` (WeightGraph.select) only, and solves
-    A du = (G^T (nu_e * delta))_unl for the change in u. Labeled values
-    stay pinned exactly. No edge-length vector is kept past the assembly.
+    target s = 0, and step(u, delta, selection), which solves
+    A du = (G^T delta)_unl, delta listed on the edges of the EdgeSelection
+    ``selection`` (WeightGraph.select) only: at unit penalties, il_solve's,
+    the value update for the target G u + delta. Labeled values stay
+    pinned exactly. No edge-length vector is kept past the assembly.
     """
     n = graph.n_nodes
     unl = labels.unlabeled(n)
@@ -331,14 +332,12 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
     S = S[:, unl]
     A = sp.diags(degree) - S
     del S  # free the assembly before a factor is built
-    try:
-        factor = factor_if_small(A)
+    try:  # over the cap, CG started from what its first solve learns
+        factor = factor_if_small(A) or StartSpace(unl.size)
     except np.linalg.LinAlgError as exc:  # from the band Cholesky
         raise ConvergenceError(
             f"value-update matrix is not numerically positive definite: {exc}"
         ) from exc
-    if factor is None:  # CG, started from what its first solve learns
-        factor = StartSpace(unl.size)
 
     def advance(u, r, tol):
         """u + du with A du = r_unl, solved to the relative residual tol."""
@@ -348,8 +347,7 @@ def _value_solver(nu, graph: WeightGraph, labels: LabelAssignment,
         return u, report
 
     def step(u, delta, selection, tol=lin_tol):
-        return advance(
-            u, selection.adjoint(np.take(nu, selection.tails) * delta), tol)
+        return advance(u, selection.adjoint(delta), tol)
 
     return advance(u0, first_rhs, lin_tol), step
 

@@ -321,7 +321,7 @@ def test_criterion_8_invariants(tmp_path):
 
     # bit-exact binary image round-trip
     img = Image(rng.integers(0, 256, size=(31, 17)).astype(float))
-    write_pgm(img, tmp_path / "rt.pgm", binary=True)
+    write_pgm(img, tmp_path / "rt.pgm")
     checks["pgm round-trip"] = np.array_equal(
         read_pgm(tmp_path / "rt.pgm").pixels, img.pixels)
 

@@ -22,10 +22,6 @@ class TestImage:
         with pytest.raises(InvalidParameterError):
             Image(np.array([[np.nan]]))
 
-    def test_clamped(self):
-        img = Image(np.array([[-5.0, 300.0]])).clamped()
-        assert img.pixels.tolist() == [[0.0, 255.0]]
-
 
 class TestSampleMask:
     def test_random_density_count(self):
@@ -110,16 +106,33 @@ class TestPgm:
     def test_p5_roundtrip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         img = Image(rng.integers(0, 256, size=(13, 17)).astype(float))
-        write_pgm(img, tmp_path / "a.pgm", binary=True)
+        write_pgm(img, tmp_path / "a.pgm")
         back = read_pgm(tmp_path / "a.pgm")
         assert np.array_equal(back.pixels, img.pixels)
 
     def test_p2_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        img = Image(rng.integers(0, 256, size=(5, 9)).astype(float))
-        write_pgm(img, tmp_path / "a.pgm", binary=False)
+        px = np.random.default_rng(1).integers(0, 256, size=(5, 9))
+        (tmp_path / "a.pgm").write_text(
+            "P2\n9 5\n255\n" + "\n".join(" ".join(map(str, row))
+                                         for row in px) + "\n")
         back = read_pgm(tmp_path / "a.pgm")
-        assert np.array_equal(back.pixels, img.pixels)
+        assert np.array_equal(back.pixels, px)
+
+    @pytest.mark.parametrize("magic", ["P2", "P5"])
+    def test_values_are_scaled_from_maxval_to_255(self, tmp_path, magic):
+        raster = (b"15 0 5" if magic == "P2" else bytes([15, 0, 5]))
+        (tmp_path / "x.pgm").write_bytes(
+            f"{magic}\n3 1\n15\n".encode() + raster)
+        assert read_pgm(tmp_path / "x.pgm").pixels.tolist() == [[255, 0, 85]]
+
+    @pytest.mark.parametrize("raster", [b"P2\n2 1\n15\n300 0\n",
+                                        b"P2\n2 1\n15\n16 0\n",
+                                        b"P2\n2 1\n255\n-1 0\n",
+                                        b"P5\n2 1\n15\n\x10\x00"])
+    def test_rejects_a_value_outside_0_to_maxval(self, tmp_path, raster):
+        (tmp_path / "x.pgm").write_bytes(raster)
+        with pytest.raises(InvalidParameterError, match="maxval"):
+            read_pgm(tmp_path / "x.pgm")
 
     def test_p2_with_comments(self, tmp_path):
         (tmp_path / "c.pgm").write_text(

@@ -5,9 +5,9 @@ import scipy.sparse as sp
 import ilgraph.linalg
 from ilgraph.gamma import build_full_kernel_graph
 from ilgraph.graph import InvalidParameterError, KernelSpec, WeightGraph
-from ilgraph.linalg import (BandCholesky, DisconnectedGraphError, StartSpace,
-                            check_label_connectivity, factor_if_small,
-                            solve_symmetric)
+from ilgraph.linalg import (BandCholesky, DisconnectedGraphError, SparseLU,
+                            StartSpace, check_label_connectivity,
+                            factor_if_small, solve_symmetric)
 from ilgraph.solver import LabelAssignment, gl_solve
 
 
@@ -84,6 +84,42 @@ def block_tridiagonal(blocks):
     off = np.zeros(n - 1)
     off[0::2] = -np.asarray(blocks, dtype=float)
     return sp.diags([off, 2 * np.ones(n), off], [-1, 0, 1]).tocsr()
+
+
+class TestSolveContract:
+    """The band, LU and CG paths share solve(A, b, tol) -> (x, CG
+    iterations, true relative residual)."""
+
+    @pytest.mark.parametrize("kind", [BandCholesky, SparseLU, StartSpace])
+    def test_every_path_solves_and_reports(self, monkeypatch, kind):
+        rng = np.random.default_rng(11)
+        # a 1-D kernel graph is dense within its band, a grid is not; no
+        # matrix is factored under a cap of 0
+        A = (kernel_laplacian_1d(80, rng) if kind is BandCholesky
+             else grid_laplacian(12))
+        if kind is StartSpace:
+            monkeypatch.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
+        n = A.shape[0]
+        solver = factor_if_small(A) or StartSpace(n)
+        assert type(solver) is kind
+        tol = 1e-10
+        for k, b in enumerate(rng.standard_normal((3, n))):
+            x, iterations, res = solver.solve(A, b, tol)
+            expected = np.linalg.solve(A.toarray(), b)
+            assert np.allclose(x, expected, rtol=1e-8,
+                               atol=1e-8 * np.abs(expected).max())
+            true_res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+            if kind is StartSpace:
+                assert iterations > 0 and res <= tol
+                assert np.isclose(res, true_res, rtol=1e-6, atol=1e-14)
+            elif k == 0:  # a factor checks its first solve only
+                assert iterations == 0 and res == true_res <= 1e-12
+            else:
+                assert iterations == 0 and np.isnan(res)
+        if kind is not StartSpace:
+            # solve_symmetric counts a residual not computed as converged
+            _, report = solve_symmetric(A, b, tol, factor=solver)
+            assert np.isnan(report.relative_residual) and report.converged
 
 
 class TestFactor:
@@ -217,7 +253,8 @@ class TestFactor:
         b = np.random.default_rng(8).standard_normal(n)
         factor = factor_if_small(halves)
         assert isinstance(factor, BandCholesky)
-        assert np.allclose(factor.solve(b), np.linalg.solve(A.toarray(), b),
+        assert np.allclose(factor.solve(halves, b, 1e-10)[0],
+                           np.linalg.solve(A.toarray(), b),
                            rtol=1e-10, atol=1e-10)
         assert not halves.has_canonical_format  # the input is left as given
 

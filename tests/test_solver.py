@@ -326,22 +326,23 @@ class TestValueUpdate:
         with pytest.MonkeyPatch.context() as mp:
             if not factored:
                 mp.setattr(ilgraph.linalg, "FACTOR_MAX_ENTRIES", 0)
-            first, step = _value_solver(nu, graph, labels, 1e-10)
+            first, _ = _value_solver(nu, graph, labels, 1e-10)
+            # a step is the full value update at unit penalties, il_solve's
+            _, step = _value_solver(np.ones(n), graph, labels, 1e-10)
             u, report = step_to_target(step, pinned_zeros(labels, n), s_flat,
                                        graph)
         # dense oracle: minimize sum_ij nu_i w_ij (s_ij - sqrt(w_ij)(u_i - u_j))^2
-        # over the unlabeled values, with the labeled ones pinned
+        # over the unlabeled values, with the labeled ones pinned; nu = 1
+        # for the step
         coo = graph.weights.tocoo()
         rows, cols, sqw = coo.row, coo.col, np.sqrt(coo.data)
         G = np.zeros((rows.size, n))
         G[np.arange(rows.size), rows] = sqw
         G[np.arange(rows.size), cols] -= sqw
-        weight = nu[rows]
         unl = labels.unlabeled(n)
-        lhs = G[:, unl].T @ (weight[:, None] * G[:, unl])
         coupling = G[:, labels.indices] @ labels.values
-        rhs = G[:, unl].T @ (weight * (s_flat - coupling))
-        x = np.linalg.solve(lhs, rhs)
+        lhs = G[:, unl].T @ G[:, unl]
+        x = np.linalg.solve(lhs, G[:, unl].T @ (s_flat - coupling))
         assert np.allclose(u[unl], x, rtol=1e-8, atol=1e-8)
         assert np.array_equal(u[labels.indices], labels.values)
         if factored:
@@ -350,6 +351,8 @@ class TestValueUpdate:
             assert report.iterations > 0
         # the first update is the one for the target s = 0
         u_first, _ = first
+        weight = nu[rows]
+        lhs = G[:, unl].T @ (weight[:, None] * G[:, unl])
         x = np.linalg.solve(lhs, -G[:, unl].T @ (weight * coupling))
         assert np.allclose(u_first[unl], x, rtol=1e-8, atol=1e-8)
         assert np.array_equal(u_first[labels.indices], labels.values)
@@ -391,8 +394,7 @@ class TestValueUpdate:
         rng = np.random.default_rng(17)
         graph = random_directed_graph(30, rng)
         labels = random_labels(30, rng)
-        _, step = _value_solver(rng.uniform(0.5, 2.0, size=30), graph, labels,
-                                1e-12)
+        _, step = _value_solver(np.ones(30), graph, labels, 1e-12)
         u0 = pinned_zeros(labels, 30)
         m = graph.weights.nnz
         u, _ = step_to_target(step, u0, rng.standard_normal(m), graph)
@@ -536,7 +538,6 @@ class TestValueUpdate:
         graph = (random_directed_graph if directed
                  else random_connected_graph)(n, rng)
         labels = random_labels(n, rng, n_labels=n_labels)
-        nu = rng.uniform(0.5, 2.0, size=n)
         unl = labels.unlabeled(n)
         u0 = pinned_zeros(labels, n)
         ranks = []  # Ritz basis rank each solve starts with, None unlearnt
@@ -549,14 +550,14 @@ class TestValueUpdate:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ilgraph.solver, "solve_symmetric", recording)
-            (_, first), step = _value_solver(nu, graph, labels, 1e-10)
+            (_, first), step = _value_solver(np.ones(n), graph, labels,
+                                             1e-10)
             G = graph.gradient().toarray()
-            weight = nu[graph.weights.tocoo().row]
-            lhs = G[:, unl].T @ (weight[:, None] * G[:, unl])
+            lhs = G[:, unl].T @ G[:, unl]
             for _ in range(4):
                 s = rng.standard_normal(G.shape[0])
                 u, report = step_to_target(step, u0, s, graph)
-                rhs = G[:, unl].T @ (weight * (s - G @ u0))
+                rhs = G[:, unl].T @ (s - G @ u0)
                 assert np.allclose(u[unl], np.linalg.solve(lhs, rhs),
                                    rtol=1e-8, atol=1e-8)
                 assert np.array_equal(u[labels.indices], labels.values)
