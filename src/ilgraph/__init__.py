@@ -5,7 +5,7 @@ from .graph import (DegenerateBandwidthError, InvalidParameterError,
                     self_tuning_weights)
 from .linalg import DisconnectedGraphError, SolveReport, solve_symmetric
 from .solver import (ConvergenceError, Diagnostics, LabelAssignment,
-                     SolverConfig, choose_c, gl_solve, il_solve,
+                     SolverConfig, gl_solve, il_solve,
                      nonlocal_inf_metric, objective, solve,
                      threshold_subproblem, wnll_solve)
 
@@ -21,7 +21,6 @@ __all__ = [
     "SolveReport",
     "SolverConfig",
     "WeightGraph",
-    "choose_c",
     "gl_solve",
     "il_solve",
     "knn_graph",

@@ -4,9 +4,9 @@ Weight graphs are kept directed after truncation: row i holds the weights
 from x_i to its k nearest neighbors, which need not coincide with the
 reverse edges. Solvers consume w_ij and w_ji separately, through the
 non-local gradient G (one row per directed edge) that
-``WeightGraph.gradient`` builds once per graph, through ``row_sums``,
-which adds up the edges leaving each node, ``square_sums``, which adds up
-their squares without forming them, and through the EdgeSelection record
+``WeightGraph.gradient`` builds once per graph, through ``square_sums``,
+which adds up the squares of values on the edges leaving each node
+without forming them, and through the EdgeSelection record
 that ``select`` builds for the edges of a few nodes: the rows, their CSR
 offsets, the edge ids, tails and heads. The record sums its rows' edges,
 applies G^T to values on its edges and carries values from another
@@ -89,8 +89,8 @@ class KernelSpec:
     ``knots``, for a piecewise-linear profile, are the radii in profile
     units, increasing from 0 to support_radius / bandwidth, between which
     the profile is linear; the convergence study integrates its moments
-    in closed form over them. The tent and tabulated kernels have knots,
-    and a hand-built profile has none unless it is given them.
+    in closed form over them. The tent kernel has knots, and a hand-built
+    profile has none unless it is given them.
 
     Two kernels are equal when their fields other than the profile are,
     and so are the profile's values at the knots, which fix a
@@ -137,31 +137,6 @@ class KernelSpec:
     def tent(cls, bandwidth: float = 1.0) -> "KernelSpec":
         return cls("tent", bandwidth, bandwidth,
                    lambda t: np.maximum(0.0, 1.0 - t), knots=(0.0, 1.0))
-
-    @classmethod
-    def tabulated(cls, radii: np.ndarray, values: np.ndarray,
-                  bandwidth: float = 1.0) -> "KernelSpec":
-        radii = np.asarray(radii, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if radii.ndim != 1 or radii.size == 0 or radii.shape != values.shape:
-            raise InvalidParameterError(
-                "tabulated kernel needs one value per radius")
-        if not (radii[0] >= 0 and np.all(np.diff(radii) > 0)):
-            raise InvalidParameterError(
-                "tabulated radii must be nonnegative and increasing")
-        if not (values[0] > 0 and np.all(np.diff(values) <= 0)
-                and values[-1] >= 0):
-            raise InvalidParameterError("tabulated kernel must be positive at "
-                                        "0, nonincreasing and nonnegative")
-        r_max = float(radii[-1])
-
-        def profile(t):
-            return np.interp(t, radii, values, right=0.0)
-
-        # constant before the first radius, linear between the radii
-        knots = radii if radii[0] == 0 else np.concatenate([[0.0], radii])
-        return cls("tabulated", bandwidth, bandwidth * r_max, profile,
-                   knots=knots)
 
 
 @dataclass(frozen=True)
@@ -212,23 +187,13 @@ class WeightGraph:
             object.__setattr__(self, "_gradient", G)
         return G
 
-    def row_sums(self, x):
-        """Per node, the sum of x over the edges leaving it, for x with one
-        value per edge in CSR order. The edges are added in that order, as
-        a product with the n x m row-sum matrix would add them, but no
-        such matrix is stored: x is read in place as the data of W's
-        sparsity pattern."""
-        w = self.weights
-        return sp.csr_matrix((x, w.indices, w.indptr), shape=w.shape) @ np.ones(
-            self.n_nodes)
-
     def square_sums(self, t):
         """Per node, the sum of t**2 over the edges leaving it, for t with
         one value per edge in CSR order: the row energies when t = G u.
-        The products and their order are those of row_sums(t ** 2), but
-        t**2 is never formed: t is read as the data of a matrix whose row
-        i holds the ids of node i's edges, and that matrix is applied to
-        t. The edge ids, in W's index type, are built once and cached."""
+        The edges are added in CSR order, but t**2 is never formed: t is
+        read as the data of a matrix whose row i holds the ids of node i's
+        edges, and that matrix is applied to t. The edge ids, in W's index
+        type, are built once and cached."""
         ids = getattr(self, "_edge_ids", None)
         if ids is None:
             ids = np.arange(self.weights.nnz, dtype=self.weights.indices.dtype)

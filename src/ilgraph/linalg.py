@@ -3,8 +3,8 @@
 The linear systems here are weakly diagonally dominant graph Laplacians
 restricted to unlabeled nodes; once every component of the graph holds a
 label (``check_label_connectivity``) they are symmetric positive
-definite. Every value update (GL, WNLL, the first pass of ``choose_c``,
-each ``il_solve`` iteration) takes one of three paths, chosen by
+definite. Every value update (GL, WNLL, il_solve's first pass and each
+of its iterations) takes one of three paths, chosen by
 ``factor_if_small`` from the matrix alone: a LAPACK band Cholesky factor
 where the matrix is dense within its band, a sparse LU factor where it
 is not, and conjugate gradients (CG) from a recycled start where a
@@ -57,8 +57,8 @@ side.
 
 Each path answers solve(A, b, tol) -> (x, CG iterations, true relative
 residual), and its SolveReport states the tol it was judged against.
-The first value update of a system (GL, WNLL, choose_c, il_solve's
-first pass) solves to lin_tol, and its StartSpace learns from that
+The first value update of a system (GL, WNLL, il_solve's first pass)
+solves to lin_tol, and its StartSpace learns from that
 solve; il_solve's later steps pass their own, looser tolerance
 (solver.STEP_TOL_MAX). A factor ignores the tolerance and checks only
 its first solve against its matrix, by one product with it: it is exact

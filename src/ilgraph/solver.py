@@ -388,16 +388,6 @@ def _choose_c_from_g1(g1, u1, alpha, eps=1e-4, max_iter=1000):
         f"adaptive penalty selection did not settle in {max_iter} iterations")
 
 
-def choose_c(graph: WeightGraph, labels: LabelAssignment, alpha: float,
-             eps: float = 1e-4) -> float:
-    """Adaptive penalty: fixed-point iteration driving the first-iteration
-    thresholding ratio ||D1 - T1||_F^2 / ||T1||_F^2 to 1/4."""
-    check_real("alpha", alpha, may_equal=True)
-    u1 = gl_solve(graph, labels)
-    return _choose_c_from_g1(graph.square_sums(graph.gradient() @ u1),
-                             u1, alpha, eps)
-
-
 def _baseline(method, graph, labels, cfg):
     """GL's or WNLL's value update, as (u, SolveReport)."""
     n = graph.n_nodes

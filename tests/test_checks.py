@@ -52,11 +52,11 @@ CASES = [
      lambda: convergence_study(interval_benchmark(), BandwidthSchedule([60]),
                                trials=1, seed=-1)),
     ("BandwidthSchedule", "sample sizes", lambda: BandwidthSchedule([50.5])),
-    ("sigma_eta", "dim", lambda: sigma_eta(KernelSpec.tent(), 2.0, 1.5)),
+    ("sigma_eta", "dim", lambda: sigma_eta(KernelSpec.tent(), 1.5)),
     ("build_full_kernel_graph", "dim",
      lambda: build_full_kernel_graph(LINE, KernelSpec.tent(), 0.5, dim=0)),
-    ("discrete_energy", "p",
-     lambda: discrete_energy(LINE, LINE, KernelSpec.tent(), 0.5, math.nan)),
+    ("discrete_energy", "dim",
+     lambda: discrete_energy(LINE, LINE, KernelSpec.tent(), 0.5, dim=0)),
     ("SampleMask.random", "seed",
      lambda: SampleMask.random((4, 4), 0.5, seed=-1)),
     ("SolverConfig", "max_outer_iter",

@@ -24,15 +24,24 @@ def pinned_stub(graph, labels, cfg=None):
                           c_star=1.0, primal_residual=0.0)
 
 
+def tabulated(radii, values, bandwidth=1.0):
+    """A hand-built piecewise-linear kernel: linear between the radii,
+    constant before the first and 0 past the last, with its knots."""
+    knots = radii if radii[0] == 0 else [0.0, *radii]
+    return KernelSpec("tabulated", bandwidth, bandwidth * radii[-1],
+                      lambda t: np.interp(t, radii, values, right=0.0),
+                      knots=tuple(knots))
+
+
 class TestSigmaEta:
     def test_tent_1d_p2_closed_form(self):
         # integral of (1-|t|) t^2 over [-1,1] is 1/6
-        val = sigma_eta(KernelSpec.tent(), p=2.0, dim=1)
+        val = sigma_eta(KernelSpec.tent(), dim=1)
         assert np.isclose(val, math.sqrt(1.0 / 6.0), rtol=1e-15, atol=0.0)
 
     def test_tent_2d_p2_closed_form(self):
         # 2-D: radial integral of (1-r) r^3 = 1/20, angular moment = pi
-        val = sigma_eta(KernelSpec.tent(), p=2.0, dim=2)
+        val = sigma_eta(KernelSpec.tent(), dim=2)
         assert np.isclose(val, math.sqrt(math.pi / 20.0), rtol=1e-15,
                           atol=0.0)
 
@@ -40,66 +49,52 @@ class TestSigmaEta:
     def test_tabulated_constant_then_linear(self, bandwidth):
         # 1 on [0, 1/2], then 2 - 2t: the t^2 moment is 1/24 + 11/96, twice
         # over [-1, 1]; the bandwidth scales distances, not the profile
-        ker = KernelSpec.tabulated([0.5, 1.0], [1.0, 0.0], bandwidth)
-        assert np.isclose(sigma_eta(ker, p=2.0, dim=1), math.sqrt(0.3125),
+        ker = tabulated([0.5, 1.0], [1.0, 0.0], bandwidth)
+        assert np.isclose(sigma_eta(ker, dim=1), math.sqrt(0.3125),
                           rtol=1e-15, atol=0.0)
 
     def test_tabulated_constant_to_the_support(self):
         # 1 on [0, 1]: twice the integral of t^2
-        ker = KernelSpec.tabulated([0.0, 1.0], [1.0, 1.0])
-        assert np.isclose(sigma_eta(ker, p=2.0, dim=1), math.sqrt(2.0 / 3.0),
+        ker = tabulated([0.0, 1.0], [1.0, 1.0])
+        assert np.isclose(sigma_eta(ker, dim=1), math.sqrt(2.0 / 3.0),
                           rtol=1e-15, atol=0.0)
 
-    def test_tabulated_non_integer_p_in_2d(self):
-        # radial t^(p+1) moment of 1 on [0, 1/2] and 2 - 2t on [1/2, 1],
-        # times the integral of |cos|^p over the circle
-        p = 3.5
-        ker = KernelSpec.tabulated([0.5, 1.0], [1.0, 0.0])
-        radial = (0.5 ** (p + 2) / (p + 2) + 2 * (1 - 0.5 ** (p + 2)) / (p + 2)
-                  - 2 * (1 - 0.5 ** (p + 3)) / (p + 3))
-        angular = (2 * math.sqrt(math.pi) * math.gamma((p + 1) / 2)
-                   / math.gamma((p + 2) / 2))
-        assert np.isclose(sigma_eta(ker, p=p, dim=2),
-                          (radial * angular) ** (1 / p), rtol=1e-14, atol=0.0)
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_tabulated_constant_then_linear_above_one_dimension(self, dim):
+        # radial t^(d+1) moment of 1 on [0, 1/2] and 2 - 2t on [1/2, 1],
+        # times the integral of cos^2 over the sphere, |S^(d-1)| / d
+        a = dim + 1
+        radial = (0.5 ** (a + 1) / (a + 1) + 2 * (1 - 0.5 ** (a + 1)) / (a + 1)
+                  - 2 * (1 - 0.5 ** (a + 2)) / (a + 2))
+        angular = 2 * math.pi ** (dim / 2) / math.gamma(dim / 2) / dim
+        assert np.isclose(sigma_eta(tabulated([0.5, 1.0], [1.0, 0.0]), dim),
+                          math.sqrt(radial * angular), rtol=1e-14, atol=0.0)
 
     def test_rejects_noncompact_kernel(self):
         with pytest.raises(InvalidParameterError):
-            sigma_eta(KernelSpec.gaussian(1.0), p=2.0, dim=1)
+            sigma_eta(KernelSpec.gaussian(1.0), dim=1)
 
     def test_rejects_compact_kernel_without_knots(self):
         # only a hand-built kernel can lack knots
         ker = KernelSpec("bump", 1.0, 1.0, lambda t: np.maximum(0.0, 1 - t * t))
         with pytest.raises(InvalidParameterError, match="knots"):
-            sigma_eta(ker, p=2.0, dim=1)
-
-    def test_rejects_p_not_above_one(self):
-        with pytest.raises(InvalidParameterError):
-            sigma_eta(KernelSpec.tent(), p=1.0, dim=1)
+            sigma_eta(ker, dim=1)
 
 
 class TestDiscreteEnergy:
     def test_hand_three_points(self):
-        # three points on a line, s = 1, tent kernel, p = 2
+        # three points on a line, s = 1, tent kernel
         pts = np.array([0.0, 0.4, 1.2])
         u = np.array([0.0, 1.0, 3.0])
         ker = KernelSpec.tent()
         # pairs within s: (0,1) dist .4 w .6, (1,2) dist .8 w .2
         # row sums: x0: .6*1; x1: .6*1 + .2*4 = 1.4; x2: .2*4 = .8
         expect = math.sqrt(1.4 / 3.0)
-        assert np.isclose(discrete_energy(u, pts, ker, 1.0, 2.0), expect)
-
-    def test_hand_three_points_p3(self):
-        # as above at p = 3: row sums x0: .6*1; x1: .6*1 + .2*8 = 2.2;
-        # x2: .2*8 = 1.6
-        pts = np.array([0.0, 0.4, 1.2])
-        u = np.array([0.0, 1.0, 3.0])
-        expect = (2.2 / 3.0) ** (1.0 / 3.0)
-        assert np.isclose(discrete_energy(u, pts, KernelSpec.tent(), 1.0, 3.0),
-                          expect, rtol=1e-12)
+        assert np.isclose(discrete_energy(u, pts, ker, 1.0), expect)
 
     def test_constraint_violation_is_inf(self):
         pts = np.array([0.0, 1.0])
-        val = discrete_energy([0.0, 0.0], pts, KernelSpec.tent(), 1.0, 2.0,
+        val = discrete_energy([0.0, 0.0], pts, KernelSpec.tent(), 1.0,
                               label_indices=[1], label_values=[5.0])
         assert val == math.inf
 
@@ -110,25 +105,25 @@ class TestDiscreteEnergy:
         # not read as a violated constraint, and no bare IndexError
         with pytest.raises(InvalidParameterError):
             discrete_energy([0.0, 0.0], np.array([0.0, 1.0]),
-                            KernelSpec.tent(), 1.0, 2.0,
+                            KernelSpec.tent(), 1.0,
                             label_indices=indices, label_values=values)
 
     def test_scaling_in_s(self):
-        # doubling u doubles the energy (p-homogeneity of degree 1)
+        # doubling u doubles the energy (homogeneity of degree 1)
         rng = np.random.default_rng(0)
         pts = rng.uniform(size=12)
         u = rng.standard_normal(12)
         ker = KernelSpec.tent()
-        e1 = discrete_energy(u, pts, ker, 0.5, 2.0)
-        e2 = discrete_energy(2 * u, pts, ker, 0.5, 2.0)
+        e1 = discrete_energy(u, pts, ker, 0.5)
+        e2 = discrete_energy(2 * u, pts, ker, 0.5)
         assert np.isclose(e2, 2 * e1)
 
     def test_points_as_one_column_equal_flat_points(self):
         pts = np.array([0.0, 0.4, 1.2])
         u = np.array([0.0, 1.0, 3.0])
         ker = KernelSpec.tent()
-        assert (discrete_energy(u, pts[:, None], ker, 1.0, 2.0)
-                == discrete_energy(u, pts, ker, 1.0, 2.0))
+        assert (discrete_energy(u, pts[:, None], ker, 1.0)
+                == discrete_energy(u, pts, ker, 1.0))
 
     @pytest.mark.parametrize("points, u", [
         (np.zeros((3, 2)), np.zeros(2)),   # 3 points in 2-D, 2 values
@@ -137,7 +132,7 @@ class TestDiscreteEnergy:
     def test_rejects_point_count_mismatch(self, points, u):
         # a mismatch is not read as the transposed point set
         with pytest.raises(InvalidParameterError, match="one point per value"):
-            discrete_energy(u, points, KernelSpec.tent(), 1.0, 2.0)
+            discrete_energy(u, points, KernelSpec.tent(), 1.0)
 
 
 class TestBenchmarks:
@@ -171,9 +166,11 @@ class TestBandwidthSchedule:
         BandwidthSchedule([125, 250, 500], dim=1).validate()
         BandwidthSchedule([500, 1000], dim=2).validate()
 
-    def test_constant_rule_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            BandwidthSchedule([100, 200], s_fn=lambda n: 0.3).validate()
+    @pytest.mark.parametrize("dim", [6, 7, 8])
+    def test_default_rule_builds_in_high_dimension(self, dim):
+        # the rule holds in every dimension, not only up to dim = 5
+        sched = BandwidthSchedule([100, 200], dim=dim)
+        assert sched.s(200) < sched.s(100)
 
     @pytest.mark.parametrize("n_values, r_adjust", [
         ([0, 100], 1.0), ([-5], 1.0), ([1], 1.0), ([], 1.0),
@@ -187,12 +184,6 @@ class TestBandwidthSchedule:
         # 0 and -1 used to divide by zero, 2.5 passed
         with pytest.raises(InvalidParameterError, match="dim"):
             BandwidthSchedule([100, 200], dim=dim).validate()
-
-    @pytest.mark.parametrize("s_n", [0.0, -1.0, math.nan])
-    def test_custom_rule_must_be_positive_and_finite(self, s_n):
-        # 0 divided by zero, -1 and nan read as a rule that does not vanish
-        with pytest.raises(InvalidParameterError, match="bandwidth s"):
-            BandwidthSchedule([10], s_fn=lambda n: s_n)
 
     def test_s_decreases(self):
         sched = BandwidthSchedule([125], dim=1)
@@ -299,7 +290,7 @@ class TestStudy:
             self, energy, points, s, match):
         with pytest.raises(InvalidParameterError, match=match):
             if energy:
-                discrete_energy([0.0, 1.0], points, KernelSpec.tent(), s, 2.0)
+                discrete_energy([0.0, 1.0], points, KernelSpec.tent(), s)
             else:
                 build_full_kernel_graph(points, KernelSpec.tent(), s)
 

@@ -15,9 +15,15 @@ from ilgraph.inpaint import SampleMask, extract_patches
 from ilgraph.linalg import DisconnectedGraphError
 from ilgraph.solver import (BALANCE_EVERY, BALANCE_MU, BALANCE_TAU,
                             LabelAssignment, SolverConfig, _choose_c_from_g1,
-                            _value_solver, choose_c, gl_solve, il_solve,
+                            _value_solver, gl_solve, il_solve,
                             nonlocal_inf_metric, objective, solve, wnll_solve)
 from ilgraph.toy2d import build_toy2d
+
+
+def first_penalty(graph, labels, alpha=0.0):
+    """il_solve's adaptive penalty c*, from its first pass alone."""
+    cfg = SolverConfig(alpha=alpha, max_outer_iter=1)
+    return il_solve(graph, labels, cfg)[1].c_star
 
 
 def record_reports(monkeypatch):
@@ -481,10 +487,11 @@ class TestValueUpdate:
 
     @staticmethod
     def _single_solves(graph, labels):
-        """gl_solve, wnll_solve and choose_c: one value update each."""
+        """gl_solve, wnll_solve and il_solve's first pass, which picks c*:
+        one value update each."""
         gl_solve(graph, labels)
         wnll_solve(graph, labels)
-        choose_c(graph, labels, alpha=0.0)
+        first_penalty(graph, labels)
 
     def test_single_solves_under_cap_are_factored(self, monkeypatch):
         reports = record_reports(monkeypatch)
@@ -666,7 +673,7 @@ class TestChooseC:
         rng = np.random.default_rng(2)
         graph = random_connected_graph(30, rng)
         labels = random_labels(30, rng)
-        c = choose_c(graph, labels, alpha=0.0, eps=1e-4)
+        c = first_penalty(graph, labels)
         (u1, _), _ = _value_solver(np.ones(30), graph, labels, lin_tol=1e-10)
         G, R = graph.gradient(), row_sum_matrix(graph)
         t1 = G @ u1
@@ -698,7 +705,7 @@ class TestChooseC:
         graph = random_connected_graph(12, rng)
         labels = LabelAssignment([0, 5], [1.0, 1.0])
         with pytest.warns(UserWarning):
-            c = choose_c(graph, labels, alpha=0.0)
+            c = first_penalty(graph, labels)
         assert c == 1.0
 
     def test_unsettled_selection_raises_convergence_error(self):
@@ -717,7 +724,7 @@ class TestChooseC:
         graph = random_connected_graph(12, rng)
         labels = LabelAssignment([0, 5], [1.0, 1.0])
         with pytest.warns(UserWarning):
-            c = choose_c(graph, labels, alpha=0.5)
+            c = first_penalty(graph, labels, alpha=0.5)
         assert c == 0.5
 
 
@@ -776,7 +783,7 @@ class TestILSolve:
         # c* alone is balanced away on this grid (test above); fixed at c*,
         # it stays
         prob = build_toy2d(grid=31, sigma=1 / 15, k=10)
-        c_star = choose_c(prob.graph, prob.labels, 0.0)
+        c_star = first_penalty(prob.graph, prob.labels)
         _, diag = il_solve(prob.graph, prob.labels,
                            SolverConfig(alpha=0.0, fixed_c=c_star,
                                         max_outer_iter=100))
@@ -979,14 +986,13 @@ class TestILSolve:
             SolverConfig(**{field: tol})
 
     @pytest.mark.parametrize("index", [-1, 20])
-    @pytest.mark.parametrize("solve", [gl_solve, wnll_solve, il_solve, choose_c])
+    @pytest.mark.parametrize("solve", [gl_solve, wnll_solve, il_solve])
     def test_rejects_label_index_out_of_range(self, solve, index):
         rng = np.random.default_rng(16)
         graph = random_connected_graph(20, rng)
         labels = LabelAssignment([0, index], [1.0, -1.0])
-        args = (0.0,) if solve is choose_c else ()
         with pytest.raises(InvalidParameterError, match="label indices"):
-            solve(graph, labels, *args)
+            solve(graph, labels)
 
     @pytest.mark.parametrize("fixed_c", [0.0, -1.0, np.nan, np.inf])
     def test_rejects_fixed_c_not_finite_positive(self, fixed_c):

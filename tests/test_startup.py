@@ -33,7 +33,7 @@ graph = knn_graph(PointCloud(pts), 5, KernelSpec.tent())
 # than the first block's K and ties at the k-th distance
 ties = np.random.default_rng(1).integers(0, 6, (300, 2)).astype(float)
 tie_dist, tie_idx = exact_knn(ties, 5)
-sigma = sigma_eta(KernelSpec.tent(), 2.0, 2)
+sigma = sigma_eta(KernelSpec.tent(), 2)
 rows = convergence_study(interval_benchmark(), BandwidthSchedule([60, 120]), 1)
 print(json.dumps({{"loaded": loaded, "points": pts.tolist(),
                   "weights": graph.weights.toarray().tolist(),
