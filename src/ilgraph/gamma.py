@@ -27,32 +27,14 @@ from .solver import ConvergenceError, LabelAssignment, SolverConfig, il_solve
 
 def sigma_eta(kernel: KernelSpec, dim: int) -> float:
     """Kernel moment constant (integral of eta(|z|) |z . e1|^2 over the
-    support ball)^(1/2): the radial moment of the profile, integrated in
-    closed form between its knots, times the closed-form angular moment
-    of the sphere."""
-    if not kernel.compactly_supported:
+    support ball)^(1/2) of the tent kernel, the study's one kernel: the
+    radial moment, the integral of (1 - t) t^(d+1) over [0, 1], times the
+    closed-form angular moment of the sphere."""
+    if kernel != KernelSpec.tent(kernel.bandwidth):
         raise InvalidParameterError(
-            "kernel must be compactly supported (use the tent kernel)")
-    if kernel.knots is None:
-        raise InvalidParameterError(
-            "kernel profile must be piecewise linear with knots "
-            "(use the tent kernel, or give the profile its knots)")
+            f"sigma_eta takes the tent kernel only, not {kernel.family!r}")
     check_count("dim", dim)
-    # on each knot interval the profile is a line b0 + b1 t, whose moment
-    # with t^a has the antiderivative
-    # t^(a+1) (b0 (a+2) + b1 (a+1) t) / ((a+1)(a+2)): one division, so
-    # the tent's 1/20 at d = 2 comes out exact
-    a = dim + 1
-    knots = np.asarray(kernel.knots)
-    values = kernel.profile(knots)
-    b1 = np.diff(values) / np.diff(knots)
-    b0 = values[:-1] - b1 * knots[:-1]
-
-    def antiderivative(t):
-        return t ** (a + 1) * (b0 * (a + 2) + b1 * (a + 1) * t)
-
-    radial = float(np.sum(antiderivative(knots[1:])
-                          - antiderivative(knots[:-1]))) / ((a + 1) * (a + 2))
+    radial = 1.0 / ((dim + 2) * (dim + 3))
     # integral of |omega_1|^2 over the unit sphere S^{d-1}: exactly 2 at d = 1
     angular = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.exp(
         math.lgamma(1.5) - math.lgamma((2 + dim) / 2.0))
@@ -88,18 +70,17 @@ def _graph_energy(u, graph: WeightGraph, s: float) -> float:
 
 @dataclass(frozen=True)
 class ContinuumProblem:
-    """A continuum benchmark with a known closed-form minimizer.
-
-    domain: 'interval' ([0,1]) or 'circle' (unit circle in R^2,
-    parameterized by arc length). label_param holds the label locations in
-    the domain parameterization; minimizer maps parameters to the optimal
-    labeling values, so the labels are its values at label_param;
-    min_energy is its Lipschitz constant.
+    """A continuum benchmark with a known closed-form minimizer, on a
+    domain parameterized by arc length. label_param holds the label
+    locations as parameters; minimizer maps parameters to the optimal
+    labeling values, so the labels are its values at label_param; embed
+    maps parameters to points, one row each; min_energy is the
+    minimizer's Lipschitz constant.
     """
 
-    domain: str
     label_param: np.ndarray
     minimizer: Callable[[np.ndarray], np.ndarray]
+    embed: Callable[[np.ndarray], np.ndarray]
     min_energy: float
     volume: float
     intrinsic_dim: int = 1
@@ -112,36 +93,28 @@ class ContinuumProblem:
                                  np.asarray(self.label_param, dtype=float)])
         return params, self.embed(params)
 
-    def embed(self, params):
-        if self.domain == "interval":
-            return np.asarray(params, dtype=float)[:, None]
-        if self.domain == "circle":
-            return np.column_stack([np.cos(params), np.sin(params)])
-        raise InvalidParameterError(f"unknown domain {self.domain!r}")
+
+def interval_benchmark() -> ContinuumProblem:
+    """Unit interval labeled 0 and 1 at its ends; the minimizer is the
+    identity."""
+    return ContinuumProblem(np.array([0.0, 1.0]),
+                            lambda t: np.asarray(t, dtype=float),
+                            lambda t: np.asarray(t, dtype=float)[:, None],
+                            1.0, 1.0)
 
 
-def interval_benchmark(g0: float = 0.0, g1: float = 1.0) -> ContinuumProblem:
-    """Unit interval with endpoint labels; the minimizer is affine."""
-    lip = abs(g1 - g0)
-
-    def g(t):
-        return g0 + (g1 - g0) * np.asarray(t, dtype=float)
-
-    return ContinuumProblem("interval", np.array([0.0, 1.0]), g, lip, 1.0, 1)
-
-
-def circle_benchmark(v0: float = 0.0, v1: float = 1.0) -> ContinuumProblem:
-    """Unit circle with two antipodal labels; the minimizer is linear in
-    arc length on both geodesic arcs."""
-    lip = abs(v1 - v0) / math.pi
+def circle_benchmark() -> ContinuumProblem:
+    """Unit circle in R^2 labeled 0 and 1 at two antipodal points; the
+    minimizer is linear in arc length on both geodesic arcs."""
 
     def minimizer(theta):
         theta = np.mod(np.asarray(theta, dtype=float), 2.0 * math.pi)
-        frac = np.minimum(theta, 2.0 * math.pi - theta) / math.pi
-        return v0 + (v1 - v0) * frac
+        return np.minimum(theta, 2.0 * math.pi - theta) / math.pi
 
-    return ContinuumProblem("circle", np.array([0.0, math.pi]), minimizer,
-                            lip, 2.0 * math.pi, 1)
+    return ContinuumProblem(
+        np.array([0.0, math.pi]), minimizer,
+        lambda t: np.column_stack([np.cos(t), np.sin(t)]),
+        1.0 / math.pi, 2.0 * math.pi)
 
 
 @dataclass(frozen=True)

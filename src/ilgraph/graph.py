@@ -23,7 +23,7 @@ that of a full scan, ties broken by the smaller index.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Optional
 
@@ -78,49 +78,35 @@ class PointCloud:
         return self.points.shape[0]
 
 
+def gaussian_profile(t):
+    """The Gaussian profile exp(-t^2), with unbounded support."""
+    return np.exp(-(t ** 2))
+
+
+def tent_profile(t):
+    """The tent profile max(0, 1 - t), supported in [0, 1]."""
+    return np.maximum(0.0, 1.0 - t)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """A radial kernel profile eta with a bandwidth.
 
     ``profile`` is the unscaled shape: continuous, nonincreasing, supported
     in [0, support_radius] with profile(0) > 0. Pairwise weights are
-    evaluated as profile(distance / bandwidth).
-
-    ``knots``, for a piecewise-linear profile, are the radii in profile
-    units, increasing from 0 to support_radius / bandwidth, between which
-    the profile is linear; the convergence study integrates its moments
-    in closed form over them. The tent kernel has knots, and a hand-built
-    profile has none unless it is given them.
-
-    Two kernels are equal when their fields other than the profile are,
-    and so are the profile's values at the knots, which fix a
-    piecewise-linear profile.
+    evaluated as profile(distance / bandwidth). Two kernels are equal when
+    every field is, so only when they share one profile function.
     """
 
     family: str
     bandwidth: float
     support_radius: float
-    profile: Callable[[np.ndarray], np.ndarray] = field(compare=False)
-    knots: Optional[tuple] = None
-    knot_values: Optional[tuple] = field(init=False, default=None, repr=False)
+    profile: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         check_real("bandwidth", self.bandwidth)
         if not self.support_radius > 0:  # inf for an unbounded profile
             raise InvalidParameterError("support radius must be positive")
-        if self.knots is not None:
-            knots = np.asarray(self.knots, dtype=float)
-            if not (knots.ndim == 1 and knots.size >= 2 and knots[0] == 0
-                    and np.all(np.diff(knots) > 0)):
-                raise InvalidParameterError(
-                    "knots must increase from 0, at least two of them")
-            object.__setattr__(self, "knots", tuple(knots.tolist()))
-            object.__setattr__(self, "knot_values", tuple(
-                np.asarray(self.profile(knots), dtype=float).tolist()))
-
-    @property
-    def compactly_supported(self) -> bool:
-        return math.isfinite(self.support_radius)
 
     def evaluate(self, dist) -> np.ndarray:
         """Weight for a pairwise distance: eta(dist / bandwidth)."""
@@ -131,12 +117,11 @@ class KernelSpec:
     def gaussian(cls, sigma: float) -> "KernelSpec":
         # Unbounded support: fine for kNN-truncated weights, rejected by
         # the kernel moment of the convergence-study module.
-        return cls("gaussian", sigma, math.inf, lambda t: np.exp(-(t ** 2)))
+        return cls("gaussian", sigma, math.inf, gaussian_profile)
 
     @classmethod
     def tent(cls, bandwidth: float = 1.0) -> "KernelSpec":
-        return cls("tent", bandwidth, bandwidth,
-                   lambda t: np.maximum(0.0, 1.0 - t), knots=(0.0, 1.0))
+        return cls("tent", bandwidth, bandwidth, tent_profile)
 
 
 @dataclass(frozen=True)
@@ -154,9 +139,10 @@ class WeightGraph:
         if w.shape[0] != w.shape[1]:
             raise InvalidParameterError("weight matrix must be square")
         if w.diagonal().any():
-            w = w.tolil()
-            w.setdiag(0.0)
-            w = w.tocsr()
+            # zeroed in place: a LIL round trip, or setdiag, would sum
+            # repeated entries before the check below
+            tails = np.repeat(np.arange(w.shape[0]), np.diff(w.indptr))
+            w.data[tails == w.indices] = 0.0
         # checked entry by entry, before repeated entries are summed
         if not np.all(np.isfinite(w.data)):
             raise InvalidParameterError("weights must be finite")

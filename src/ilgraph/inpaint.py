@@ -29,8 +29,9 @@ class Image:
         px = np.asarray(self.pixels, dtype=float)
         if px.ndim != 2 or px.size == 0:
             raise InvalidParameterError("image must be a nonempty 2-D array")
-        if not np.all(np.isfinite(px)):
-            raise InvalidParameterError("image intensities must be finite")
+        if not np.all((px >= 0.0) & (px <= 255.0)):  # false for NaN too
+            raise InvalidParameterError(
+                "image intensities must be finite and in [0, 255]")
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -232,7 +233,7 @@ def read_pgm(path) -> Image:
     vals = np.asarray(vals, dtype=float).reshape(height, width)
     if vals.min() < 0 or vals.max() > maxval:
         raise InvalidParameterError(f"PGM raster outside [0, maxval {maxval}]")
-    return Image(vals * (255 / maxval))  # the scale psnr and write_pgm take
+    return Image(vals * 255 / maxval)  # v * (255 / maxval) can pass 255
 
 
 def _pgm_ints(tokens, count, part):

@@ -347,6 +347,9 @@ def solve_symmetric(A, b, tol: float = DEFAULT_TOL, factor=None):
     """
     check_real("tol", tol)
     b = np.asarray(b, dtype=float)
+    if b.shape != (A.shape[0],):
+        raise InvalidParameterError(
+            f"b of shape {b.shape} for A of shape {A.shape}")
     if np.linalg.norm(b) == 0.0:
         return np.zeros(b.shape[0]), SolveReport(0, 0.0, True, tol)
     if factor is None:

@@ -232,8 +232,9 @@ def objective(u, graph: WeightGraph, alpha: float, row_subset=None) -> float:
     over all nodes unless an explicit row subset is given."""
     check_real("alpha", alpha, may_equal=True)
     u = np.asarray(u, dtype=float)
-    if u.shape[0] != graph.n_nodes:
-        raise InvalidParameterError("u length must equal node count")
+    if u.shape != (graph.n_nodes,):
+        raise InvalidParameterError(
+            f"u must have shape ({graph.n_nodes},), not {u.shape}")
     return _model_value(graph.square_sums(graph.gradient() @ u), alpha,
                         row_subset)
 

@@ -24,15 +24,6 @@ def pinned_stub(graph, labels, cfg=None):
                           c_star=1.0, primal_residual=0.0)
 
 
-def tabulated(radii, values, bandwidth=1.0):
-    """A hand-built piecewise-linear kernel: linear between the radii,
-    constant before the first and 0 past the last, with its knots."""
-    knots = radii if radii[0] == 0 else [0.0, *radii]
-    return KernelSpec("tabulated", bandwidth, bandwidth * radii[-1],
-                      lambda t: np.interp(t, radii, values, right=0.0),
-                      knots=tuple(knots))
-
-
 class TestSigmaEta:
     def test_tent_1d_p2_closed_form(self):
         # integral of (1-|t|) t^2 over [-1,1] is 1/6
@@ -45,29 +36,14 @@ class TestSigmaEta:
         assert np.isclose(val, math.sqrt(math.pi / 20.0), rtol=1e-15,
                           atol=0.0)
 
-    @pytest.mark.parametrize("bandwidth", [1.0, 3.0])
-    def test_tabulated_constant_then_linear(self, bandwidth):
-        # 1 on [0, 1/2], then 2 - 2t: the t^2 moment is 1/24 + 11/96, twice
-        # over [-1, 1]; the bandwidth scales distances, not the profile
-        ker = tabulated([0.5, 1.0], [1.0, 0.0], bandwidth)
-        assert np.isclose(sigma_eta(ker, dim=1), math.sqrt(0.3125),
-                          rtol=1e-15, atol=0.0)
-
-    def test_tabulated_constant_to_the_support(self):
-        # 1 on [0, 1]: twice the integral of t^2
-        ker = tabulated([0.0, 1.0], [1.0, 1.0])
-        assert np.isclose(sigma_eta(ker, dim=1), math.sqrt(2.0 / 3.0),
-                          rtol=1e-15, atol=0.0)
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_tabulated_constant_then_linear_above_one_dimension(self, dim):
-        # radial t^(d+1) moment of 1 on [0, 1/2] and 2 - 2t on [1/2, 1],
-        # times the integral of cos^2 over the sphere, |S^(d-1)| / d
-        a = dim + 1
-        radial = (0.5 ** (a + 1) / (a + 1) + 2 * (1 - 0.5 ** (a + 1)) / (a + 1)
-                  - 2 * (1 - 0.5 ** (a + 2)) / (a + 2))
+    @pytest.mark.parametrize("dim", range(1, 9))
+    def test_tent_radial_moment_closed_form(self, dim):
+        # radial integral of (1 - t) t^(d+1) over [0, 1], times the
+        # integral of cos^2 over the sphere, |S^(d-1)| / d; the
+        # bandwidth scales distances, not the profile
+        radial = 1 / (dim + 2) - 1 / (dim + 3)
         angular = 2 * math.pi ** (dim / 2) / math.gamma(dim / 2) / dim
-        assert np.isclose(sigma_eta(tabulated([0.5, 1.0], [1.0, 0.0]), dim),
+        assert np.isclose(sigma_eta(KernelSpec.tent(3.0), dim),
                           math.sqrt(radial * angular), rtol=1e-14, atol=0.0)
 
     def test_rejects_noncompact_kernel(self):
@@ -75,10 +51,13 @@ class TestSigmaEta:
             sigma_eta(KernelSpec.gaussian(1.0), dim=1)
 
     def test_rejects_compact_kernel_without_knots(self):
-        # only a hand-built kernel can lack knots
-        ker = KernelSpec("bump", 1.0, 1.0, lambda t: np.maximum(0.0, 1 - t * t))
-        with pytest.raises(InvalidParameterError, match="knots"):
-            sigma_eta(ker, dim=1)
+        # a compact profile other than the tent, and a tent-shaped one
+        # that is not the tent's function, both named "tent"
+        for profile in (lambda t: np.maximum(0.0, 1 - t * t),
+                        lambda t: np.maximum(0.0, 1.0 - t)):
+            ker = KernelSpec("tent", 1.0, 1.0, profile)
+            with pytest.raises(InvalidParameterError, match="tent kernel"):
+                sigma_eta(ker, dim=1)
 
 
 class TestDiscreteEnergy:
@@ -154,6 +133,12 @@ class TestBenchmarks:
         assert params.size == 12
         assert np.allclose(params[-2:], [0.0, 1.0])
         assert pts.shape == (12, 1)
+
+    def test_circle_sample_lies_on_the_unit_circle(self):
+        params, pts = circle_benchmark().sample(10, np.random.default_rng(0))
+        assert np.allclose(params[-2:], [0.0, math.pi])
+        assert np.allclose(pts, np.column_stack([np.cos(params),
+                                                 np.sin(params)]))
 
     @pytest.mark.parametrize("n", [2.5, -3, 0, True])
     def test_sample_rejects_a_bad_count(self, n):

@@ -79,43 +79,27 @@ class TestKernelSpec:
         ker = KernelSpec.gaussian(2.0)
         # exp(-(1/2)^2) = exp(-0.25)
         assert np.isclose(ker.evaluate(1.0), np.exp(-0.25))
-        assert not ker.compactly_supported
+        assert ker.support_radius == np.inf
 
     def test_tent_values(self):
         ker = KernelSpec.tent()
         assert np.allclose(ker.evaluate([0.0, 0.5, 1.0, 2.0]),
                            [1.0, 0.5, 0.0, 0.0])
-        assert ker.compactly_supported
+        assert ker.support_radius == 1.0
 
-    def test_equality_compares_the_profile_at_the_knots(self):
-        # equal fields, profiles apart: 0.5 and 1.0 at distance 0.5
-        def ramp(height):
-            return KernelSpec("ramp", 1.0, 1.0,
-                              lambda t: height * np.maximum(0.0, 1.0 - t),
-                              knots=(0, 1))
+    def test_equality_compares_the_profile_function(self):
+        # equal fields, profiles apart: 2 exp(-t^2) is not the Gaussian
+        def doubled(t):
+            return 2.0 * np.exp(-(t ** 2))
 
-        assert ramp(1.0) != ramp(2.0)
-        assert ramp(1.0) == ramp(1.0)
+        assert (KernelSpec("gaussian", 1.0, np.inf, doubled)
+                != KernelSpec.gaussian(1.0))
+        assert (KernelSpec("gaussian", 1.0, np.inf, doubled)
+                == KernelSpec("gaussian", 1.0, np.inf, doubled))
         assert KernelSpec.tent() == KernelSpec.tent()
         assert hash(KernelSpec.tent()) == hash(KernelSpec.tent())
         assert KernelSpec.tent(2.0) != KernelSpec.tent()
-
-    def test_knots_of_the_piecewise_linear_kernels(self):
-        assert KernelSpec.tent(2.0).knots == (0.0, 1.0)
-        # a hand-built profile: 1 up to 1/2, then 2 - 2t; its knots are
-        # kept as floats, with the profile's values at them
-        ker = KernelSpec("table", 1.0, 1.0,
-                         lambda t: np.interp(t, [0.5, 1.0], [1.0, 0.0]),
-                         knots=np.array([0, 0.5, 1]))
-        assert ker.knots == (0.0, 0.5, 1.0)
-        assert ker.knot_values == (1.0, 1.0, 0.0)
-        assert KernelSpec.gaussian(1.0).knots is None
-
-    @pytest.mark.parametrize("knots", [(0.5, 1.0), (0.0, 1.0, 1.0), (0.0,)])
-    def test_rejects_knots_not_increasing_from_zero(self, knots):
-        with pytest.raises(InvalidParameterError, match="knots"):
-            KernelSpec("tent", 1.0, 1.0, lambda t: np.maximum(0.0, 1.0 - t),
-                       knots=knots)
+        assert KernelSpec.tent() != KernelSpec.gaussian(1.0)
 
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(InvalidParameterError):
@@ -146,6 +130,26 @@ class TestWeightGraph:
         assert w.has_canonical_format
         assert np.array_equal(w.indices, [1, 2])
         assert np.array_equal(w.data, [2.5, 1.0])
+
+    @pytest.mark.parametrize("diagonal", [[], [5.0]])
+    def test_repeated_entries_checked_one_by_one_beside_a_diagonal(
+            self, diagonal):
+        # (0, 1) given as 2.0 and -1.0; with (1, 1) = 5.0 the diagonal
+        # was zeroed by a round trip that summed them first, to 1.0
+        mat = sp.csr_matrix((np.array([2.0, -1.0, *diagonal]),
+                             np.array([1, 1, *[1] * len(diagonal)]),
+                             np.array([0, 2, 2 + len(diagonal)])),
+                            shape=(2, 2))
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            WeightGraph(mat)
+
+    def test_repeated_diagonal_entries_all_removed(self):
+        mat = sp.csr_matrix((np.array([1.0, 3.0, 2.0, 4.0]),
+                             np.array([0, 1, 0, 0]), np.array([0, 3, 4])),
+                            shape=(2, 2))
+        w = WeightGraph(mat).weights
+        assert w.has_canonical_format
+        assert np.array_equal(w.toarray(), [[0.0, 3.0], [4.0, 0.0]])
 
     @pytest.mark.parametrize("data, indices", [
         ([1.0, 0.0, 1.0], [1, 0, 0]),   # a stored zero at (0, 0)

@@ -22,6 +22,12 @@ class TestImage:
         with pytest.raises(InvalidParameterError):
             Image(np.array([[np.nan]]))
 
+    @pytest.mark.parametrize("pixels", [[[-5.0, 300.0]], [[-1e-9]],
+                                        [[255.5]], [[np.inf]]])
+    def test_rejects_values_outside_0_to_255(self, pixels):
+        with pytest.raises(InvalidParameterError, match=r"\[0, 255\]"):
+            Image(np.array(pixels))
+
 
 class TestSampleMask:
     def test_random_density_count(self):
@@ -124,6 +130,12 @@ class TestPgm:
         (tmp_path / "x.pgm").write_bytes(
             f"{magic}\n3 1\n15\n".encode() + raster)
         assert read_pgm(tmp_path / "x.pgm").pixels.tolist() == [[255, 0, 85]]
+
+    @pytest.mark.parametrize("maxval", [11, 13, 249, 255])
+    def test_maxval_reads_as_255_exactly(self, tmp_path, maxval):
+        # maxval * (255 / maxval) is 255.00000000000003 at 11, 13 and 249
+        (tmp_path / "x.pgm").write_text(f"P2\n2 1\n{maxval}\n{maxval} 0\n")
+        assert read_pgm(tmp_path / "x.pgm").pixels.tolist() == [[255.0, 0.0]]
 
     @pytest.mark.parametrize("raster", [b"P2\n2 1\n15\n300 0\n",
                                         b"P2\n2 1\n15\n16 0\n",

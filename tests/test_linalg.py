@@ -48,6 +48,12 @@ class TestSolveSymmetric:
         assert not report.converged
         assert report.relative_residual > 1e-30
 
+    @pytest.mark.parametrize("b", [np.ones(3), np.ones((2, 1))])
+    def test_rejects_b_not_one_entry_per_row(self, b):
+        # a length mismatch raised numpy's matmul ValueError
+        with pytest.raises(InvalidParameterError, match=r"\(2, 2\)"):
+            solve_symmetric(sp.eye(2, format="csr"), b)
+
     def test_rejects_bad_tol(self):
         with pytest.raises(InvalidParameterError):
             solve_symmetric(sp.eye(2, format="csr"), np.ones(2), tol=0.0)
@@ -145,6 +151,8 @@ class TestFactor:
         products = []
 
         class Counting:
+            shape = A.shape
+
             def __matmul__(self, x):
                 products.append(1)
                 return A @ x

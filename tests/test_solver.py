@@ -152,6 +152,15 @@ class TestObjective:
         with pytest.raises(InvalidParameterError, match="alpha"):
             objective([0.0, 1.0], graph, alpha)
 
+    @pytest.mark.parametrize("u", [np.zeros((2, 1)), np.zeros((2, 2)), 0.0])
+    def test_rejects_u_not_one_value_per_node(self, u):
+        # (2, 1) failed inside scipy with a plain ValueError
+        graph = WeightGraph(sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])))
+        for call in (lambda: objective(u, graph, 0.0),
+                     lambda: nonlocal_inf_metric(u, graph)):
+            with pytest.raises(InvalidParameterError, match=r"shape \(2,\)"):
+                call()
+
     def test_metric_is_alpha0_objective(self):
         graph, _ = four_node_graph()
         u = [1.0, -1.0, 0.5, 0.0]
@@ -454,7 +463,7 @@ class TestValueUpdate:
 
         class Counting:
             def __init__(self, A):
-                self.A = A
+                self.A, self.shape = A, A.shape
 
             def __matmul__(self, x):
                 products.append(1)
