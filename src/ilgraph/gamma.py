@@ -22,7 +22,8 @@ import scipy.sparse as sp
 
 from .graph import (InvalidParameterError, KernelSpec, PointCloud, WeightGraph,
                     check_count, check_real)
-from .solver import ConvergenceError, LabelAssignment, SolverConfig, il_solve
+from .solver import (ConvergenceError, LabelAssignment, SolverConfig, il_solve,
+                     nonlocal_inf_metric)
 
 
 def sigma_eta(kernel: KernelSpec, dim: int) -> float:
@@ -39,33 +40,6 @@ def sigma_eta(kernel: KernelSpec, dim: int) -> float:
     angular = 2.0 * math.pi ** ((dim - 1) / 2.0) * math.exp(
         math.lgamma(1.5) - math.lgamma((2 + dim) / 2.0))
     return float((radial * angular) ** 0.5)
-
-
-def discrete_energy(u, points, kernel: KernelSpec, s: float,
-                    label_indices=None, label_values=None,
-                    dim: Optional[int] = None) -> float:
-    """Exact evaluation of the scaled discrete energy over all pairs within
-    the support radius, one row of points per value of u (1-D points may
-    come as a flat array). Returns +inf if the label constraint is
-    violated; a malformed one (see solver.LabelAssignment) or an index
-    that names no point raises InvalidParameterError."""
-    u = np.asarray(u, dtype=float)
-    graph = build_full_kernel_graph(points, kernel, s, dim=dim)
-    if graph.n_nodes != u.shape[0]:
-        raise InvalidParameterError(f"{graph.n_nodes} points do not give one "
-                                    f"point per value of u ({u.shape[0]})")
-    if label_indices is not None:
-        labels = LabelAssignment(label_indices, label_values)
-        labels.unlabeled(u.size)  # checks the indices against the points
-        if not np.array_equal(u[labels.indices], labels.values):
-            return math.inf
-    return _graph_energy(u, graph, s)
-
-
-def _graph_energy(u, graph: WeightGraph, s: float) -> float:
-    """The scaled discrete energy of u on its kernel graph at bandwidth s."""
-    row_energy = graph.square_sums(graph.gradient() @ u)
-    return float((row_energy.max() / u.size) ** 0.5 / s)
 
 
 @dataclass(frozen=True)
@@ -220,8 +194,7 @@ def convergence_study(problem: ContinuumProblem, schedule: BandwidthSchedule,
                                      math.nan, True,
                                      f"{type(exc).__name__}: {exc}"))
                 continue
-            # il_solve pins the labels exactly, so only the energy remains
-            energy = _graph_energy(u, graph, s)
+            energy = (nonlocal_inf_metric(u, graph) / u.size) ** 0.5 / s
             rel = abs(energy - target) / target if target else math.nan
             sup = float(np.max(np.abs(u - problem.minimizer(params))))
             rows.append(StudyRow(n, trial, s, energy, target, rel, sup, False,

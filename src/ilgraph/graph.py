@@ -108,11 +108,6 @@ class KernelSpec:
         if not self.support_radius > 0:  # inf for an unbounded profile
             raise InvalidParameterError("support radius must be positive")
 
-    def evaluate(self, dist) -> np.ndarray:
-        """Weight for a pairwise distance: eta(dist / bandwidth)."""
-        t = np.asarray(dist, dtype=float) / self.bandwidth
-        return np.asarray(self.profile(t), dtype=float)
-
     @classmethod
     def gaussian(cls, sigma: float) -> "KernelSpec":
         # Unbounded support: fine for kNN-truncated weights, rejected by
@@ -456,7 +451,7 @@ def knn_graph(cloud: PointCloud, k: int, kernel: KernelSpec) -> WeightGraph:
     """Directed kNN weight graph: row i holds kernel weights to the k
     nearest neighbors of x_i (self excluded, exact search)."""
     dist, idx = exact_knn(cloud.points, k)
-    return _assemble(cloud.count, idx, kernel.evaluate(dist))
+    return _assemble(cloud.count, idx, kernel.profile(dist / kernel.bandwidth))
 
 
 def self_tuning_weights(cloud: PointCloud, k: int, k_sigma: int) -> WeightGraph:

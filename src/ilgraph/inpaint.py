@@ -104,7 +104,11 @@ class InpaintConfig:
     def __post_init__(self):
         if self.method not in ("gl", "wnll", "il"):
             raise InvalidParameterError(f"unknown method {self.method!r}")
-        check_patch_size(*self.patch_size)
+        try:  # a TypeError can only come from unpacking what is not a pair
+            check_patch_size(*self.patch_size)
+        except TypeError:
+            raise InvalidParameterError("patch_size must be a pair of sides, "
+                                        f"not {self.patch_size!r}") from None
         check_neighbors(self.k, self.k_sigma)
         check_count("outer_iters", self.outer_iters)
         check_count("seed", self.seed, 0)

@@ -108,6 +108,22 @@ class ConvergenceError(RuntimeError):
     factorization it depends on breaks down."""
 
 
+def _node_indices(name: str, indices, n_nodes: Optional[int] = None):
+    """indices as an int64 array of node ids, each in [0, n_nodes) when
+    n_nodes is given; neither 1.7 nor True names node 1."""
+    idx = np.asarray(indices).ravel()
+    if idx.dtype.kind not in "iu":
+        as_float = idx.astype(float)
+        if idx.dtype.kind == "b" or not np.all(
+                np.isfinite(as_float) & (as_float == np.round(as_float))):
+            raise InvalidParameterError(f"{name} must be integers")
+    idx = idx.astype(np.int64, copy=False)
+    if n_nodes is not None and not np.all((idx >= 0) & (idx < n_nodes)):
+        raise InvalidParameterError(
+            f"{name} must lie in [0, {n_nodes}), the graph's nodes")
+    return idx
+
+
 @dataclass(frozen=True)
 class LabelAssignment:
     """Labeled node indices and their values."""
@@ -116,13 +132,7 @@ class LabelAssignment:
     values: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices).ravel()
-        if idx.dtype.kind not in "iu":  # neither 1.7 nor True labels node 1
-            as_float = idx.astype(float)
-            if idx.dtype.kind == "b" or not np.all(
-                    np.isfinite(as_float) & (as_float == np.round(as_float))):
-                raise InvalidParameterError("label indices must be integers")
-        idx = idx.astype(np.int64, copy=False)
+        idx = _node_indices("label indices", self.indices)
         val = np.asarray(self.values, dtype=float).ravel()
         if idx.size == 0:
             raise InvalidParameterError("at least one labeled node is required")
@@ -140,11 +150,8 @@ class LabelAssignment:
         return self.indices.size
 
     def unlabeled(self, n_nodes: int) -> np.ndarray:
-        if self.indices.min() < 0 or self.indices.max() >= n_nodes:
-            raise InvalidParameterError(
-                f"label indices must lie in [0, {n_nodes}), the graph's nodes")
         mask = np.ones(n_nodes, dtype=bool)
-        mask[self.indices] = False
+        mask[_node_indices("label indices", self.indices, n_nodes)] = False
         return np.nonzero(mask)[0]
 
 
@@ -156,16 +163,16 @@ class SolverConfig:
     lin_tol: float = DEFAULT_TOL
     max_over_unlabeled_only: bool = False
     fixed_c: Optional[float] = None
-    # optional extra stopping requirement: max|D - sqrt(w)(u_i-u_j)| must
-    # also fall below this before the objective criterion can stop the loop
-    primal_tol: Optional[float] = None
 
     def __post_init__(self):
         check_real("alpha", self.alpha, may_equal=True)
         check_count("max_outer_iter", self.max_outer_iter)
-        for name in ("rel_obj_tol", "lin_tol", "fixed_c", "primal_tol"):
+        for name in ("rel_obj_tol", "lin_tol", "fixed_c"):
             if getattr(self, name) is not None:
                 check_real(name, getattr(self, name))
+        if not isinstance(self.max_over_unlabeled_only, (bool, np.bool_)):
+            raise InvalidParameterError("max_over_unlabeled_only must be a "
+                                        f"bool, not {self.max_over_unlabeled_only!r}")
 
 
 @dataclass
@@ -229,12 +236,14 @@ def _model_value(g, alpha: float, row_subset=None) -> float:
 
 def objective(u, graph: WeightGraph, alpha: float, row_subset=None) -> float:
     """max_i sum_j w_ij (u_i-u_j)^2 + alpha * double sum. The max ranges
-    over all nodes unless an explicit row subset is given."""
+    over all nodes unless a row subset, node indices, is given."""
     check_real("alpha", alpha, may_equal=True)
     u = np.asarray(u, dtype=float)
     if u.shape != (graph.n_nodes,):
         raise InvalidParameterError(
             f"u must have shape ({graph.n_nodes},), not {u.shape}")
+    if row_subset is not None:
+        row_subset = _node_indices("row_subset", row_subset, graph.n_nodes)
     return _model_value(graph.square_sums(graph.gradient() @ u), alpha,
                         row_subset)
 
@@ -483,11 +492,7 @@ def il_solve(graph: WeightGraph, labels: LabelAssignment,
         # fails the stop test
         prev = history[-2] if len(history) > 1 else np.nan
         change = abs(fval - prev) / prev if prev else 0.0
-        # max|D - t| is the primal residual: D = t off the selected edges
-        converged = bool(
-            change <= cfg.rel_obj_tol
-            and (cfg.primal_tol is None
-                 or np.max(np.abs(D - te), initial=0.0) <= cfg.primal_tol))
+        converged = change <= cfg.rel_obj_tol
         if converged or len(history) == cfg.max_outer_iter:
             break
         balance = (cfg.fixed_c is None

@@ -104,7 +104,7 @@ def _grid_oracle_set(graph, row_subset, tol=1e-6):
 
 def test_criterion_2_fixture():
     graph, labels = _four_node()
-    u, diag = il_solve(graph, labels, SolverConfig(alpha=0.0, primal_tol=1e-4))
+    u, diag = il_solve(graph, labels, SolverConfig(alpha=0.0))
     obj_ok = diag.objective <= 11 / 6 + 1e-6
 
     # independent grid oracle under both readings of the max scope
@@ -124,14 +124,13 @@ def test_criterion_2_fixture():
 
     # solver membership in the oracle set of its own reading
     in_all = np.any((np.abs(x3_all - u[2]) < 0.02) & (np.abs(x4_all - u[3]) < 0.02))
-    u2, _ = il_solve(graph, labels, SolverConfig(alpha=0.0, primal_tol=1e-4,
+    u2, _ = il_solve(graph, labels, SolverConfig(alpha=0.0,
                                                  max_over_unlabeled_only=True))
     in_unl = np.any((np.abs(x3_unl - u2[2]) < 0.02) & (np.abs(x4_unl - u2[3]) < 0.02))
 
     # alpha = 1e-3 strict convexity: the adaptive penalty and a fixed one agree
-    ua, _ = il_solve(graph, labels, SolverConfig(alpha=1e-3, primal_tol=1e-4))
-    ub, _ = il_solve(graph, labels, SolverConfig(alpha=1e-3, primal_tol=1e-4,
-                                                 fixed_c=1.0))
+    ua, _ = il_solve(graph, labels, SolverConfig(alpha=1e-3))
+    ub, _ = il_solve(graph, labels, SolverConfig(alpha=1e-3, fixed_c=1.0))
     penalties_ok = np.max(np.abs(ua - ub)) <= 1e-5
 
     ok = obj_ok and in_all and in_unl and penalties_ok

@@ -12,8 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 from ilgraph.gamma import (BandwidthSchedule, build_full_kernel_graph,
-                           convergence_study, discrete_energy,
-                           interval_benchmark, sigma_eta)
+                           convergence_study, interval_benchmark, sigma_eta)
 from ilgraph.graph import (InvalidParameterError, KernelSpec, PointCloud,
                            exact_knn, knn_graph, self_tuning_weights)
 from ilgraph.inpaint import InpaintConfig, SampleMask
@@ -39,6 +38,13 @@ CASES = [
     ("InpaintConfig-patch_size", "patch_size",
      lambda: InpaintConfig(patch_size=(4, 4))),
     ("InpaintConfig-seed", "seed", lambda: InpaintConfig(seed=-1)),
+    # each gave a bare TypeError
+    ("InpaintConfig-patch_size-one", "patch_size",
+     lambda: InpaintConfig(patch_size=(3,))),
+    ("InpaintConfig-patch_size-three", "patch_size",
+     lambda: InpaintConfig(patch_size=(3, 3, 3))),
+    ("InpaintConfig-patch_size-scalar", "patch_size",
+     lambda: InpaintConfig(patch_size=3)),
     ("solve_symmetric", "tol",
      lambda: solve_symmetric(sp.identity(1, format="csr"), np.ones(1),
                              tol=math.inf)),
@@ -55,12 +61,13 @@ CASES = [
     ("sigma_eta", "dim", lambda: sigma_eta(KernelSpec.tent(), 1.5)),
     ("build_full_kernel_graph", "dim",
      lambda: build_full_kernel_graph(LINE, KernelSpec.tent(), 0.5, dim=0)),
-    ("discrete_energy", "dim",
-     lambda: discrete_energy(LINE, LINE, KernelSpec.tent(), 0.5, dim=0)),
     ("SampleMask.random", "seed",
      lambda: SampleMask.random((4, 4), 0.5, seed=-1)),
     ("SolverConfig", "max_outer_iter",
      lambda: SolverConfig(max_outer_iter=True)),
+    # "no" was accepted, and read as True
+    ("SolverConfig-max_over_unlabeled_only", "max_over_unlabeled_only",
+     lambda: SolverConfig(max_over_unlabeled_only="no")),
 ]
 
 

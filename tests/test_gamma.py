@@ -7,10 +7,11 @@ import scipy.sparse as sp
 import ilgraph.gamma
 from ilgraph.gamma import (BandwidthSchedule, ContinuumProblem,
                            build_full_kernel_graph, circle_benchmark,
-                           convergence_study, discrete_energy,
-                           interval_benchmark, rows_to_csv, sigma_eta)
+                           convergence_study, interval_benchmark, rows_to_csv,
+                           sigma_eta)
 from ilgraph.graph import InvalidParameterError, KernelSpec
-from ilgraph.solver import ConvergenceError, Diagnostics, SolverConfig
+from ilgraph.solver import (ConvergenceError, Diagnostics, SolverConfig,
+                            nonlocal_inf_metric)
 
 
 def pinned_stub(graph, labels, cfg=None):
@@ -65,53 +66,20 @@ class TestDiscreteEnergy:
         # three points on a line, s = 1, tent kernel
         pts = np.array([0.0, 0.4, 1.2])
         u = np.array([0.0, 1.0, 3.0])
-        ker = KernelSpec.tent()
+        graph = build_full_kernel_graph(pts, KernelSpec.tent(), 1.0)
         # pairs within s: (0,1) dist .4 w .6, (1,2) dist .8 w .2
         # row sums: x0: .6*1; x1: .6*1 + .2*4 = 1.4; x2: .2*4 = .8
-        expect = math.sqrt(1.4 / 3.0)
-        assert np.isclose(discrete_energy(u, pts, ker, 1.0), expect)
-
-    def test_constraint_violation_is_inf(self):
-        pts = np.array([0.0, 1.0])
-        val = discrete_energy([0.0, 0.0], pts, KernelSpec.tent(), 1.0,
-                              label_indices=[1], label_values=[5.0])
-        assert val == math.inf
-
-    @pytest.mark.parametrize("indices, values", [
-        ([0, 1], [5.0]), ([1], None), ([2], [0.0]), ([-1], [0.0]),
-        ([0.5], [0.0])])
-    def test_malformed_constraint_raises(self, indices, values):
-        # not read as a violated constraint, and no bare IndexError
-        with pytest.raises(InvalidParameterError):
-            discrete_energy([0.0, 0.0], np.array([0.0, 1.0]),
-                            KernelSpec.tent(), 1.0,
-                            label_indices=indices, label_values=values)
+        assert np.isclose(nonlocal_inf_metric(u, graph), 1.4)
 
     def test_scaling_in_s(self):
-        # doubling u doubles the energy (homogeneity of degree 1)
+        # doubling u quadruples the largest row energy (homogeneity of
+        # degree 2), so the study's energy doubles
         rng = np.random.default_rng(0)
-        pts = rng.uniform(size=12)
+        graph = build_full_kernel_graph(rng.uniform(size=12),
+                                        KernelSpec.tent(), 0.5)
         u = rng.standard_normal(12)
-        ker = KernelSpec.tent()
-        e1 = discrete_energy(u, pts, ker, 0.5)
-        e2 = discrete_energy(2 * u, pts, ker, 0.5)
-        assert np.isclose(e2, 2 * e1)
-
-    def test_points_as_one_column_equal_flat_points(self):
-        pts = np.array([0.0, 0.4, 1.2])
-        u = np.array([0.0, 1.0, 3.0])
-        ker = KernelSpec.tent()
-        assert (discrete_energy(u, pts[:, None], ker, 1.0)
-                == discrete_energy(u, pts, ker, 1.0))
-
-    @pytest.mark.parametrize("points, u", [
-        (np.zeros((3, 2)), np.zeros(2)),   # 3 points in 2-D, 2 values
-        (np.arange(4.0), np.zeros(3)),     # 4 points on a line, 3 values
-    ])
-    def test_rejects_point_count_mismatch(self, points, u):
-        # a mismatch is not read as the transposed point set
-        with pytest.raises(InvalidParameterError, match="one point per value"):
-            discrete_energy(u, points, KernelSpec.tent(), 1.0)
+        assert np.isclose(nonlocal_inf_metric(2 * u, graph),
+                          4 * nonlocal_inf_metric(u, graph))
 
 
 class TestBenchmarks:
@@ -261,8 +229,6 @@ class TestStudy:
         assert (g.n_nodes, g.weights.nnz) == (3, 4)
         assert (g.weights != column.weights).nnz == 0
 
-    @pytest.mark.parametrize("energy", [False, True],
-                             ids=["build_full_kernel_graph", "discrete_energy"])
     @pytest.mark.parametrize("points, s, match", [
         # s = 0 gave an edgeless graph, s = -1 a message about negative
         # weights, and points not finite scipy's plain ValueError
@@ -272,12 +238,9 @@ class TestStudy:
         ([0.0, math.nan], 1.0, "finite"), ([0.0, math.inf], 1.0, "finite"),
         ([[0.0], [-math.inf]], 1.0, "finite")])
     def test_full_kernel_graph_rejects_bad_bandwidth_or_points(
-            self, energy, points, s, match):
+            self, points, s, match):
         with pytest.raises(InvalidParameterError, match=match):
-            if energy:
-                discrete_energy([0.0, 1.0], points, KernelSpec.tent(), s)
-            else:
-                build_full_kernel_graph(points, KernelSpec.tent(), s)
+            build_full_kernel_graph(points, KernelSpec.tent(), s)
 
     @pytest.mark.parametrize("dim, n, s", [(1, 300, 0.05), (1, 60, 0.5),
                                            (2, 200, 0.2), (2, 50, 0.6)])

@@ -78,13 +78,13 @@ class TestKernelSpec:
     def test_gaussian_value(self):
         ker = KernelSpec.gaussian(2.0)
         # exp(-(1/2)^2) = exp(-0.25)
-        assert np.isclose(ker.evaluate(1.0), np.exp(-0.25))
+        assert np.isclose(ker.profile(1.0 / ker.bandwidth), np.exp(-0.25))
         assert ker.support_radius == np.inf
 
     def test_tent_values(self):
         ker = KernelSpec.tent()
-        assert np.allclose(ker.evaluate([0.0, 0.5, 1.0, 2.0]),
-                           [1.0, 0.5, 0.0, 0.0])
+        d = np.array([0.0, 0.5, 1.0, 2.0])
+        assert np.allclose(ker.profile(d / ker.bandwidth), [1.0, 0.5, 0.0, 0.0])
         assert ker.support_radius == 1.0
 
     def test_equality_compares_the_profile_function(self):
@@ -501,7 +501,7 @@ class TestGraphBuilders:
         dense = g.weights.toarray()
         for i in range(30):
             for d, j in zip(dist[i], idx[i]):
-                assert np.isclose(dense[i, j], ker.evaluate(d))
+                assert np.isclose(dense[i, j], ker.profile(d / ker.bandwidth))
         assert np.count_nonzero(dense) == 30 * 4
 
     def test_knn_graph_rejects_bad_k(self):

@@ -107,9 +107,6 @@ def reference_il_solve(graph, labels, cfg):
         history.append(f(t))
         prev = history[-2]
         if prev == 0.0 or abs(history[-1] - prev) / prev <= cfg.rel_obj_tol:
-            if (cfg.primal_tol is not None
-                    and np.max(np.abs(D - t)) > cfg.primal_tol):
-                continue
             break
     return iterates, c_first, np.asarray(history), np.max(np.abs(D - t))
 
@@ -145,6 +142,16 @@ class TestObjective:
         full = objective([2.0, 0.0, 1.0, 0.0], graph, 0.0)
         sub = objective([2.0, 0.0, 1.0, 0.0], graph, 0.0, row_subset=[3])
         assert sub < full
+
+    @pytest.mark.parametrize("rows, match", [
+        ([10], r"row_subset must lie in \[0, 4\)"),  # numpy's IndexError
+        ([-1], r"row_subset must lie in \[0, 4\)"),  # scored node 3
+        ([0.5], "row_subset must be integers"),      # numpy's IndexError
+        ([True], "row_subset must be integers")])
+    def test_rejects_row_subset_not_node_indices(self, rows, match):
+        graph, _ = four_node_graph()
+        with pytest.raises(InvalidParameterError, match=match):
+            objective([2.0, 0.0, 1.0, 0.0], graph, 0.0, row_subset=rows)
 
     @pytest.mark.parametrize("alpha", [-1.0, np.nan])
     def test_rejects_alpha_negative_or_nan(self, alpha):
@@ -740,8 +747,7 @@ class TestChooseC:
 class TestILSolve:
     def test_four_node_reaches_hand_optimum(self):
         graph, labels = four_node_graph()
-        u, diag = il_solve(graph, labels,
-                           SolverConfig(alpha=0.0, primal_tol=1e-4))
+        u, diag = il_solve(graph, labels, SolverConfig(alpha=0.0))
         assert diag.objective <= 11 / 6 + 1e-6
         assert np.allclose(u[:2], [2.0, 0.0])
 
@@ -873,21 +879,19 @@ class TestILSolve:
     @given(n=st.integers(5, 30), seed=st.integers(0, 2 ** 32 - 1),
            directed=st.booleans(), alpha=st.sampled_from([0.0, 1e-3, 0.5]),
            unlabeled_only=st.booleans(),
-           primal_tol=st.sampled_from([None, 1e-4]),
            max_outer_iter=st.sampled_from([1, 2, 300]))
     # balancing doubles c
     @example(n=20, seed=6, directed=False, alpha=0.0, unlabeled_only=False,
-             primal_tol=None, max_outer_iter=300)
+             max_outer_iter=300)
     def test_matches_full_edge_reference(self, n, seed, directed, alpha,
-                                         unlabeled_only, primal_tol,
-                                         max_outer_iter):
+                                         unlabeled_only, max_outer_iter):
         # 1 and 2 iterations end after the first pass and after one step
         rng = np.random.default_rng(seed)
         graph = (random_directed_graph if directed
                  else random_connected_graph)(n, rng)
         labels = random_labels(n, rng)
         cfg = SolverConfig(alpha=alpha, max_over_unlabeled_only=unlabeled_only,
-                           primal_tol=primal_tol, max_outer_iter=max_outer_iter)
+                           max_outer_iter=max_outer_iter)
         u, diag = il_solve(graph, labels, cfg)
         ref_iterates, ref_c, ref_history, ref_primal = reference_il_solve(
             graph, labels, cfg)
@@ -1007,8 +1011,3 @@ class TestILSolve:
     def test_rejects_fixed_c_not_finite_positive(self, fixed_c):
         with pytest.raises(InvalidParameterError, match="fixed_c"):
             SolverConfig(alpha=2.0, fixed_c=fixed_c)
-
-    @pytest.mark.parametrize("primal_tol", [0.0, -1e-4, np.nan, np.inf])
-    def test_rejects_primal_tol_not_positive(self, primal_tol):
-        with pytest.raises(InvalidParameterError, match="primal_tol"):
-            SolverConfig(primal_tol=primal_tol)
